@@ -36,8 +36,7 @@ from .metasurface import (
     PanelLayout,
     RisProfile,
     WavelengthMode,
-    harmonic_derivative_vector,
-    harmonic_pattern_vector,
+    harmonic_pattern_batch,
     ris_response,
     ris_response_derivative,
 )
@@ -145,14 +144,13 @@ def crb_alpha_closed(alpha: float, gain: complex, ula: UlaLayout, pilots: PilotM
 def _db_parts(xi: float, alpha: float, ula: UlaLayout, panel: PanelLayout,
               code: CodingMatrix, harmonics: HarmonicSet, pilots: PilotMatrix,
               mode: WavelengthMode, phi_s: float = 0.0):
-    eta = harmonic_pattern_vector(panel, code, harmonics, xi, phi_s, mode)
-    deta = harmonic_derivative_vector(panel, code, harmonics, xi, phi_s, mode)
+    eta, deta = harmonic_pattern_batch(panel, code, harmonics, xi, phi_s, mode)
     a_r = steering_vector(ula, alpha)
     a_s = steering_vector(ula, phi_s)
     amat = np.outer(a_r, a_s)
     bmat = amat + amat.T
     t_b = np.real(np.trace(bmat @ pilots.gram() @ bmat.conj().T))
-    return eta, deta, t_b
+    return eta[:, 0], deta[:, 0], t_b
 
 
 def fim_db_single(xi: float, alpha: float, gain: complex, ula: UlaLayout,
@@ -263,21 +261,11 @@ def target_derivative_columns(t: TargetState, kind: str, ula: UlaLayout,
         dh = vec(damat @ pilots.symbols)
         return t.sb_gain * dh, h
     if kind == "db":
-        eta = harmonic_pattern_vector(panel, code, harmonics, t.xi, phi_s, mode)
-        deta = harmonic_derivative_vector(panel, code, harmonics, t.xi, phi_s, mode)
-        h = db_regressor(t.alpha, eta, ula, pilots, phi_s)
-        dh = db_regressor(t.alpha, deta, ula, pilots, phi_s)
+        eta, deta = harmonic_pattern_batch(panel, code, harmonics, t.xi, phi_s, mode)
+        h = db_regressor(t.alpha, eta[:, 0], ula, pilots, phi_s)
+        dh = db_regressor(t.alpha, deta[:, 0], ula, pilots, phi_s)
         return t.db_gain * dh, h
     raise ValueError("kind must be 'sb' or 'db'")
-
-
-def _assemble_multi_fim(angle_cols, gain_cols, noise_power: float, kind: str) -> FisherMatrix:
-    r = len(angle_cols)
-    labels = [f"{'alpha' if kind == 'sb' else 'xi'}_{i}" for i in range(r)]
-    for i in range(r):
-        labels.extend([f"re_gain_{i}", f"im_gain_{i}"])
-    f = fim_generic(list(angle_cols) + list(gain_cols), noise_power)
-    return FisherMatrix(entries=f.entries, labels=tuple(labels))
 
 
 def fim_multi_target(targets, kind: str, ula: UlaLayout, pilots: PilotMatrix,
@@ -288,16 +276,13 @@ def fim_multi_target(targets, kind: str, ula: UlaLayout, pilots: PilotMatrix,
                      phi_s: float = 0.0) -> FisherMatrix:
     """Full numeric FIM for R targets, kind "sb" (alpha set) or "db" (xi set).
 
-    Built by stacking per-target derivative vectors into :func:`fim_generic`;
-    reduces exactly to the single-target closed forms at R = 1.
+    The first target takes parameter index 0 of
+    :meth:`MultiTargetFimBuilder.fim`; reduces exactly to the single-target
+    closed forms at R = 1.
     """
-    angle_cols, gain_cols = [], []
-    for t in targets:
-        dcol, h = target_derivative_columns(t, kind, ula, pilots, panel, code,
-                                            harmonics, mode, phi_s)
-        angle_cols.append(dcol)
-        gain_cols.extend([h, 1j * h])
-    return _assemble_multi_fim(angle_cols, gain_cols, noise_power, kind)
+    builder = MultiTargetFimBuilder(targets[1:], kind, ula, pilots, noise_power, panel,
+                                    code, harmonics, mode, phi_s)
+    return builder.fim(targets[0])
 
 
 class MultiTargetFimBuilder:
@@ -328,46 +313,46 @@ class MultiTargetFimBuilder:
 
     def fim(self, moving: TargetState) -> FisherMatrix:
         """FIM with the moving target as parameter index 0."""
-        dcol, h = target_derivative_columns(moving, self.kind, self.ula, self.pilots,
-                                            self.panel, self.code, self.harmonics,
-                                            self.mode, self.phi_s)
-        angle_cols = [dcol] + [d for d, _ in self._fixed]
-        gain_cols = [h, 1j * h]
-        for _, hf in self._fixed:
-            gain_cols.extend([hf, 1j * hf])
-        return _assemble_multi_fim(angle_cols, gain_cols, self.noise_power, self.kind)
+        cols = [target_derivative_columns(moving, self.kind, self.ula, self.pilots,
+                                          self.panel, self.code, self.harmonics,
+                                          self.mode, self.phi_s)] + self._fixed
+        angle = "alpha" if self.kind == "sb" else "xi"
+        labels = [f"{angle}_{i}" for i in range(len(cols))]
+        gain_cols = []
+        for i, (_, h) in enumerate(cols):
+            labels.extend([f"re_gain_{i}", f"im_gain_{i}"])
+            gain_cols.extend([h, 1j * h])
+        f = fim_generic([d for d, _ in cols] + gain_cols, self.noise_power)
+        return FisherMatrix(entries=f.entries, labels=tuple(labels))
 
 
-def position_fim(q, geom: SceneGeometry, efim_alpha: float, efim_xi: float) -> np.ndarray:
-    """2x2 information on (x, z): T^T diag(EFIM_alpha, EFIM_xi) T."""
-    t = jacobian_angles_to_position(q, geom)
-    return t.T @ np.diag([efim_alpha, efim_xi]) @ t
+def _position_peb(f_pos: np.ndarray, limit: float) -> float:
+    """sqrt(Tr(F^{-1})) in meters of a 2x2 (x, z) information matrix.
 
-
-def peb_from_efim(q, geom: SceneGeometry, efim_alpha: float, efim_xi: float,
-                  limit: float = CONDITION_LIMIT) -> float:
-    """sqrt(Tr(F^{-1}(q))) in meters; raises SingularInformation when masked.
-
-    Degenerate on the BS-panel axis, where both angle gradients align and
-    the position information is rank one.
+    Raises SingularInformation when masked by the condition limit.
     """
-    f = position_fim(q, geom, efim_alpha, efim_xi)
-    cond = scale_invariant_cond(f)
+    cond = scale_invariant_cond(f_pos)
     if not np.isfinite(cond) or cond > limit:
         raise SingularInformation("position information is rank deficient here")
-    return float(np.sqrt(np.trace(np.linalg.inv(f))))
+    return float(np.sqrt(np.trace(np.linalg.inv(f_pos))))
 
 
 def peb_single(q, geom: SceneGeometry, ula: UlaLayout, panel: PanelLayout,
                code: CodingMatrix, harmonics: HarmonicSet, pilots: PilotMatrix,
                noise_power: float, sb_gain: complex, db_gain: complex,
                mode: WavelengthMode = WavelengthMode.EXACT) -> float:
-    """Single-target PEB at q from the two per-angle EFIMs."""
+    """Single-target PEB at q from the two per-angle EFIMs.
+
+    The position information is T^T diag(EFIM_alpha, EFIM_xi) T.  It is
+    degenerate on the BS-panel axis, where both angle gradients align and
+    the position information is rank one.
+    """
     ang = angles_from_position(q, geom)
     f_sb = fim_sb_single(ang.alpha, sb_gain, ula, pilots, noise_power)
     f_db = fim_db_single(ang.xi, ang.alpha, db_gain, ula, panel, code, harmonics,
                          pilots, noise_power, mode)
-    return peb_from_efim(q, geom, efim(f_sb), efim(f_db))
+    t = jacobian_angles_to_position(q, geom)
+    return _position_peb(t.T @ np.diag([efim(f_sb), efim(f_db)]) @ t, CONDITION_LIMIT)
 
 
 def peb_multi_from_fims(f_sb: FisherMatrix, f_db: FisherMatrix, positions,
@@ -401,11 +386,7 @@ def peb_multi_from_fims(f_sb: FisherMatrix, f_db: FisherMatrix, positions,
     pair_cov = cov[np.ix_(idx, idx)]
     f_pair = np.linalg.inv(pair_cov)
     t = jacobian_angles_to_position(positions[which], geom)
-    f_pos = t.T @ f_pair @ t
-    cond = scale_invariant_cond(f_pos)
-    if not np.isfinite(cond) or cond > limit:
-        raise SingularInformation("position information is rank deficient here")
-    return float(np.sqrt(np.trace(np.linalg.inv(f_pos))))
+    return _position_peb(t.T @ f_pair @ t, limit)
 
 
 def peb_multi(targets, positions, geom: SceneGeometry, ula: UlaLayout,

@@ -26,7 +26,7 @@ from .metasurface import (
     HarmonicSet,
     PanelLayout,
     WavelengthMode,
-    harmonic_pattern_vector,
+    harmonic_pattern_batch,
 )
 from .rng import complex_normal
 
@@ -235,16 +235,17 @@ def synthesize_echo(scene, geom: SceneGeometry, ula: UlaLayout, panel: PanelLayo
     if fadings is None:
         fadings = [1.0] * len(scene)
 
+    angles = [angles_from_position(point.position, geom) for point in scene]
+    # one pattern call: every target angle, then the panel-BS angle (c1)
+    eta, _ = harmonic_pattern_batch(panel, code, harmonics,
+                                    [ang.xi for ang in angles] + [phi_b], phi_b, mode)
     per_target = []
-    for point, nu in zip(scene, fadings):
-        ang = angles_from_position(point.position, geom)
+    for j, (point, nu, ang) in enumerate(zip(scene, fadings, angles)):
         gains = path_gains(point, geom, fading=nu, wavelength=ula.wavelength)
-        a_r = steering_vector(ula, ang.alpha)
-        eta = harmonic_pattern_vector(panel, code, harmonics, ang.xi, phi_b, mode)
-        per_target.append((point, gains, a_r, eta))
+        per_target.append((point, gains, steering_vector(ula, ang.alpha), eta[:, j]))
 
     c1_gain = path_gain(2 * geom.d_s, 1.0, 1.0, 1.0, ula.wavelength)
-    eta_panel = harmonic_pattern_vector(panel, code, harmonics, phi_b, phi_b, mode)
+    eta_panel = eta[:, -1]
 
     per_harmonic = {}
     components = {} if keep_components else None
@@ -330,8 +331,8 @@ def stack_db(scene, geom: SceneGeometry, ula: UlaLayout, panel: PanelLayout,
     for point, nu in zip(scene, fadings):
         ang = angles_from_position(point.position, geom)
         g = path_gains(point, geom, fading=nu, wavelength=ula.wavelength)
-        eta = harmonic_pattern_vector(panel, code, harmonics, ang.xi, phi_b, mode)
-        h = db_regressor(ang.alpha, eta, ula, pilots, phi_s)
+        eta, _ = harmonic_pattern_batch(panel, code, harmonics, ang.xi, phi_b, mode)
+        h = db_regressor(ang.alpha, eta[:, 0], ula, pilots, phi_s)
         regs.append(h)
         gains.append(g.db_gain)
         y += g.db_gain * h

@@ -170,11 +170,14 @@ def grid_points(geom: SceneGeometry, res_m: float) -> tuple[np.ndarray, np.ndarr
     """Lattice (x, z) covering the scene bounds at the given resolution."""
     if res_m <= 0:
         raise ConfigError("grid resolution must be positive")
-    nx = int(round((geom.x_bounds[1] - geom.x_bounds[0]) / res_m)) + 1
-    nz = int(round((geom.z_bounds[1] - geom.z_bounds[0]) / res_m)) + 1
-    xs = geom.x_bounds[0] + res_m * np.arange(nx)
-    zs = geom.z_bounds[0] + res_m * np.arange(nz)
-    return xs, zs
+    axes = []
+    for key, (lo, hi) in (("x_bounds", geom.x_bounds), ("z_bounds", geom.z_bounds)):
+        n = int(round((hi - lo) / res_m)) + 1
+        if n < 1:
+            raise ConfigError(f"geometry.{key} {[lo, hi]} holds no grid point "
+                              f"at resolution {res_m} m; expected [min, max]")
+        axes.append(lo + res_m * np.arange(n))
+    return axes[0], axes[1]
 
 
 def scene_from_config(cfg: dict) -> list[ScatterPoint]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PilotMatrix, UlaLayout, steering_vector, vec
-from .errors import OutOfRange, ZeroRegressor
+from .errors import DegeneratePoint, OutOfRange, ZeroRegressor
 from .geometry import SceneGeometry, angles_from_position, triangle_distances
 
 _MARCUM_MASS = 1e-14   # swept Poisson mixture mass: 1 - this
@@ -49,24 +49,11 @@ class DespreadRegressor:
     """Combined regressor H = vec(Z A X) plus its noise-referred energy."""
 
     vector: np.ndarray
-    combiner_matrix: np.ndarray
     effective_norm_sq: float
 
     @property
     def norm_sq(self) -> float:
         return float(np.real(np.vdot(self.vector, self.vector)))
-
-    def draw_despread_noise(self, rng, noise_power: float, n: int = 1) -> np.ndarray:
-        """n draws of vec(Z N) with N white of per-entry power noise_power."""
-        z = self.combiner_matrix
-        m = z.shape[1]
-        s = self.vector.shape[0] // z.shape[0]
-        out = np.empty((n, self.vector.shape[0]), dtype=complex)
-        scale = np.sqrt(noise_power / 2.0)
-        for i in range(n):
-            nw = scale * (rng.standard_normal((m, s)) + 1j * rng.standard_normal((m, s)))
-            out[i] = vec(z @ nw)
-        return out
 
 
 @dataclass(frozen=True)
@@ -103,8 +90,7 @@ def despread_regressor_at_angle(alpha: float, ula: UlaLayout, pilots: PilotMatri
     norm_sq = float(np.real(np.vdot(h, h)))
     zzh = z @ z.conj().T
     colored = float(np.real(np.einsum("is,ij,js->", hmat.conj(), zzh, hmat)))
-    return DespreadRegressor(vector=h, combiner_matrix=z,
-                             effective_norm_sq=norm_sq**2 / colored)
+    return DespreadRegressor(vector=h, effective_norm_sq=norm_sq**2 / colored)
 
 
 def ml_beta_estimate(y: np.ndarray, h: np.ndarray) -> complex:
@@ -336,25 +322,30 @@ def detection_map(grid_points, geom: SceneGeometry, ula: UlaLayout,
 
     ``rayleigh_scales`` maps type label -> callable(sb roundtrip distance)
     giving the gain Rayleigh scale at that cell.  Returns
-    {(label, combiner): (n_points,) array}.
+    {(label, combiner): (n_points,) array}, keys combiner-major in the order
+    given.  A cell without a bearing (on the BS or panel phase center) is
+    masked: it comes back as NaN in every array.
+
+    The effective regressor energy depends on the cell only through alpha,
+    so it is evaluated once per combiner and alpha (rounded to 1e-12 rad).
     """
     gamma_th = threshold_from_pfa(p_fa)
-    out = {}
-    pts = [np.asarray(q, dtype=float) for q in grid_points]
-    for comb in combiners:
-        h_eff = np.empty(len(pts))
-        d_sb = np.empty(len(pts))
-        for i, q in enumerate(pts):
-            reg = despread_regressor(q, ula, pilots, comb, geom)
-            h_eff[i] = reg.effective_norm_sq
-            d_r, _, _ = triangle_distances(q, geom)
-            d_sb[i] = 2.0 * d_r
-        for label, scale_fn in rayleigh_scales.items():
-            pd = np.array(
-                [
-                    pd_marginal(scale_fn(d), h, noise_power, gamma_th)
-                    for d, h in zip(d_sb, h_eff)
-                ]
-            )
-            out[(label, comb)] = pd
+    out = {(label, comb): np.full(len(grid_points), np.nan)
+           for comb in combiners for label in rayleigh_scales}
+    h_cache: dict = {}
+    for i, q in enumerate(grid_points):
+        q = np.asarray(q, dtype=float)
+        try:
+            alpha = angles_from_position(q, geom).alpha
+        except DegeneratePoint:
+            continue
+        d_r, _, _ = triangle_distances(q, geom)
+        scales = {label: fn(2.0 * d_r) for label, fn in rayleigh_scales.items()}
+        for comb in combiners:
+            key = (comb, round(alpha, 12))
+            if key not in h_cache:
+                h_cache[key] = despread_regressor_at_angle(alpha, ula, pilots,
+                                                           comb).effective_norm_sq
+            for label, scale in scales.items():
+                out[(label, comb)][i] = pd_marginal(scale, h_cache[key], noise_power, gamma_th)
     return out

@@ -13,10 +13,6 @@ class DegenerateTriangle(SensingError):
     """BS/panel/target triangle collapses; range is unobservable from angles."""
 
 
-class DegenerateGeometry(SensingError):
-    """Position information matrix is rank deficient at this point."""
-
-
 class NonPositiveDistance(SensingError):
     """Propagation distance must be strictly positive."""
 

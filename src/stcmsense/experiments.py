@@ -3,9 +3,12 @@
 Every experiment consumes a resolved config dict, writes CSV data plus a
 JSON manifest into the output directory, and returns the list of files it
 wrote.  Variances are reported as 10 log10(rad^2); masked grid cells carry
-an explicit boolean column.  Grid sweeps are pure functions of the cell, so
-optional process parallelism (``threads``) cannot change results; assembly
-is by cell index, independent of completion order.
+an explicit boolean column.  The verbs sweep the grid and write rows; each
+value comes from the one package function for that quantity (closed forms,
+``MultiTargetFimBuilder``, ``peb_single``, ``crb_ris``, ``detection_map``).
+Bound sweeps are pure functions of the cell, so optional process
+parallelism (``threads``) cannot change results; assembly is by cell index,
+independent of completion order.
 """
 
 from __future__ import annotations
@@ -25,18 +28,15 @@ from .bounds import (
     crb_ris,
     crb_xi_closed,
     crbs_from_fim,
-    efim,
-    fim_db_single,
-    fim_sb_single,
-    peb_from_efim,
     peb_multi_from_fims,
+    peb_single,
 )
 from .channel import path_gains
 from .classification import confusion_matrix, rayleigh_scale
 from .config import SystemModel, build_model, config_hash, fixed_scene, grid_points
-from .detection import Combiner, despread_regressor_at_angle, pd_marginal, threshold_from_pfa
+from .detection import Combiner, despread_regressor_at_angle, detection_map
 from .errors import SensingError
-from .geometry import ScatterPoint, TargetKind, angles_from_position, triangle_distances
+from .geometry import ScatterPoint, TargetKind, angles_from_position
 from .io import write_csv, write_manifest
 
 
@@ -54,35 +54,40 @@ def _target_state(q, model: SystemModel) -> TargetState:
     return TargetState(alpha=ang.alpha, xi=ang.xi, sb_gain=g.sb_gain, db_gain=g.db_gain)
 
 
-def _builders(model: SystemModel, fixed_states):
-    sb = MultiTargetFimBuilder(fixed_states, "sb", model.ula, model.pilots, model.noise_power)
-    db = MultiTargetFimBuilder(fixed_states, "db", model.ula, model.pilots, model.noise_power,
+def _builders(model: SystemModel, fixed):
+    """(sb, db) FIM builders around the fixed scatter points; None without any."""
+    if not fixed:
+        return None, None
+    states = [_target_state(p.position, model) for p in fixed]
+    sb = MultiTargetFimBuilder(states, "sb", model.ula, model.pilots, model.noise_power)
+    db = MultiTargetFimBuilder(states, "db", model.ula, model.pilots, model.noise_power,
                                model.panel, model.code, model.harmonics, model.mode)
     return sb, db
 
 
+def _or_none(fn, *args):
+    """fn(*args), or None where the value is masked."""
+    try:
+        return fn(*args)
+    except SensingError:
+        return None
+
+
+def _crb_xi(mov: TargetState, model: SystemModel):
+    return _or_none(crb_xi_closed, mov.xi, mov.alpha, mov.db_gain, model.ula, model.panel,
+                    model.code, model.harmonics, model.pilots, model.noise_power, model.mode)
+
+
 def _crb_cell(q, model: SystemModel, builders):
     """CRBs for one moving-target cell; None marks a masked value."""
-    try:
-        mov = _target_state(q, model)
-    except SensingError:
+    mov = _or_none(_target_state, q, model)
+    if mov is None:
         return None, None
-    sb_builder, db_builder = builders
-    if sb_builder is None:
-        try:
-            ca = crb_alpha_closed(mov.alpha, mov.sb_gain, model.ula, model.pilots,
-                                  model.noise_power)
-        except SensingError:
-            ca = None
-        try:
-            cx = crb_xi_closed(mov.xi, mov.alpha, mov.db_gain, model.ula, model.panel,
-                               model.code, model.harmonics, model.pilots,
-                               model.noise_power, model.mode)
-        except SensingError:
-            cx = None
-        return ca, cx
+    if builders[0] is None:
+        return (_or_none(crb_alpha_closed, mov.alpha, mov.sb_gain, model.ula, model.pilots,
+                         model.noise_power), _crb_xi(mov, model))
     out = []
-    for builder in (sb_builder, db_builder):
+    for builder in builders:
         try:
             val = float(crbs_from_fim(builder.fim(mov))[0])
             out.append(val if val > 0 else None)
@@ -96,12 +101,9 @@ def _peb_cell(q, model: SystemModel, builders, fixed_pos):
         mov = _target_state(q, model)
         sb_builder, db_builder = builders
         if sb_builder is None:
-            f_sb = fim_sb_single(mov.alpha, mov.sb_gain, model.ula, model.pilots,
-                                 model.noise_power)
-            f_db = fim_db_single(mov.xi, mov.alpha, mov.db_gain, model.ula, model.panel,
-                                 model.code, model.harmonics, model.pilots,
-                                 model.noise_power, model.mode)
-            return peb_from_efim(q, model.geom, efim(f_sb), efim(f_db))
+            return peb_single(q, model.geom, model.ula, model.panel, model.code,
+                              model.harmonics, model.pilots, model.noise_power,
+                              mov.sb_gain, mov.db_gain, model.mode)
         positions = [q] + list(fixed_pos)
         return peb_multi_from_fims(sb_builder.fim(mov), db_builder.fim(mov),
                                    positions, model.geom, which=0)
@@ -110,19 +112,12 @@ def _peb_cell(q, model: SystemModel, builders, fixed_pos):
 
 
 def _ris_cell(q, model: SystemModel):
-    try:
-        mov = _target_state(q, model)
-    except SensingError:
+    mov = _or_none(_target_state, q, model)
+    if mov is None:
         return None, None
     _, crb = crb_ris(mov.xi, mov.alpha, mov.db_gain, model.ris_profile,
                      model.panel, model.ula, model.pilots, model.noise_power)
-    try:
-        cx = crb_xi_closed(mov.xi, mov.alpha, mov.db_gain, model.ula, model.panel,
-                           model.code, model.harmonics, model.pilots,
-                           model.noise_power, model.mode)
-    except SensingError:
-        cx = None
-    return (None if not np.isfinite(crb) else crb), cx
+    return (None if not np.isfinite(crb) else crb), _crb_xi(mov, model)
 
 
 def _map_cells(cells, worker, threads: int):
@@ -141,10 +136,7 @@ def _cells(model: SystemModel, res: float):
 def run_crb_map(cfg: dict, out_dir: str) -> list[str]:
     """Angle-CRB maps over the scene for the configured target count."""
     model = build_model(cfg)
-    fixed = fixed_scene(cfg, model)
-    builders = (None, None)
-    if fixed:
-        builders = _builders(model, [_target_state(p.position, model) for p in fixed])
+    builders = _builders(model, fixed_scene(cfg, model))
     cells = _cells(model, float(cfg["grid_res_m"]))
     worker = functools.partial(_crb_cell, model=model, builders=builders)
     values = _map_cells(cells, worker, int(cfg["threads"]))
@@ -167,14 +159,9 @@ def run_peb_map(cfg: dict, out_dir: str) -> list[str]:
     """Position-error-bound map (meters) for the moving target."""
     model = build_model(cfg)
     fixed = fixed_scene(cfg, model)
-    builders = (None, None)
-    fixed_pos = []
-    if fixed:
-        fixed_pos = [p.position for p in fixed]
-        builders = _builders(model, [_target_state(p, model) for p in fixed_pos])
     cells = _cells(model, float(cfg["grid_res_m"]))
-    worker = functools.partial(_peb_cell, model=model, builders=builders,
-                               fixed_pos=fixed_pos)
+    worker = functools.partial(_peb_cell, model=model, builders=_builders(model, fixed),
+                               fixed_pos=[p.position for p in fixed])
     values = _map_cells(cells, worker, int(cfg["threads"]))
     rows = [
         (float(q[0]), float(q[2]), v, v is None)
@@ -189,40 +176,23 @@ def run_peb_map(cfg: dict, out_dir: str) -> list[str]:
 def run_detection_map(cfg: dict, out_dir: str) -> list[str]:
     """Marginal detection probability maps: 2 target types x 2 combiners."""
     model = build_model(cfg)
-    xs, zs = grid_points(model.geom, float(cfg["grid_res_m"]))
-    gamma_th = threshold_from_pfa(model.p_fa)
-    sig = {"human_like": model.hypotheses.rcs_sqrts[1],
-           "object_like": model.hypotheses.rcs_sqrts[2]}
+    cells = _cells(model, float(cfg["grid_res_m"]))
+    scales = {label: functools.partial(rayleigh_scale, sigma, sigma_nu=model.sigma_nu,
+                                       wavelength=model.wavelength, iota=model.iota)
+              for label, sigma in (("human_like", model.hypotheses.rcs_sqrts[1]),
+                                   ("object_like", model.hypotheses.rcs_sqrts[2]))}
+    maps = detection_map(cells, model.geom, model.ula, model.pilots, model.noise_power,
+                         model.p_fa, scales)
     files = []
-    for comb in (Combiner.ALL_ONES, Combiner.MATCHED_DESPREAD):
-        # effective regressor energy depends on the cell only through alpha
-        h_cache: dict = {}
-        rows = {label: [] for label in sig}
-        for z in zs:
-            for x in xs:
-                q = np.array([x, 0.0, z])
-                try:
-                    ang = angles_from_position(q, model.geom)
-                except SensingError:
-                    for label in sig:
-                        rows[label].append((float(x), float(z), None, label, comb.value, True))
-                    continue
-                key = round(ang.alpha, 12)
-                if key not in h_cache:
-                    h_cache[key] = despread_regressor_at_angle(
-                        ang.alpha, model.ula, model.pilots, comb
-                    ).effective_norm_sq
-                h_eff = h_cache[key]
-                d_r, _, _ = triangle_distances(q, model.geom)
-                for label, s in sig.items():
-                    scale = rayleigh_scale(s, 2.0 * d_r, model.sigma_nu,
-                                           wavelength=model.wavelength, iota=model.iota)
-                    pd = pd_marginal(scale, h_eff, model.noise_power, gamma_th)
-                    rows[label].append((float(x), float(z), pd, label, comb.value, False))
-        for label in sig:
-            path = os.path.join(out_dir, f"detect_map_{label}_{comb.value}.csv")
-            write_csv(path, ("x_m", "z_m", "p_d", "sp_type", "combiner", "masked"), rows[label])
-            files.append(path)
+    for (label, comb), pd in maps.items():
+        rows = [
+            (float(q[0]), float(q[2]), None if math.isnan(p) else float(p), label,
+             comb.value, math.isnan(p))
+            for q, p in zip(cells, pd)
+        ]
+        path = os.path.join(out_dir, f"detect_map_{label}_{comb.value}.csv")
+        write_csv(path, ("x_m", "z_m", "p_d", "sp_type", "combiner", "masked"), rows)
+        files.append(path)
     files.append(write_manifest(out_dir, "detect_map", config_hash(cfg), __version__, files))
     return files
 

@@ -184,31 +184,46 @@ def wavenumber(angle, wavelength: float) -> np.ndarray:
     return k * np.stack([np.sin(a), np.zeros_like(a), np.cos(a)], axis=-1)
 
 
+def _pattern_terms(layout: PanelLayout, code: CodingMatrix, m: int, xi: np.ndarray,
+                   phi_fixed: float, mode: WavelengthMode, pos: np.ndarray):
+    """(eta_m, d eta_m / d xi) at the 1-D angle array ``xi``.
+
+    eta_m = sum_n a^m_n exp{j (k(xi) + k(phi_fixed))^T q_n} with isotropic
+    element patterns; the derivative differentiates the wavenumber k(xi).
+    ``pos`` is the layout's element positions, built once per caller.
+    """
+    k = 2 * np.pi / harmonic_wavelength(layout, code, m, mode)
+    a = fourier_coefficients(code, m)
+    # z-components vanish on the panel plane but are kept for generality
+    phase = k * (
+        (np.sin(xi)[:, None] + np.sin(phi_fixed)) * pos[None, :, 0]
+        + (np.cos(xi)[:, None] + np.cos(phi_fixed)) * pos[None, :, 2]
+    )
+    dphase = k * (np.cos(xi)[:, None] * pos[None, :, 0] - np.sin(xi)[:, None] * pos[None, :, 2])
+    core = a[None, :] * np.exp(1j * phase)
+    return core.sum(axis=1), (1j * dphase * core).sum(axis=1)
+
+
 def harmonic_pattern(layout: PanelLayout, code: CodingMatrix, m: int,
                      phi_d: float, phi_a: float,
                      mode: WavelengthMode = WavelengthMode.EXACT) -> complex:
     """Far-field pattern of harmonic m at departure/arrival angles (radians).
 
-    eta_m = sum_n a^m_n exp{j (k(phi_d) + k(phi_a))^T q_n} with isotropic
-    element patterns; symmetric under swapping the two angles.
+    Symmetric under swapping the two angles; the one-angle case of
+    :func:`harmonic_pattern_batch`.
     """
-    lam = harmonic_wavelength(layout, code, m, mode)
-    pos = layout.element_positions()
-    ktot = wavenumber(phi_d, lam) + wavenumber(phi_a, lam)
-    return complex(np.sum(fourier_coefficients(code, m) * np.exp(1j * pos @ ktot)))
+    eta, _ = _pattern_terms(layout, code, m, np.array([phi_d], dtype=float), phi_a, mode,
+                            layout.element_positions())
+    return complex(eta[0])
 
 
 def harmonic_pattern_derivative(layout: PanelLayout, code: CodingMatrix, m: int,
                                 xi: float, phi_fixed: float = 0.0,
                                 mode: WavelengthMode = WavelengthMode.EXACT) -> complex:
     """d eta_m / d xi at (xi, phi_fixed), differentiating the wavenumber."""
-    lam = harmonic_wavelength(layout, code, m, mode)
-    pos = layout.element_positions()
-    k = 2 * np.pi / lam
-    ktot = wavenumber(xi, lam) + wavenumber(phi_fixed, lam)
-    dk = k * np.array([np.cos(xi), 0.0, -np.sin(xi)])
-    core = fourier_coefficients(code, m) * np.exp(1j * pos @ ktot)
-    return complex(np.sum(1j * (pos @ dk) * core))
+    _, deta = _pattern_terms(layout, code, m, np.array([xi], dtype=float), phi_fixed, mode,
+                             layout.element_positions())
+    return complex(deta[0])
 
 
 def harmonic_pattern_batch(layout: PanelLayout, code: CodingMatrix,
@@ -216,7 +231,8 @@ def harmonic_pattern_batch(layout: PanelLayout, code: CodingMatrix,
                            mode: WavelengthMode = WavelengthMode.EXACT):
     """Patterns and xi-derivatives for all m in the set at angles ``xi``.
 
-    Returns (eta, deta) of shape (|M|, len(xi)); the hot path for maps.
+    Returns (eta, deta) of shape (|M|, len(xi)), rows in ascending m; a
+    scalar ``xi`` is the one-column case.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     pos = layout.element_positions()
@@ -224,33 +240,8 @@ def harmonic_pattern_batch(layout: PanelLayout, code: CodingMatrix,
     eta = np.empty((len(members), xi.size), dtype=complex)
     deta = np.empty_like(eta)
     for i, m in enumerate(members):
-        lam = harmonic_wavelength(layout, code, m, mode)
-        k = 2 * np.pi / lam
-        a = fourier_coefficients(code, m)
-        # k(xi)+k(phi_fixed) dotted with positions; z-components vanish on
-        # the panel plane but are kept for generality
-        phase = k * (
-            (np.sin(xi)[:, None] + np.sin(phi_fixed)) * pos[None, :, 0]
-            + (np.cos(xi)[:, None] + np.cos(phi_fixed)) * pos[None, :, 2]
-        )
-        dphase = k * (np.cos(xi)[:, None] * pos[None, :, 0] - np.sin(xi)[:, None] * pos[None, :, 2])
-        core = a[None, :] * np.exp(1j * phase)
-        eta[i] = core.sum(axis=1)
-        deta[i] = (1j * dphase * core).sum(axis=1)
+        eta[i], deta[i] = _pattern_terms(layout, code, m, xi, phi_fixed, mode, pos)
     return eta, deta
-
-
-def harmonic_pattern_vector(layout, code, harmonics, xi, phi_fixed=0.0,
-                            mode: WavelengthMode = WavelengthMode.EXACT) -> np.ndarray:
-    """eta_m(xi, phi_fixed) stacked over m in ascending order, (|M|,)."""
-    eta, _ = harmonic_pattern_batch(layout, code, harmonics, xi, phi_fixed, mode)
-    return eta[:, 0]
-
-
-def harmonic_derivative_vector(layout, code, harmonics, xi, phi_fixed=0.0,
-                               mode: WavelengthMode = WavelengthMode.EXACT) -> np.ndarray:
-    _, deta = harmonic_pattern_batch(layout, code, harmonics, xi, phi_fixed, mode)
-    return deta[:, 0]
 
 
 # --- default switching design -------------------------------------------

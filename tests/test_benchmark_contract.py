@@ -1,0 +1,57 @@
+"""The benchmark names package functions by module and name; they must exist.
+
+``benchmarks/run.py`` reads per-function span counts as
+``names["layer.func"]`` and ``benchmarks/tracer.py`` attaches counting hooks
+by the same names.  A renamed or deleted function would otherwise surface
+only in a traced benchmark run.  These checks read the benchmark files and
+change nothing there.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", BENCH / "tracer.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _unresolved(quals, layers):
+    """Qualified names that are not a public function of their layer module."""
+    bad = []
+    for qual in quals:
+        layer, name = qual.split(".")
+        mod = importlib.import_module(f"stcmsense.{layer}")
+        fn = getattr(mod, name, None)
+        if (layer not in layers or name.startswith("_") or not inspect.isfunction(fn)
+                or fn.__module__ != mod.__name__):
+            bad.append(qual)
+    return bad
+
+
+def test_run_names_resolve(tracer):
+    quals = set(re.findall(r'names\["([\w.]+)"\]', (BENCH / "run.py").read_text()))
+    assert len(quals) >= 10
+    assert _unresolved(sorted(quals), tracer.LAYERS) == []
+
+
+def test_tracer_hooks_resolve(tracer):
+    assert tracer._HOOKS
+    assert _unresolved(sorted(tracer._HOOKS), tracer.LAYERS) == []
+
+
+def test_traced_methods_exist(tracer):
+    assert ("bounds", "MultiTargetFimBuilder", "fim") in tracer.METHODS
+    for layer, cls_name, meth in tracer.METHODS:
+        cls = getattr(importlib.import_module(f"stcmsense.{layer}"), cls_name)
+        assert inspect.isfunction(cls.__dict__.get(meth))

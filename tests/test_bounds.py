@@ -20,12 +20,7 @@ from stcmsense.bounds import (
 from stcmsense.channel import path_gains, sb_regressor, steering_derivative, steering_vector, vec
 from stcmsense.errors import DimensionMismatch, SingularInformation
 from stcmsense.geometry import ScatterPoint, angles_from_position
-from stcmsense.metasurface import (
-    HarmonicSet,
-    RisProfile,
-    harmonic_derivative_vector,
-    harmonic_pattern_vector,
-)
+from stcmsense.metasurface import HarmonicSet, RisProfile, harmonic_pattern_batch
 
 NOISE = 1e-15
 
@@ -47,10 +42,9 @@ def sb_derivative_columns(alpha, gain, ula, pilots):
 def db_derivative_columns(xi, alpha, gain, ula, panel, code, harmonics, pilots):
     from stcmsense.channel import db_regressor
 
-    eta = harmonic_pattern_vector(panel, code, harmonics, xi, 0.0)
-    deta = harmonic_derivative_vector(panel, code, harmonics, xi, 0.0)
-    h = db_regressor(alpha, eta, ula, pilots)
-    dh = db_regressor(alpha, deta, ula, pilots)
+    eta, deta = harmonic_pattern_batch(panel, code, harmonics, xi, 0.0)
+    h = db_regressor(alpha, eta[:, 0], ula, pilots)
+    dh = db_regressor(alpha, deta[:, 0], ula, pilots)
     return [gain * dh, h, 1j * h]
 
 

@@ -17,7 +17,7 @@ from stcmsense.channel import (
 )
 from stcmsense.errors import NonPositiveDistance, NotPerfectSquare, TooFewSymbols
 from stcmsense.geometry import ScatterPoint, TargetKind, angles_from_position, triangle_distances
-from stcmsense.metasurface import HarmonicSet, harmonic_pattern_vector
+from stcmsense.metasurface import HarmonicSet, harmonic_pattern_batch
 from stcmsense.rng import stream_rng
 NOISE_POWER = 1e-15          # -120 dBm
 PILOT_POWER = 10 ** (-1.8)   # 12 dBm
@@ -163,8 +163,8 @@ class TestEchoSynthesis:
         x = pilots.symbols
         a0 = steering_vector(ula, 0.0)
         ar = steering_vector(ula, ang.alpha)
-        eta = harmonic_pattern_vector(panel, code, harmonics, ang.xi, 0.0)
-        eta_p = harmonic_pattern_vector(panel, code, harmonics, 0.0, 0.0)
+        eta, _ = harmonic_pattern_batch(panel, code, harmonics, [ang.xi, 0.0], 0.0)
+        eta, eta_p = eta[:, 0], eta[:, 1]
         g_sb = (lam / (4 * np.pi * (2 * d_r) ** 2)) * np.exp(-2j * np.pi * 2 * d_r / lam) * 2.0
         g_db = (lam / (4 * np.pi * (d_s + d_r + d_rp) ** 2)) * np.exp(-2j * np.pi * (d_s + d_r + d_rp) / lam) * 2.0
         g_c1 = (lam / (4 * np.pi * (2 * d_s) ** 2)) * np.exp(-2j * np.pi * 2 * d_s / lam)
@@ -232,12 +232,12 @@ class TestStacking:
         p = ScatterPoint(position=[33.0, 0.0, 44.0], rcs_sqrt=1.0)
         _, regs, _ = stack_db([p], geom, ula, panel, code, harmonics, pilots, 0.0)
         ang = angles_from_position(p.position, geom)
-        eta = harmonic_pattern_vector(panel, code, harmonics, ang.xi, 0.0)
+        eta, _ = harmonic_pattern_batch(panel, code, harmonics, ang.xi, 0.0)
         ar = steering_vector(ula, ang.alpha)
         a0 = steering_vector(ula, 0.0)
         b = np.outer(ar, a0) + np.outer(a0, ar)
         acc = 0.0
-        for em in eta:
+        for em in eta[:, 0]:
             acc += np.linalg.norm(em * b @ pilots.symbols, "fro") ** 2
         assert np.linalg.norm(regs[0]) ** 2 == pytest.approx(acc, rel=1e-12)
 

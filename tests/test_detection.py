@@ -235,6 +235,19 @@ class TestDetectionMap:
             assert np.all(pd >= 1e-4 - 1e-12)
             assert np.all(pd <= 1.0)
 
+    def test_terminal_cells_masked(self, geom, ula, pilots):
+        # the BS and panel phase centers have no bearing: NaN, not an error
+        pts = [np.array([x, 0.0, z]) for z in (0.0, 50.0, 100.0) for x in (-20.0, 0.0, 20.0)]
+        scales = {"object_like": lambda d: rayleigh_scale(10 ** (17 / 20), d)}
+        out = detection_map(pts, geom, ula, pilots, NOISE, 1e-4, scales)
+        assert len(out) == 2
+        terminal = [i for i, q in enumerate(pts) if q[0] == 0.0 and q[2] in (0.0, 100.0)]
+        assert terminal == [1, 7]
+        for pd in out.values():
+            assert np.all(np.isnan(pd[terminal]))
+            rest = np.delete(pd, terminal)
+            assert np.all((rest >= 1e-4 - 1e-12) & (rest <= 1.0))
+
 
 def test_detection_statistic_definition():
     s = detection_statistic(0.5 + 0.5j, 1.0, 3.0, 0.25)

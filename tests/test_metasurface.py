@@ -14,7 +14,6 @@ from stcmsense.metasurface import (
     harmonic_pattern,
     harmonic_pattern_batch,
     harmonic_pattern_derivative,
-    harmonic_pattern_vector,
     panel_steering,
     read_coding_csv,
     ris_response,
@@ -22,14 +21,7 @@ from stcmsense.metasurface import (
     write_coding_csv,
 )
 
-
-def direct_coefficient(row, m, L):
-    """Independent oracle: direct summation of the series definition."""
-    acc = 0j
-    sinc = 1.0 if m == 0 else np.sin(np.pi * m / L) / (np.pi * m / L)
-    for ell in range(1, L + 1):
-        acc += row[ell - 1] / L * sinc * np.exp(-1j * np.pi * m * (2 * ell - 1) / L)
-    return acc
+from pattern_oracle import direct_coefficient, direct_pattern
 
 
 def single_row_code(row):
@@ -117,17 +109,9 @@ class TestHarmonicPattern:
 
     def test_brute_force_double_loop(self, panel, code):
         # independent oracle: explicit per-element loop over the grid
-        m, phi_d, phi_a = 1, 0.0, 0.0
-        lam = 299792458.0 / (1e10 + m / code.period_t0)
-        acc = 0j
-        for p in range(8):
-            for q in range(8):
-                n = p * 8 + q
-                a_n = direct_coefficient(code.entries[n], m, 8)
-                x = (p - 3.5) * panel.spacing
-                phase = (2 * np.pi / lam) * (np.sin(phi_d) + np.sin(phi_a)) * x
-                acc += a_n * np.exp(1j * phase)
-        assert harmonic_pattern(panel, code, m, phi_d, phi_a) == pytest.approx(acc, rel=1e-12)
+        for m, phi_d, phi_a in ((1, 0.0, 0.0), (-2, 0.6, -0.3)):
+            acc, _ = direct_pattern(panel, code, m, phi_d, phi_a)
+            assert harmonic_pattern(panel, code, m, phi_d, phi_a) == pytest.approx(acc, rel=1e-12)
 
     def test_periodicity_in_angle(self, panel, code):
         val = harmonic_pattern(panel, code, 2, 0.3, 0.1)
@@ -135,18 +119,26 @@ class TestHarmonicPattern:
 
     def test_carrier_mode_matches_exact_at_m0(self, panel, code):
         h = HarmonicSet(0)
-        e1 = harmonic_pattern_vector(panel, code, h, 0.5, 0.0, WavelengthMode.EXACT)
-        e2 = harmonic_pattern_vector(panel, code, h, 0.5, 0.0, WavelengthMode.CARRIER)
+        e1, d1 = harmonic_pattern_batch(panel, code, h, 0.5, 0.0, WavelengthMode.EXACT)
+        e2, d2 = harmonic_pattern_batch(panel, code, h, 0.5, 0.0, WavelengthMode.CARRIER)
         assert e1 == pytest.approx(e2, rel=1e-15)
+        assert d1 == pytest.approx(d2, rel=1e-15)
 
     def test_batch_agrees_with_scalar(self, panel, code, harmonics):
+        # oracle: the explicit per-element sum; the scalar calls are the
+        # batch's one-angle case and agree with its columns.  Entries that
+        # cancel to zero across the 64 elements (order-one terms) carry a
+        # summation-order residue of a few eps, hence the absolute floor.
         xi = np.array([-0.7, 0.0, 0.9])
         eta, deta = harmonic_pattern_batch(panel, code, harmonics, xi)
         for i, m in enumerate(harmonics.members):
             for j, x in enumerate(xi):
-                assert eta[i, j] == pytest.approx(harmonic_pattern(panel, code, m, x, 0.0), rel=1e-12, abs=1e-15)
-                assert deta[i, j] == pytest.approx(
-                    harmonic_pattern_derivative(panel, code, m, x), rel=1e-12, abs=1e-15
+                e_ref, d_ref = direct_pattern(panel, code, m, x)
+                assert eta[i, j] == pytest.approx(e_ref, rel=1e-12, abs=1e-13)
+                assert deta[i, j] == pytest.approx(d_ref, rel=1e-12, abs=1e-13)
+                assert harmonic_pattern(panel, code, m, x, 0.0) == pytest.approx(eta[i, j], rel=1e-15)
+                assert harmonic_pattern_derivative(panel, code, m, x) == pytest.approx(
+                    deta[i, j], rel=1e-15
                 )
 
 

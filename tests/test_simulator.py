@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stcmsense.cli import main
+from stcmsense.classification import rayleigh_scale
 from stcmsense.config import (
     build_model,
     config_hash,
@@ -14,6 +15,7 @@ from stcmsense.config import (
     load_config,
     merge_config,
 )
+from stcmsense.detection import detection_map
 from stcmsense.errors import ConfigError
 from stcmsense.experiments import (
     run_classification_mc,
@@ -132,6 +134,35 @@ class TestExperimentOutputs:
             header, rows = read_csv(f)
             pd = np.array([float(r[2]) for r in rows if r[2]])
             assert np.all(pd >= 1e-4 - 1e-12) and np.all(pd <= 1.0)
+
+    def test_detection_csvs_are_detection_map(self, tmp_path):
+        # the CLI map writes detection_map's values cell for cell
+        cfg = merge_config(COARSE)
+        model = build_model(cfg)
+        xs, zs = grid_points(model.geom, 10.0)
+        pts = [np.array([x, 0.0, z]) for z in zs for x in xs]
+        sig = dict(zip(("human_like", "object_like"), model.hypotheses.rcs_sqrts[1:]))
+        scales = {label: (lambda d, s=s: rayleigh_scale(s, d, model.sigma_nu,
+                                                       wavelength=model.wavelength,
+                                                       iota=model.iota))
+                  for label, s in sig.items()}
+        maps = detection_map(pts, model.geom, model.ula, model.pilots, model.noise_power,
+                             model.p_fa, scales)
+        files = run_detection_map(cfg, str(tmp_path))
+        assert len(files) == len(maps) + 1
+        n_masked = 0
+        for (label, comb), pd in maps.items():
+            _, rows = read_csv(tmp_path / f"detect_map_{label}_{comb.value}.csv")
+            assert len(rows) == len(pts)
+            for q, p, r in zip(pts, pd, rows):
+                assert (float(r[0]), float(r[1])) == (q[0], q[2])
+                assert r[3:] == [label, comb.value, "true" if np.isnan(p) else "false"]
+                if np.isnan(p):
+                    n_masked += 1
+                    assert r[2] == ""
+                else:
+                    assert float(r[2]) == p
+        assert n_masked == 2 * len(maps)  # BS and panel centers
 
     def test_classification_csv_schema(self, tmp_path):
         files = run_classification_mc(merge_config(COARSE), str(tmp_path))
@@ -273,6 +304,18 @@ class TestCli:
         rc = main(["crb-map", "--config", str(cfg_path), "--out", str(tmp_path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,bounds", [("x_bounds", [80, -80]), ("z_bounds", [100, 0])])
+    @pytest.mark.parametrize("cmd", ["crb-map", "detect-map"])
+    def test_reversed_bounds_fail(self, tmp_path, capsys, cmd, key, bounds):
+        cfg_path = tmp_path / "reversed.json"
+        cfg_path.write_text(json.dumps({"geometry": {key: bounds}}))
+        out = tmp_path / "out"
+        rc = main([cmd, "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and f"geometry.{key}" in err[0]
+        assert not list(out.glob("*.csv"))
 
     def test_validate_passes_on_defaults(self):
         assert main(["validate"]) == 0
