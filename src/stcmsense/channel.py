@@ -152,11 +152,14 @@ def path_gain(distance: float, rcs_sqrt: float = 1.0, fading: complex = 1.0,
     G(d) = sqrt(esymbol) lambda / (4 pi d^iota), rotated by the carrier
     phase of the path and scaled by the target amplitude and fading draw.
     ``esymbol`` defaults to 1: the transmit energy lives in the pilot block.
+    An array of distances gives an array of gains.
     """
-    if distance <= 0:
+    d = np.asarray(distance, dtype=float)
+    if np.any(d <= 0):
         raise NonPositiveDistance("path distance must be positive")
-    g = np.sqrt(esymbol) * wavelength / (4 * np.pi * distance**iota)
-    return complex(g * np.exp(-2j * np.pi * distance / wavelength) * rcs_sqrt * fading)
+    g = np.sqrt(esymbol) * wavelength / (4 * np.pi * d**iota)
+    out = g * np.exp(1j * (-2 * np.pi * d / wavelength)) * rcs_sqrt * fading
+    return complex(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -172,12 +175,15 @@ class PathGains:
 def path_gains(point: ScatterPoint, geom: SceneGeometry, fading: complex = 1.0,
                esymbol: float = 1.0, wavelength: float = SPEED_OF_LIGHT / 1e10,
                iota: float = 2.0) -> PathGains:
-    """Both bounce gains for a target: roundtrips 2 d_r and d_S + d_r + d_r'."""
+    """Both bounce gains for a target: roundtrips 2 d_r and d_S + d_r + d_r'.
+
+    A point with stacked positions (n, 3) gives (n,) arrays in every field.
+    """
     d_r, d_s, d_rp = triangle_distances(point.position, geom)
     sb_d = 2 * d_r
     db_d = d_s + d_r + d_rp
     if point.rcs_sqrt == 0:
-        return PathGains(0j, 0j, sb_d, db_d)
+        return PathGains(0j * sb_d, 0j * db_d, sb_d, db_d)
     return PathGains(
         sb_gain=path_gain(sb_d, point.rcs_sqrt, fading, esymbol, wavelength, iota),
         db_gain=path_gain(db_d, point.rcs_sqrt, fading, esymbol, wavelength, iota),

@@ -44,7 +44,7 @@ def _add_common(parser: argparse.ArgumentParser, needs_out: bool) -> None:
     parser.add_argument("--seed", type=int, metavar="N", help="override the experiment seed")
     parser.add_argument("--grid-res", type=float, metavar="METERS", dest="grid_res",
                         help="grid resolution override")
-    parser.add_argument("--threads", type=int, metavar="N", help="worker processes for grid sweeps")
+    parser.add_argument("--threads", type=int, metavar="N", help="worker processes over cell blocks")
     parser.add_argument("--harmonics", type=int, metavar="MF", help="highest analyzed harmonic order")
     parser.add_argument("--targets", type=int, metavar="R", help="number of targets (1, 2 or 10)")
     if needs_out:

@@ -11,12 +11,14 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import PilotMatrix, UlaLayout, dft_pilots
 from .classification import HypothesisSet
+from .constants import MAX_GRID_CELLS
 from .errors import ConfigError
 from .geometry import SceneGeometry, ScatterPoint, TargetKind, rcs_sqrt_from_dbsm
 from .metasurface import (
@@ -127,7 +129,24 @@ class SystemModel:
         return self.ula.wavelength
 
 
+def _check_numbers(cfg: dict, defaults: dict = DEFAULT_CONFIG, prefix: str = "") -> None:
+    """Every key whose default is a number must hold a finite number, and an
+    integral one where the default is an integer (a count or a seed)."""
+    for key, default in defaults.items():
+        path, v = prefix + key, cfg[key]
+        if isinstance(default, dict):
+            if not isinstance(v, dict):
+                raise ConfigError(f"{path} must be an object, got {json.dumps(v)}")
+            _check_numbers(v, default, path + ".")
+        elif isinstance(default, (int, float)) and (
+                isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
+                or (isinstance(default, int) and v != int(v))):
+            what = "an integer" if isinstance(default, int) else "a finite number"
+            raise ConfigError(f"{path} must be {what}, got {json.dumps(v)}")
+
+
 def build_model(cfg: dict) -> SystemModel:
+    _check_numbers(cfg)
     g = cfg["geometry"]
     geom = SceneGeometry(
         bs_center=np.asarray(g["bs_center"], dtype=float),
@@ -167,17 +186,25 @@ def build_model(cfg: dict) -> SystemModel:
 
 
 def grid_points(geom: SceneGeometry, res_m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice (x, z) covering the scene bounds at the given resolution."""
-    if res_m <= 0:
-        raise ConfigError("grid resolution must be positive")
-    axes = []
-    for key, (lo, hi) in (("x_bounds", geom.x_bounds), ("z_bounds", geom.z_bounds)):
-        n = int(round((hi - lo) / res_m)) + 1
+    """Lattice (x, z) covering the scene bounds at the given resolution.
+
+    Raises ConfigError, before allocating, when the lattice would hold more
+    than ``MAX_GRID_CELLS`` cells.
+    """
+    if not res_m > 0:
+        raise ConfigError(f"grid_res_m must be positive, got {res_m}")
+    bounds = (("x_bounds", geom.x_bounds), ("z_bounds", geom.z_bounds))
+    counts = []
+    for key, (lo, hi) in bounds:
+        n = int(round(min((hi - lo) / res_m, MAX_GRID_CELLS))) + 1
         if n < 1:
             raise ConfigError(f"geometry.{key} {[lo, hi]} holds no grid point "
                               f"at resolution {res_m} m; expected [min, max]")
-        axes.append(lo + res_m * np.arange(n))
-    return axes[0], axes[1]
+        counts.append(n)
+    if counts[0] * counts[1] > MAX_GRID_CELLS:
+        raise ConfigError(f"grid_res_m {res_m} m asks for more than {MAX_GRID_CELLS} grid cells")
+    return (geom.x_bounds[0] + res_m * np.arange(counts[0]),
+            geom.z_bounds[0] + res_m * np.arange(counts[1]))
 
 
 def scene_from_config(cfg: dict) -> list[ScatterPoint]:

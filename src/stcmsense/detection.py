@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PilotMatrix, UlaLayout, steering_vector, vec
-from .errors import DegeneratePoint, OutOfRange, ZeroRegressor
-from .geometry import SceneGeometry, angles_from_position, triangle_distances
+from .errors import OutOfRange, ZeroRegressor
+from .geometry import SceneGeometry, angles_from_position, terminal_mask, triangle_distances
 
 _MARCUM_MASS = 1e-14   # swept Poisson mixture mass: 1 - this
 _MARCUM_WINDOW = 1e-16  # per-window term cutoff, relative
@@ -328,18 +328,17 @@ def detection_map(grid_points, geom: SceneGeometry, ula: UlaLayout,
 
     The effective regressor energy depends on the cell only through alpha,
     so it is evaluated once per combiner and alpha (rounded to 1e-12 rad).
+    Angles and distances come from one array pass over the cells.
     """
     gamma_th = threshold_from_pfa(p_fa)
-    out = {(label, comb): np.full(len(grid_points), np.nan)
+    pts = np.asarray(grid_points, dtype=float).reshape(-1, 3)
+    out = {(label, comb): np.full(len(pts), np.nan)
            for comb in combiners for label in rayleigh_scales}
+    live = np.flatnonzero(~terminal_mask(pts, geom))
+    alphas = angles_from_position(pts[live], geom).alpha.tolist()
+    distances = triangle_distances(pts[live], geom)[0].tolist()
     h_cache: dict = {}
-    for i, q in enumerate(grid_points):
-        q = np.asarray(q, dtype=float)
-        try:
-            alpha = angles_from_position(q, geom).alpha
-        except DegeneratePoint:
-            continue
-        d_r, _, _ = triangle_distances(q, geom)
+    for i, alpha, d_r in zip(live.tolist(), alphas, distances):
         scales = {label: fn(2.0 * d_r) for label, fn in rayleigh_scales.items()}
         for comb in combiners:
             key = (comb, round(alpha, 12))

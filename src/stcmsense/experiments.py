@@ -3,12 +3,17 @@
 Every experiment consumes a resolved config dict, writes CSV data plus a
 JSON manifest into the output directory, and returns the list of files it
 wrote.  Variances are reported as 10 log10(rad^2); masked grid cells carry
-an explicit boolean column.  The verbs sweep the grid and write rows; each
-value comes from the one package function for that quantity (closed forms,
-``MultiTargetFimBuilder``, ``peb_single``, ``crb_ris``, ``detection_map``).
-Bound sweeps are pure functions of the cell, so optional process
-parallelism (``threads``) cannot change results; assembly is by cell index,
-independent of completion order.
+an explicit boolean column.
+
+The bound maps (crb-map, peb-map, ris-compare) split the grid into blocks
+of ``BLOCK_CELLS`` consecutive cells.  A block worker drops the terminal
+cells and, with one target, evaluates each quantity in array passes over
+the block (``crb_alpha_cells``, ``crb_xi_cells``, ``peb_cells``,
+``crb_ris_cells``); with fixed targets it loops ``MultiTargetFimBuilder``
+over the block's cells.  ``threads`` > 1 maps the blocks over up to that
+many worker processes.  Every value is a pure function of its cell, so neither
+the block size nor ``threads`` changes a byte: blocks are joined in cell
+order, independent of completion order.
 """
 
 from __future__ import annotations
@@ -24,33 +29,32 @@ from . import __version__
 from .bounds import (
     MultiTargetFimBuilder,
     TargetState,
-    crb_alpha_closed,
-    crb_ris,
-    crb_xi_closed,
+    crb_alpha_cells,
+    crb_ris_cells,
+    crb_xi_cells,
     crbs_from_fim,
+    peb_cells,
     peb_multi_from_fims,
-    peb_single,
 )
 from .channel import path_gains
 from .classification import confusion_matrix, rayleigh_scale
 from .config import SystemModel, build_model, config_hash, fixed_scene, grid_points
 from .detection import Combiner, despread_regressor_at_angle, detection_map
 from .errors import SensingError
-from .geometry import ScatterPoint, TargetKind, angles_from_position
+from .geometry import ScatterPoint, angles_from_position, terminal_mask
 from .io import write_csv, write_manifest
 
-
-def _db10(x: float) -> float:
-    return 10.0 * math.log10(x)
+# Cells per array pass.  Per-cell temporaries are (BLOCK_CELLS, M) arrays,
+# so this bounds peak memory; values do not depend on it.
+BLOCK_CELLS = 256
 
 
 def _target_state(q, model: SystemModel) -> TargetState:
-    """Angles and unit-RCS, unit-fading bounce gains at position q."""
-    point = ScatterPoint(position=np.asarray(q, dtype=float), rcs_sqrt=1.0,
-                         kind=TargetKind.OBJECT_LIKE)
-    ang = angles_from_position(point.position, model.geom)
-    g = path_gains(point, model.geom, fading=1.0, wavelength=model.wavelength,
-                   iota=model.iota)
+    """Angles and unit-RCS, unit-fading bounce gains at a point (3,), or as
+    (n,) arrays at stacked points (n, 3)."""
+    ang = angles_from_position(q, model.geom)
+    g = path_gains(ScatterPoint(position=q, rcs_sqrt=1.0), model.geom, fading=1.0,
+                   wavelength=model.wavelength, iota=model.iota)
     return TargetState(alpha=ang.alpha, xi=ang.xi, sb_gain=g.sb_gain, db_gain=g.db_gain)
 
 
@@ -65,72 +69,87 @@ def _builders(model: SystemModel, fixed):
     return sb, db
 
 
-def _or_none(fn, *args):
-    """fn(*args), or None where the value is masked."""
-    try:
-        return fn(*args)
-    except SensingError:
-        return None
+def _block(points, model: SystemModel, values, k: int) -> np.ndarray:
+    """(k, n) rows of ``values(points, TargetState)`` over a block's
+    non-terminal cells; terminal cells (no angles) stay NaN in every row."""
+    out = np.full((k, len(points)), np.nan)
+    live = ~terminal_mask(points, model.geom)
+    if live.any():
+        out[:, live] = values(points[live], _target_state(points[live], model))
+    return out
 
 
-def _crb_xi(mov: TargetState, model: SystemModel):
-    return _or_none(crb_xi_closed, mov.xi, mov.alpha, mov.db_gain, model.ula, model.panel,
-                    model.code, model.harmonics, model.pilots, model.noise_power, model.mode)
-
-
-def _crb_cell(q, model: SystemModel, builders):
-    """CRBs for one moving-target cell; None marks a masked value."""
-    mov = _or_none(_target_state, q, model)
-    if mov is None:
-        return None, None
-    if builders[0] is None:
-        return (_or_none(crb_alpha_closed, mov.alpha, mov.sb_gain, model.ula, model.pilots,
-                         model.noise_power), _crb_xi(mov, model))
+def _per_cell(fn, q, s: TargetState) -> list:
+    """fn(point, TargetState) looped over the cells; NaN where it is masked."""
     out = []
-    for builder in builders:
+    for i, p in enumerate(q):
         try:
-            val = float(crbs_from_fim(builder.fim(mov))[0])
-            out.append(val if val > 0 else None)
+            out.append(fn(p, TargetState(s.alpha[i], s.xi[i], s.sb_gain[i], s.db_gain[i])))
         except SensingError:
-            out.append(None)
-    return tuple(out)
+            out.append(np.nan)
+    return out
 
 
-def _peb_cell(q, model: SystemModel, builders, fixed_pos):
-    try:
-        mov = _target_state(q, model)
-        sb_builder, db_builder = builders
-        if sb_builder is None:
-            return peb_single(q, model.geom, model.ula, model.panel, model.code,
-                              model.harmonics, model.pilots, model.noise_power,
-                              mov.sb_gain, mov.db_gain, model.mode)
-        positions = [q] + list(fixed_pos)
-        return peb_multi_from_fims(sb_builder.fim(mov), db_builder.fim(mov),
-                                   positions, model.geom, which=0)
-    except SensingError:
-        return None
+def _crb_xi(s: TargetState, model: SystemModel):
+    return crb_xi_cells(s.xi, s.alpha, s.db_gain, model.ula, model.panel, model.code,
+                        model.harmonics, model.pilots, model.noise_power, model.mode)
 
 
-def _ris_cell(q, model: SystemModel):
-    mov = _or_none(_target_state, q, model)
-    if mov is None:
-        return None, None
-    _, crb = crb_ris(mov.xi, mov.alpha, mov.db_gain, model.ris_profile,
-                     model.panel, model.ula, model.pilots, model.noise_power)
-    return (None if not np.isfinite(crb) else crb), _crb_xi(mov, model)
+def _crb_block(points, model: SystemModel, builders) -> np.ndarray:
+    """(crb_alpha, crb_xi) rows for a block of cells; NaN marks a masked value."""
+    def values(q, s):
+        if builders[0] is None:
+            return (crb_alpha_cells(s.alpha, s.sb_gain, model.ula, model.pilots,
+                                    model.noise_power), _crb_xi(s, model))
+        return [_per_cell(lambda _, mov, b=b: float(crbs_from_fim(b.fim(mov))[0]), q, s)
+                for b in builders]
+    out = _block(points, model, values, 2)
+    out[out <= 0] = np.nan  # a non-positive numeric inverse is masked too
+    return out
 
 
-def _map_cells(cells, worker, threads: int):
+def _peb_block(points, model: SystemModel, builders, fixed_pos) -> np.ndarray:
+    def values(q, s):
+        if builders[0] is None:
+            return [peb_cells(q, s, model.geom, model.ula, model.panel, model.code,
+                              model.harmonics, model.pilots, model.noise_power, model.mode)]
+        return [_per_cell(lambda p, mov: peb_multi_from_fims(
+            builders[0].fim(mov), builders[1].fim(mov), [p] + list(fixed_pos), model.geom),
+            q, s)]
+    return _block(points, model, values, 1)
+
+
+def _ris_block(points, model: SystemModel) -> np.ndarray:
+    def values(q, s):
+        _, ris = crb_ris_cells(s.xi, s.alpha, s.db_gain, model.ris_profile, model.panel,
+                               model.ula, model.pilots, model.noise_power)
+        return ris, _crb_xi(s, model)
+    return _block(points, model, values, 2)
+
+
+def _map_cells(points, worker, threads: int) -> np.ndarray:
+    """worker over consecutive blocks of BLOCK_CELLS cells, joined in cell
+    order; with threads > 1 a process pool (at most one process per block)
+    maps the blocks."""
+    blocks = [points[i:i + BLOCK_CELLS] for i in range(0, len(points), BLOCK_CELLS)]
     if threads <= 1:
-        return [worker(c) for c in cells]
-    chunk = max(1, len(cells) // (threads * 4))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, cells, chunksize=chunk))
+        return np.concatenate([worker(b) for b in blocks], axis=-1)
+    with ProcessPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
+        return np.concatenate(list(pool.map(worker, blocks)), axis=-1)
 
 
-def _cells(model: SystemModel, res: float):
+def _cells(model: SystemModel, res: float) -> np.ndarray:
+    """(n, 3) lattice points, x fastest."""
     xs, zs = grid_points(model.geom, res)
-    return [np.array([x, 0.0, z]) for z in zs for x in xs]
+    x, z = np.meshgrid(xs, zs)
+    return np.column_stack([x.ravel(), np.zeros(x.size), z.ravel()])
+
+
+def _entry(v, db: bool = True) -> tuple:
+    """(CSV value, masked flag) of one map value; variances in dB."""
+    if np.isnan(v):
+        return None, True
+    return (10.0 * math.log10(v) if db else float(v)), False
 
 
 def run_crb_map(cfg: dict, out_dir: str) -> list[str]:
@@ -138,16 +157,11 @@ def run_crb_map(cfg: dict, out_dir: str) -> list[str]:
     model = build_model(cfg)
     builders = _builders(model, fixed_scene(cfg, model))
     cells = _cells(model, float(cfg["grid_res_m"]))
-    worker = functools.partial(_crb_cell, model=model, builders=builders)
+    worker = functools.partial(_crb_block, model=model, builders=builders)
     values = _map_cells(cells, worker, int(cfg["threads"]))
-    rows_a, rows_x = [], []
-    for q, (ca, cx) in zip(cells, values):
-        rows_a.append((float(q[0]), float(q[2]),
-                       None if ca is None else _db10(ca), ca is None))
-        rows_x.append((float(q[0]), float(q[2]),
-                       None if cx is None else _db10(cx), cx is None))
     files = []
-    for name, rows in (("crb_alpha", rows_a), ("crb_xi", rows_x)):
+    for name, vals in zip(("crb_alpha", "crb_xi"), values):
+        rows = [(float(q[0]), float(q[2]), *_entry(v)) for q, v in zip(cells, vals)]
         path = os.path.join(out_dir, f"{name}_map.csv")
         write_csv(path, ("x_m", "z_m", "crb_db", "masked"), rows)
         files.append(path)
@@ -160,13 +174,10 @@ def run_peb_map(cfg: dict, out_dir: str) -> list[str]:
     model = build_model(cfg)
     fixed = fixed_scene(cfg, model)
     cells = _cells(model, float(cfg["grid_res_m"]))
-    worker = functools.partial(_peb_cell, model=model, builders=_builders(model, fixed),
+    worker = functools.partial(_peb_block, model=model, builders=_builders(model, fixed),
                                fixed_pos=[p.position for p in fixed])
-    values = _map_cells(cells, worker, int(cfg["threads"]))
-    rows = [
-        (float(q[0]), float(q[2]), v, v is None)
-        for q, v in zip(cells, values)
-    ]
+    values = _map_cells(cells, worker, int(cfg["threads"]))[0]
+    rows = [(float(q[0]), float(q[2]), *_entry(v, db=False)) for q, v in zip(cells, values)]
     path = os.path.join(out_dir, "peb_map.csv")
     write_csv(path, ("x_m", "z_m", "peb_m", "masked"), rows)
     manifest = write_manifest(out_dir, "peb_map", config_hash(cfg), __version__, [path])
@@ -239,15 +250,9 @@ def run_ris_compare(cfg: dict, out_dir: str) -> list[str]:
     """Fixed-profile linear-panel baseline CRB(xi) next to the switching panel."""
     model = build_model(cfg)
     cells = _cells(model, float(cfg["grid_res_m"]))
-    worker = functools.partial(_ris_cell, model=model)
-    values = _map_cells(cells, worker, int(cfg["threads"]))
-    rows = []
-    for q, (ris, stcm) in zip(cells, values):
-        rows.append(
-            (float(q[0]), float(q[2]),
-             None if ris is None else _db10(ris), ris is None,
-             None if stcm is None else _db10(stcm), stcm is None)
-        )
+    worker = functools.partial(_ris_block, model=model)
+    ris, stcm = _map_cells(cells, worker, int(cfg["threads"]))
+    rows = [(float(q[0]), float(q[2]), *_entry(r), *_entry(x)) for q, r, x in zip(cells, ris, stcm)]
     path = os.path.join(out_dir, "ris_compare.csv")
     write_csv(path, ("x_m", "z_m", "ris_crb_xi_db", "ris_masked",
                      "stcm_crb_xi_db", "stcm_masked"), rows)

@@ -88,7 +88,10 @@ class AnglePair:
 
 @dataclass(frozen=True)
 class ScatterPoint:
-    """Point target: position on the plane, amplitude-domain sqrt-RCS, kind."""
+    """Point target: position on the plane, amplitude-domain sqrt-RCS, kind.
+
+    A stacked (n, 3) position stands for n targets of one RCS and kind.
+    """
 
     position: np.ndarray
     rcs_sqrt: float
@@ -107,26 +110,35 @@ def rcs_sqrt_from_dbsm(rcs_dbsm: float) -> float:
     return 10.0 ** (rcs_dbsm / 20.0)
 
 
+def terminal_mask(q, geom: SceneGeometry) -> np.ndarray:
+    """True where a point, (3,) or stacked (n, 3), sits on the BS or panel
+    phase center, where neither angle is defined."""
+    q = np.asarray(q, dtype=float)
+    return ((np.linalg.norm(q - geom.bs_center, axis=-1) < _TERMINAL_EPS)
+            | (np.linalg.norm(q - geom.stcm_center, axis=-1) < _TERMINAL_EPS))
+
+
 def _check_terminals(q: np.ndarray, geom: SceneGeometry) -> None:
-    if np.linalg.norm(q - geom.bs_center) < _TERMINAL_EPS:
-        raise DegeneratePoint("point coincides with the BS center")
-    if np.linalg.norm(q - geom.stcm_center) < _TERMINAL_EPS:
-        raise DegeneratePoint("point coincides with the panel center")
+    if terminal_mask(q, geom).any():
+        raise DegeneratePoint("point coincides with the BS or panel center")
 
 
 def angles_from_position(q, geom: SceneGeometry) -> AnglePair:
     """Angles (alpha, xi) of scene point ``q`` seen from the BS and the panel.
 
     Full-quadrant arctangents; the panel-side angle uses |z - sz| so the
-    panel boresight points into the scene.
+    panel boresight points into the scene.  A point (3,) gives float angles;
+    stacked points (n, 3) give (n,) arrays in the same pair.
     """
     q = np.asarray(q, dtype=float)
     _check_terminals(q, geom)
     bx, _, bz = geom.bs_center
     sx, _, sz = geom.stcm_center
-    alpha = np.arctan2(q[0] - bx, q[2] - bz)
-    xi = np.arctan2(q[0] - sx, abs(q[2] - sz))
-    return AnglePair(alpha=float(alpha), xi=float(xi))
+    alpha = np.arctan2(q[..., 0] - bx, q[..., 2] - bz)
+    xi = np.arctan2(q[..., 0] - sx, np.abs(q[..., 2] - sz))
+    if q.ndim == 1:
+        return AnglePair(alpha=float(alpha), xi=float(xi))
+    return AnglePair(alpha=alpha, xi=xi)
 
 
 def position_from_angles(angles: AnglePair, geom: SceneGeometry) -> np.ndarray:
@@ -150,11 +162,16 @@ def position_from_angles(angles: AnglePair, geom: SceneGeometry) -> np.ndarray:
     return geom.bs_center + d_r * np.array([np.sin(a), 0.0, np.cos(a)])
 
 
-def triangle_distances(q, geom: SceneGeometry) -> tuple[float, float, float]:
-    """(d_r, d_S, d_r') = BS-target, BS-panel and panel-target distances."""
+def triangle_distances(q, geom: SceneGeometry):
+    """(d_r, d_S, d_r') = BS-target, BS-panel and panel-target distances.
+
+    Floats for a point (3,); d_r and d_r' are (n,) arrays for stacked points.
+    """
     q = np.asarray(q, dtype=float)
-    d_r = float(np.linalg.norm(q - geom.bs_center))
-    d_rp = float(np.linalg.norm(q - geom.stcm_center))
+    d_r = np.linalg.norm(q - geom.bs_center, axis=-1)
+    d_rp = np.linalg.norm(q - geom.stcm_center, axis=-1)
+    if q.ndim == 1:
+        return float(d_r), geom.d_s, float(d_rp)
     return d_r, geom.d_s, d_rp
 
 
@@ -164,20 +181,17 @@ def jacobian_angles_to_position(q, geom: SceneGeometry) -> np.ndarray:
     Rows are the gradients of alpha and xi; entries are the exact derivatives
     of :func:`angles_from_position` for points on the scene side of the panel
     plane, so the matrix matches central finite differences of that function.
+    Stacked points (n, 3) give stacked (n, 2, 2) Jacobians.
     """
     q = np.asarray(q, dtype=float)
     _check_terminals(q, geom)
     bx, _, bz = geom.bs_center
     sx, _, sz = geom.stcm_center
     sgn = geom.boresight_sign
-    dxb, dzb = q[0] - bx, q[2] - bz
+    dxb, dzb = q[..., 0] - bx, q[..., 2] - bz
     db2 = dxb * dxb + dzb * dzb
-    dxs = q[0] - sx
-    w = sgn * (sz - q[2])  # == |z - sz| on the scene side
+    dxs = q[..., 0] - sx
+    w = sgn * (sz - q[..., 2])  # == |z - sz| on the scene side
     ds2 = dxs * dxs + w * w
-    return np.array(
-        [
-            [dzb / db2, -dxb / db2],
-            [w / ds2, sgn * dxs / ds2],
-        ]
-    )
+    rows = [[dzb / db2, -dxb / db2], [w / ds2, sgn * dxs / ds2]]
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))

@@ -283,29 +283,40 @@ def default_coding_matrix(layout: PanelLayout, code_length: int = 8,
 
 # --- linear-RIS baseline ---------------------------------------------------
 
-def panel_steering(layout: PanelLayout, angle: float) -> np.ndarray:
-    """Panel steering vector at the carrier wavelength, (N,)."""
-    pos = layout.element_positions()
-    return np.exp(1j * pos @ wavenumber(angle, layout.wavelength))
+def panel_steering(layout: PanelLayout, angle) -> np.ndarray:
+    """Panel steering vector at the carrier wavelength: (N,), or
+    (len(angle), N) for an array of angles."""
+    return np.exp(1j * _element_phase(layout, wavenumber(angle, layout.wavelength)))
 
 
-def ris_response(profile: RisProfile, layout: PanelLayout,
-                 phi_d: float, phi_a: float) -> complex:
-    """a_R(phi_d)^T diag(w) a_R(phi_a) for a fixed phase profile."""
+def _element_phase(layout: PanelLayout, k: np.ndarray) -> np.ndarray:
+    """k . q_n for every element n and wavenumber vector(s) k (..., 3)."""
+    return np.sum(k[..., None, :] * layout.element_positions(), axis=-1)
+
+
+def _scalar_or_array(out: np.ndarray, angle):
+    return complex(out) if np.ndim(angle) == 0 else out
+
+
+def ris_response(profile: RisProfile, layout: PanelLayout, phi_d, phi_a: float):
+    """a_R(phi_d)^T diag(w) a_R(phi_a) for a fixed phase profile.
+
+    An array ``phi_d`` gives one response per angle.
+    """
     if profile.phases.shape[0] != layout.n_elements:
         raise ValueError("profile length must match the panel")
-    return complex(np.sum(profile.phases * panel_steering(layout, phi_d) * panel_steering(layout, phi_a)))
+    core = profile.phases * panel_steering(layout, phi_d) * panel_steering(layout, phi_a)
+    return _scalar_or_array(np.sum(core, axis=-1), phi_d)
 
 
-def ris_response_derivative(profile: RisProfile, layout: PanelLayout,
-                            xi: float, phi_fixed: float = 0.0) -> complex:
+def ris_response_derivative(profile: RisProfile, layout: PanelLayout, xi,
+                            phi_fixed: float = 0.0):
     """d/dxi of :func:`ris_response` with the second angle held fixed."""
-    pos = layout.element_positions()
-    lam = layout.wavelength
-    k = 2 * np.pi / lam
-    dk = k * np.array([np.cos(xi), 0.0, -np.sin(xi)])
+    xi_arr = np.asarray(xi, dtype=float)
+    k = 2 * np.pi / layout.wavelength
+    dk = k * np.stack([np.cos(xi_arr), np.zeros_like(xi_arr), -np.sin(xi_arr)], axis=-1)
     core = profile.phases * panel_steering(layout, xi) * panel_steering(layout, phi_fixed)
-    return complex(np.sum(1j * (pos @ dk) * core))
+    return _scalar_or_array(np.sum(1j * _element_phase(layout, dk) * core, axis=-1), xi)
 
 
 # --- CSV round trip ----------------------------------------------------------

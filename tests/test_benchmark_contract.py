@@ -55,3 +55,19 @@ def test_traced_methods_exist(tracer):
     for layer, cls_name, meth in tracer.METHODS:
         cls = getattr(importlib.import_module(f"stcmsense.{layer}"), cls_name)
         assert inspect.isfunction(cls.__dict__.get(meth))
+
+
+def test_hook_argument_positions(tracer):
+    # each counting hook reads arguments by position and name through
+    # _arg(args, kwargs, pos, "name"); the package parameter at that
+    # position must still carry that name
+    checked = 0
+    for qual, hook in tracer._HOOKS.items():
+        reads = re.findall(r'_arg\(args, kwargs, (\d+), "(\w+)"\)', inspect.getsource(hook))
+        layer, name = qual.split(".")
+        params = list(inspect.signature(
+            getattr(importlib.import_module(f"stcmsense.{layer}"), name)).parameters)
+        for pos, arg in reads:
+            assert int(pos) < len(params) and params[int(pos)] == arg, (qual, pos, arg, params)
+            checked += 1
+    assert checked >= 7

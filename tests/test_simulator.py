@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from stcmsense import experiments
 from stcmsense.cli import main
 from stcmsense.classification import rayleigh_scale
 from stcmsense.config import (
@@ -27,6 +28,13 @@ from stcmsense.experiments import (
 from stcmsense.validate import run_validate
 
 COARSE = {"grid_res_m": 10.0, "n_trials": 1500, "classification_snr_db": [-5.0, 40.0]}
+
+
+def csv_bytes(runner, cfg, out):
+    """{file name: bytes} of every CSV one experiment call writes."""
+    out.mkdir()
+    return {os.path.basename(f): open(f, "rb").read()
+            for f in runner(cfg, str(out)) if f.endswith(".csv")}
 
 
 def read_csv(path):
@@ -256,7 +264,9 @@ class TestDeterminism:
         for a, b in zip(f1, f2):
             assert open(a, "rb").read() == open(b, "rb").read()
 
-    def test_threads_do_not_change_results(self, tmp_path):
+    def test_threads_do_not_change_results(self, tmp_path, monkeypatch):
+        # small blocks, so each worker process maps several of them
+        monkeypatch.setattr(experiments, "BLOCK_CELLS", 32)
         base = merge_config(COARSE)
         multi = merge_config({**COARSE, "threads": 2})
         d1 = tmp_path / "serial"
@@ -267,6 +277,24 @@ class TestDeterminism:
         f2 = run_crb_map(multi, str(d2))
         assert open(f1[0], "rb").read() == open(f2[0], "rb").read()
         assert open(f1[1], "rb").read() == open(f2[1], "rb").read()
+        # both block workers: peb-map, and the fixed-target builder path
+        for runner, extra in ((run_peb_map, {}), (run_crb_map, {"n_targets": 2}),
+                              (run_peb_map, {"n_targets": 2})):
+            tag = f"{runner.__name__}-{len(extra)}"
+            serial = csv_bytes(runner, merge_config({**COARSE, **extra}), tmp_path / tag)
+            pooled = csv_bytes(runner, merge_config({**COARSE, **extra, "threads": 2}),
+                               tmp_path / f"{tag}-pool")
+            assert pooled == serial, tag
+
+    @pytest.mark.parametrize("runner,extra", [
+        (run_crb_map, {}), (run_peb_map, {}), (run_ris_compare, {}),
+        (run_crb_map, {"n_targets": 2}), (run_peb_map, {"n_targets": 2}),
+    ])
+    def test_block_size_does_not_change_bytes(self, tmp_path, monkeypatch, runner, extra):
+        cfg = merge_config({**COARSE, **extra})
+        default = csv_bytes(runner, cfg, tmp_path / "default")
+        monkeypatch.setattr(experiments, "BLOCK_CELLS", 7)
+        assert csv_bytes(runner, cfg, tmp_path / "seven") == default
 
     def test_seed_changes_monte_carlo(self, tmp_path):
         d1 = tmp_path / "s1"
@@ -315,6 +343,23 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and f"geometry.{key}" in err[0]
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"noise_power_dbm": None}, "noise_power_dbm"),
+        ({"harmonics": [3]}, "harmonics"),
+        ({"harmonics": 2.7}, "harmonics"),
+        ({"grid_res_m": 1e-9}, "grid_res_m"),
+        ({"grid_res_m": -1.0}, "grid_res_m"),
+    ])
+    def test_bad_numbers_fail_with_one_line(self, tmp_path, capsys, doc, key):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = main(["crb-map", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
         assert not list(out.glob("*.csv"))
 
     def test_validate_passes_on_defaults(self):
