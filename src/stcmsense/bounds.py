@@ -22,12 +22,11 @@ Singularity policy: any matrix with condition number above
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PilotMatrix, UlaLayout, db_regressor, sb_regressor, steering_derivative, steering_vector, vec
+from .channel import PilotMatrix, UlaLayout, steering_derivative, steering_vector
 from .constants import CONDITION_LIMIT
 from .errors import DimensionMismatch, SingularInformation, SingularNuisanceBlock
 from .geometry import SceneGeometry, angles_from_position, jacobian_angles_to_position
@@ -83,10 +82,6 @@ class FisherMatrix:
     def condition_number(self) -> float:
         """Scale-invariant conditioning; see :func:`scale_invariant_cond`."""
         return scale_invariant_cond(self.entries)
-
-    def is_masked(self, limit: float = CONDITION_LIMIT) -> bool:
-        c = self.condition_number()
-        return (not np.isfinite(c)) or c > limit
 
 
 def fim_generic(derivative_columns, noise_power: float) -> FisherMatrix:
@@ -150,20 +145,23 @@ def _db_trace(alpha, ula: UlaLayout, pilots: PilotMatrix, phi_s: float = 0.0) ->
                    + _quad(r, g, s) * _inner(r, s) + _quad(r, g, r) * _inner(s, s))
 
 
+def _patterns(xi, panel: PanelLayout, code: CodingMatrix, harmonics: HarmonicSet,
+              mode: WavelengthMode, phi_s: float = 0.0):
+    """Harmonic patterns (eta, d eta / d xi) at an array of angles, (n, K)
+    each, from one call over the distinct xi."""
+    xi_u, inv = np.unique(np.atleast_1d(xi), return_inverse=True)
+    eta, deta = harmonic_pattern_batch(panel, code, harmonics, xi_u, phi_s, mode)
+    return eta.T[inv], deta.T[inv]
+
+
 def _db_traces(xi, alpha, ula: UlaLayout, panel: PanelLayout, code: CodingMatrix,
                harmonics: HarmonicSet, pilots: PilotMatrix, mode: WavelengthMode,
                phi_s: float = 0.0):
     """Double-bounce analogues of :func:`_sb_traces`: the harmonic inner
-    products de^H de, de^H e, e^H e per cell, each times tr(B G B^H).
-
-    The patterns come from one call over the distinct xi.
-    """
-    xi_u, inv = np.unique(np.atleast_1d(xi), return_inverse=True)
-    eta, deta = harmonic_pattern_batch(panel, code, harmonics, xi_u, phi_s, mode)
-    eta, deta = np.ascontiguousarray(eta.T), np.ascontiguousarray(deta.T)
+    products de^H de, de^H e, e^H e per cell, each times tr(B G B^H)."""
+    eta, deta = _patterns(xi, panel, code, harmonics, mode, phi_s)
     t_b = _db_trace(alpha, ula, pilots, phi_s)
-    return (np.real(_inner(deta, deta))[inv] * t_b, _inner(deta, eta)[inv] * t_b,
-            np.real(_inner(eta, eta))[inv] * t_b)
+    return np.real(_inner(deta, deta)) * t_b, _inner(deta, eta) * t_b, np.real(_inner(eta, eta)) * t_b
 
 
 def _gain_fims(gain, t_dd, t_ad, t_aa, noise_power: float) -> np.ndarray:
@@ -252,47 +250,54 @@ def crb_xi_closed(xi: float, alpha: float, gain: complex, ula: UlaLayout,
                              noise_power, mode), "xi information vanished")
 
 
-def efim(fim: FisherMatrix, n_angles: int = 1):
-    """Equivalent information for the leading angle block.
+def _efims(f: np.ndarray, k: int, limit: float = CONDITION_LIMIT) -> np.ndarray:
+    """Equivalent information F_aa - F_ab F_bb^{-1} F_ab^T of the leading k
+    (angle) parameters of stacked (n, d, d) FIMs, with the gain parameters
+    as nuisance: (n, k, k), NaN where the gain block F_bb is masked."""
+    f_aa, f_ab, f_bb = f[:, :k, :k], f[:, :k, k:], f[:, k:, k:]
+    if not f_bb.size:
+        return f_aa.copy()
+    ok = scale_invariant_cond(f_bb) <= limit
+    out = np.full(f_aa.shape, np.nan)
+    out[ok] = f_aa[ok] - f_ab[ok] @ np.linalg.solve(f_bb[ok], np.swapaxes(f_ab[ok], 1, 2))
+    return out
 
-    F_aa - F_ab F_bb^{-1} F_ab^T with the gain parameters as nuisance.
-    Returns a scalar when ``n_angles`` == 1, else the (n_angles, n_angles)
-    block.
-    """
-    f = fim.entries
-    k = n_angles
-    f_aa = f[:k, :k]
-    f_ab = f[:k, k:]
-    f_bb = f[k:, k:]
-    if f_bb.size:
-        cond = scale_invariant_cond(f_bb)
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise SingularNuisanceBlock("gain block is singular")
-        out = f_aa - f_ab @ np.linalg.solve(f_bb, f_ab.T)
-    else:
-        out = f_aa.copy()
-    return float(out[0, 0]) if k == 1 else out
+
+def efim(fim: FisherMatrix, n_angles: int = 1):
+    """Equivalent information for the leading angle block (:func:`_efims`):
+    a scalar when ``n_angles`` == 1, else the (n_angles, n_angles) block;
+    raises SingularNuisanceBlock where the gain block is masked."""
+    out = _efims(fim.entries[None], n_angles)[0]
+    if np.isnan(out).any():
+        raise SingularNuisanceBlock("gain block is singular")
+    return float(out[0, 0]) if n_angles == 1 else out
+
+
+def crbs_cells(f: np.ndarray, limit: float = CONDITION_LIMIT) -> np.ndarray:
+    """Diagonals of the inverses of stacked (n, k, k) FIMs, (n, k), inverted
+    on the diagonally-normalized system so mixed angle/gain units do not
+    degrade them; NaN rows where masked (see :func:`_inverse`)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt(np.diagonal(f, axis1=1, axis2=2))
+        normalized = f / (s[:, :, None] * s[:, None, :])
+        return np.diagonal(_inverse(normalized, limit), axis1=1, axis2=2) / s**2
 
 
 def crbs_from_fim(fim: FisherMatrix, limit: float = CONDITION_LIMIT) -> np.ndarray:
-    """Diagonal of the FIM inverse; raises instead of pseudo-inverting.
-
-    The inversion runs on the diagonally-normalized system and the scales
-    are restored afterwards, so mixed angle/gain units do not degrade it.
-    """
-    if fim.is_masked(limit):
+    """Diagonal of the FIM inverse (:func:`crbs_cells`); raises instead of
+    pseudo-inverting."""
+    crbs = crbs_cells(fim.entries[None], limit)[0]
+    if np.isnan(crbs).any():
         raise SingularInformation(
             f"scaled condition number {fim.condition_number():.3e} exceeds {limit:.1e}"
         )
-    s = np.sqrt(np.diag(fim.entries))
-    normalized = fim.entries / np.outer(s, s)
-    return np.diag(np.linalg.inv(normalized)) / s**2
+    return crbs
 
 
 @dataclass(frozen=True)
 class TargetState:
     """Angles and bounce gains of one target, as consumed by the FIMs, or
-    (n,) arrays of them for n grid cells."""
+    (n,) arrays of them for n targets or grid cells."""
 
     alpha: float
     xi: float
@@ -300,26 +305,10 @@ class TargetState:
     db_gain: complex
 
 
-def target_derivative_columns(t: TargetState, kind: str, ula: UlaLayout,
-                              pilots: PilotMatrix, panel: PanelLayout | None = None,
-                              code: CodingMatrix | None = None,
-                              harmonics: HarmonicSet | None = None,
-                              mode: WavelengthMode = WavelengthMode.EXACT,
-                              phi_s: float = 0.0):
-    """(angle derivative column, regressor) of one target for the given path."""
-    if kind == "sb":
-        a = steering_vector(ula, t.alpha)
-        da = steering_derivative(ula, t.alpha)
-        damat = np.outer(da, a) + np.outer(a, da)
-        h = sb_regressor(t.alpha, ula, pilots)
-        dh = vec(damat @ pilots.symbols)
-        return t.sb_gain * dh, h
-    if kind == "db":
-        eta, deta = harmonic_pattern_batch(panel, code, harmonics, t.xi, phi_s, mode)
-        h = db_regressor(t.alpha, eta[:, 0], ula, pilots, phi_s)
-        dh = db_regressor(t.alpha, deta[:, 0], ula, pilots, phi_s)
-        return t.db_gain * dh, h
-    raise ValueError("kind must be 'sb' or 'db'")
+def _stacked(states) -> TargetState:
+    """One TargetState of (n,) arrays from n scalar ones."""
+    return TargetState(*(np.array(v) for v in zip(*(
+        (t.alpha, t.xi, t.sb_gain, t.db_gain) for t in states))))
 
 
 def fim_multi_target(targets, kind: str, ula: UlaLayout, pilots: PilotMatrix,
@@ -339,13 +328,26 @@ def fim_multi_target(targets, kind: str, ula: UlaLayout, pilots: PilotMatrix,
     return builder.fim(targets[0])
 
 
-class MultiTargetFimBuilder:
-    """Caches the fixed targets' derivative columns and their Gram block
-    across a grid sweep.
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^H b over the last two axes."""
+    return np.swapaxes(a, -1, -2).conj() @ b
 
-    Grid experiments move one target over thousands of cells while the rest
-    of the scene stays put; per cell only the moving target's three columns
-    (angle, Re b, Im b) are formed, against themselves and the fixed ones.
+
+def _vec_outer(u: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """vec(u v^T X) per row of the (n, M) stacks u, v: (n, M S)."""
+    return (np.matmul(v[:, None], x)[:, 0, :, None] * u[:, None, :]).reshape(len(u), -1)
+
+
+class MultiTargetFimBuilder:
+    """Caches the fixed targets' factors and their Gram block across a grid
+    sweep.
+
+    Each target has the columns d (angle), h (Re b) and 1j h (Im b); d and h
+    are kron(x, w) of a harmonic factor x (the gain for the single bounce;
+    gain * d eta and eta for the double bounce) and a spatial factor w of
+    length M S.  Inner products factor as (x^H y)(w^H v), so the |H| M S-long
+    columns are never formed; per cell only the moving target's factors are
+    formed, against themselves and the cached fixed ones.
     """
 
     def __init__(self, fixed_targets, kind: str, ula: UlaLayout, pilots: PilotMatrix,
@@ -353,33 +355,56 @@ class MultiTargetFimBuilder:
                  code: CodingMatrix | None = None,
                  harmonics: HarmonicSet | None = None,
                  mode: WavelengthMode = WavelengthMode.EXACT, phi_s: float = 0.0):
-        self._columns = functools.partial(target_derivative_columns, kind=kind, ula=ula,
-                                          pilots=pilots, panel=panel, code=code,
-                                          harmonics=harmonics, mode=mode, phi_s=phi_s)
+        if kind not in ("sb", "db"):
+            raise ValueError("kind must be 'sb' or 'db'")
+        self._model = (kind, ula, pilots, panel, code, harmonics, mode, phi_s)
         self._c = 2.0 / noise_power
-        fixed = [self._columns(t) for t in fixed_targets]
-        # fixed columns grouped as [angles, (Re b, Im b) per target]
-        cols = [d for d, _ in fixed] + [c for _, h in fixed for c in (h, 1j * h)]
-        self._fixed = np.column_stack(cols) if cols else None
-        self._gram = fim_generic(cols, noise_power).entries if cols else None
-        # parameter order from the grouped order [moving 3 | fixed angles | fixed gains]
-        r = len(fixed) + 1
-        self._order = ([0] + list(range(3, r + 2)) + [1, 2]
-                       + list(range(r + 2, 3 * r)))
+        self._fixed = None
+        if fixed_targets:
+            # fixed factors as columns [d_1, h_1, d_2, h_2, ..]
+            x, w = (np.moveaxis(a, 0, 1).reshape(a.shape[1], -1)
+                    for a in self._factors(_stacked(fixed_targets)))
+            self._fixed = (x, w, _gram(x, x) * _gram(w, w))
+        # FIM parameter p is Gram column j[p] times phase[p]: angle_t -> d_t,
+        # Re b_t -> h_t, Im b_t -> 1j h_t, in the order [angles | gains]
+        r = len(fixed_targets) + 1
+        self._j = np.concatenate([2 * np.arange(r), np.repeat(2 * np.arange(r) + 1, 2)])
+        self._phase = np.array([1.0] * r + [1.0, 1j] * r)
         angle = "alpha" if kind == "sb" else "xi"
         self._labels = tuple([f"{angle}_{i}" for i in range(r)]
                              + [f"{part}_gain_{i}" for i in range(r) for part in ("re", "im")])
 
-    def fim(self, moving: TargetState) -> FisherMatrix:
-        """FIM with the moving target as parameter index 0."""
-        d, h = self._columns(moving)
-        m = np.column_stack([d, h, 1j * h])
-        f = self._c * np.real(m.conj().T @ m)
+    def _factors(self, t: TargetState):
+        """(harmonic (n, K, 2), spatial (n, M S, 2)) factors of the columns
+        [d, h] of n targets."""
+        kind, ula, pilots, panel, code, harmonics, mode, phi_s = self._model
+        x, a = pilots.symbols, _rows(ula, t.alpha)
+        if kind == "sb":
+            da = _rows(ula, t.alpha, derivative=True)
+            w = [_vec_outer(da, a, x) + _vec_outer(a, da, x), _vec_outer(a, a, x)]
+            return np.stack([t.sb_gain, np.ones_like(t.sb_gain)], -1)[:, None], np.stack(w, -1)
+        s = np.broadcast_to(_rows(ula, phi_s), a.shape)
+        v = _vec_outer(a, s, x) + _vec_outer(s, a, x)
+        eta, deta = _patterns(t.xi, panel, code, harmonics, mode, phi_s)
+        return np.stack([t.db_gain[:, None] * deta, eta], -1), np.stack([v, v], -1)
+
+    def fim_cells(self, moving: TargetState) -> np.ndarray:
+        """(n, 3R, 3R) FIMs with the moving target, given as (n,) arrays, as
+        parameter index 0."""
+        x, w = self._factors(moving)
+        g = _gram(x, x) * _gram(w, w)
         if self._fixed is not None:
-            cross = self._c * np.real(m.conj().T @ self._fixed)
-            f = np.block([[f, cross], [cross.T, self._gram]])
-        f = f[np.ix_(self._order, self._order)]
-        return FisherMatrix(entries=0.5 * (f + f.T), labels=self._labels)
+            x_f, w_f, g_f = self._fixed
+            cross = _gram(x, x_f) * _gram(w, w_f)
+            g = np.block([[g, cross],
+                          [np.swapaxes(cross, 1, 2).conj(), np.broadcast_to(g_f, (len(g),) + g_f.shape)]])
+        j, ph = self._j, self._phase
+        f = self._c * np.real(ph.conj()[:, None] * ph * g[:, j[:, None], j])
+        return 0.5 * (f + np.swapaxes(f, 1, 2))
+
+    def fim(self, moving: TargetState) -> FisherMatrix:
+        """FIM with the moving target as parameter index 0 (:meth:`fim_cells`)."""
+        return FisherMatrix(entries=self.fim_cells(_stacked([moving]))[0], labels=self._labels)
 
 
 def _inverse(f: np.ndarray, limit: float) -> np.ndarray:
@@ -391,9 +416,12 @@ def _inverse(f: np.ndarray, limit: float) -> np.ndarray:
     return out
 
 
-def _position_peb(f_pos: np.ndarray, limit: float) -> np.ndarray:
-    """sqrt(Tr(F^{-1})) in meters of stacked (n, 2, 2) (x, z) information matrices."""
-    return np.sqrt(np.trace(_inverse(f_pos, limit), axis1=-2, axis2=-1))
+def _position_peb(q, geom: SceneGeometry, e: np.ndarray, limit: float) -> np.ndarray:
+    """sqrt(Tr(F^{-1})) in meters at stacked points q (n, 3) of the (x, z)
+    information F = T^T diag(e) T from angle-pair information e (n, 2)."""
+    t = jacobian_angles_to_position(q, geom)
+    f = np.einsum("nki,nk,nkj->nij", t, e, t)
+    return np.sqrt(np.trace(_inverse(f, limit), axis1=-2, axis2=-1))
 
 
 def peb_cells(q, state: TargetState, geom: SceneGeometry, ula: UlaLayout,
@@ -412,8 +440,7 @@ def peb_cells(q, state: TargetState, geom: SceneGeometry, ula: UlaLayout,
     e_a = _angle_efim(state.sb_gain, *_sb_traces(state.alpha, ula, pilots), noise_power)
     e_x = _angle_efim(state.db_gain, *_db_traces(state.xi, state.alpha, ula, panel, code,
                                                  harmonics, pilots, mode), noise_power)
-    t = jacobian_angles_to_position(q, geom)
-    return _position_peb(np.einsum("nki,nk,nkj->nij", t, np.stack([e_a, e_x], -1), t), limit)
+    return _position_peb(q, geom, np.stack([e_a, e_x], -1), limit)
 
 
 def peb_single(q, geom: SceneGeometry, ula: UlaLayout, panel: PanelLayout,
@@ -428,10 +455,10 @@ def peb_single(q, geom: SceneGeometry, ula: UlaLayout, panel: PanelLayout,
                           mode), "position information is rank deficient here")
 
 
-def peb_multi_from_fims(f_sb: FisherMatrix, f_db: FisherMatrix, positions,
-                        geom: SceneGeometry, which: int = 0,
-                        limit: float = CONDITION_LIMIT) -> float:
-    """PEB of target ``which`` from precomputed multi-target angle FIMs.
+def peb_multi_cells(f_sb: np.ndarray, f_db: np.ndarray, q, geom: SceneGeometry,
+                    which: int = 0, limit: float = CONDITION_LIMIT) -> np.ndarray:
+    """PEB of target ``which``, at stacked points q (n, 3), from its stacked
+    (n, 3R, 3R) multi-target FIMs; NaN where masked.
 
     The angle EFIMs (R x R each) take every gain as nuisance and combine,
     under the independent-path assumption, into a block-diagonal information
@@ -440,27 +467,28 @@ def peb_multi_from_fims(f_sb: FisherMatrix, f_db: FisherMatrix, positions,
     (marginalizing every other target's angles) is pushed through its
     Jacobian.  Nuisance targets therefore only need identifiable angles,
     not identifiable positions -- a nuisance target sitting on the BS-panel
-    axis degrades nothing but its own (never requested) position.
+    axis degrades nothing but its own (never requested) position.  Masked:
+    a singular gain block on either path, the 2R x 2R angle information or
+    the 2 x 2 position information over the condition limit.
     """
-    r = len(positions)
-    try:
-        e_a = np.atleast_2d(efim(f_sb, n_angles=r))
-        e_x = np.atleast_2d(efim(f_db, n_angles=r))
-    except SingularNuisanceBlock as exc:
-        raise SingularInformation(str(exc))
-    f_ang = np.zeros((2 * r, 2 * r))
-    f_ang[:r, :r] = e_a
-    f_ang[r:, r:] = e_x
-    cond = scale_invariant_cond(f_ang)
-    if not np.isfinite(cond) or cond > limit:
-        raise SingularInformation("angle information is rank deficient")
-    cov = np.linalg.inv(f_ang)
+    r = f_sb.shape[-1] // 3
+    f_ang = np.zeros((len(f_sb), 2 * r, 2 * r))
+    f_ang[:, :r, :r] = _efims(f_sb, r, limit)
+    f_ang[:, r:, r:] = _efims(f_db, r, limit)
+    # the covariance is block diagonal, so the pair's equivalent information
+    # is diagonal: one over each of its two variances
     idx = [which, r + which]
-    pair_cov = cov[np.ix_(idx, idx)]
-    f_pair = np.linalg.inv(pair_cov)
-    t = jacobian_angles_to_position(positions[which], geom)
-    return _one(_position_peb((t.T @ f_pair @ t)[None], limit),
-                "position information is rank deficient here")
+    return _position_peb(q, geom, 1.0 / _inverse(f_ang, limit)[:, idx, idx], limit)
+
+
+def peb_multi_from_fims(f_sb: FisherMatrix, f_db: FisherMatrix, positions,
+                        geom: SceneGeometry, which: int = 0,
+                        limit: float = CONDITION_LIMIT) -> float:
+    """PEB of target ``which`` from precomputed multi-target angle FIMs
+    (:func:`peb_multi_cells`); raises where masked."""
+    q = np.asarray(positions[which], dtype=float)[None]
+    return _one(peb_multi_cells(f_sb.entries[None], f_db.entries[None], q, geom, which, limit),
+                "multi-target position information is masked here")
 
 
 def peb_multi(targets, positions, geom: SceneGeometry, ula: UlaLayout,

@@ -129,9 +129,14 @@ class SystemModel:
         return self.ula.wavelength
 
 
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _check_numbers(cfg: dict, defaults: dict = DEFAULT_CONFIG, prefix: str = "") -> None:
     """Every key whose default is a number must hold a finite number, and an
-    integral one where the default is an integer (a count or a seed)."""
+    integral one where the default is an integer (a count or a seed); every
+    ``geometry`` vector must hold as many finite numbers as its default."""
     for key, default in defaults.items():
         path, v = prefix + key, cfg[key]
         if isinstance(default, dict):
@@ -139,14 +144,31 @@ def _check_numbers(cfg: dict, defaults: dict = DEFAULT_CONFIG, prefix: str = "")
                 raise ConfigError(f"{path} must be an object, got {json.dumps(v)}")
             _check_numbers(v, default, path + ".")
         elif isinstance(default, (int, float)) and (
-                isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
-                or (isinstance(default, int) and v != int(v))):
+                not _number(v) or (isinstance(default, int) and v != int(v))):
             what = "an integer" if isinstance(default, int) else "a finite number"
             raise ConfigError(f"{path} must be {what}, got {json.dumps(v)}")
+        elif prefix == "geometry." and not (
+                isinstance(v, list) and len(v) == len(default) and all(map(_number, v))):
+            raise ConfigError(f"{path} must be {len(default)} finite numbers, got {json.dumps(v)}")
+
+
+def _check_ranges(cfg: dict) -> None:
+    """Counts in range (the Kronecker pilots need a square antenna count), known mode."""
+    m = cfg["bs"]["antennas"]
+    if m < 1 or math.isqrt(int(m)) ** 2 != m:
+        raise ConfigError(f"bs.antennas must be a positive perfect square, got {json.dumps(m)}")
+    for path, v, low in (("harmonics", cfg["harmonics"], 0), ("panel.n_x", cfg["panel"]["n_x"], 1),
+                         ("panel.n_y", cfg["panel"]["n_y"], 1), ("code.length", cfg["code"]["length"], 2)):
+        if v < low:
+            raise ConfigError(f"{path} must be at least {low}, got {json.dumps(v)}")
+    modes = [w.value for w in WavelengthMode]
+    if cfg["wavelength_mode"] not in modes:
+        raise ConfigError(f"wavelength_mode must be one of {modes}, got {json.dumps(cfg['wavelength_mode'])}")
 
 
 def build_model(cfg: dict) -> SystemModel:
     _check_numbers(cfg)
+    _check_ranges(cfg)
     g = cfg["geometry"]
     geom = SceneGeometry(
         bs_center=np.asarray(g["bs_center"], dtype=float),

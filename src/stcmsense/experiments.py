@@ -6,14 +6,18 @@ wrote.  Variances are reported as 10 log10(rad^2); masked grid cells carry
 an explicit boolean column.
 
 The bound maps (crb-map, peb-map, ris-compare) split the grid into blocks
-of ``BLOCK_CELLS`` consecutive cells.  A block worker drops the terminal
-cells and, with one target, evaluates each quantity in array passes over
-the block (``crb_alpha_cells``, ``crb_xi_cells``, ``peb_cells``,
-``crb_ris_cells``); with fixed targets it loops ``MultiTargetFimBuilder``
-over the block's cells.  ``threads`` > 1 maps the blocks over up to that
-many worker processes.  Every value is a pure function of its cell, so neither
-the block size nor ``threads`` changes a byte: blocks are joined in cell
-order, independent of completion order.
+of consecutive cells.  A block worker drops the terminal cells and
+evaluates each quantity in one array pass over the rest.  With one target
+the passes run the closed forms (``crb_alpha_cells``, ``crb_xi_cells``,
+``peb_cells``, ``crb_ris_cells``) over blocks of ``BLOCK_CELLS`` cells.
+With R > 1 targets, ``MultiTargetFimBuilder.fim_cells`` stacks the moving
+target's (n, 3R, 3R) FIMs against the cached fixed targets, and
+``crbs_cells`` and ``peb_multi_cells`` invert them; those matrices grow
+with R, so the blocks hold max(1, BLOCK_CELLS // R) cells (25 at R = 10).
+``threads`` > 1 maps the blocks over up to that many worker processes.
+Every value is a pure function of its cell, so neither the block size nor
+``threads`` changes a byte: blocks are joined in cell order, independent
+of completion order.
 """
 
 from __future__ import annotations
@@ -32,20 +36,20 @@ from .bounds import (
     crb_alpha_cells,
     crb_ris_cells,
     crb_xi_cells,
-    crbs_from_fim,
+    crbs_cells,
     peb_cells,
-    peb_multi_from_fims,
+    peb_multi_cells,
 )
 from .channel import path_gains
 from .classification import confusion_matrix, rayleigh_scale
 from .config import SystemModel, build_model, config_hash, fixed_scene, grid_points
 from .detection import Combiner, despread_regressor_at_angle, detection_map
-from .errors import SensingError
 from .geometry import ScatterPoint, angles_from_position, terminal_mask
 from .io import write_csv, write_manifest
 
-# Cells per array pass.  Per-cell temporaries are (BLOCK_CELLS, M) arrays,
-# so this bounds peak memory; values do not depend on it.
+# Cells per array pass with one target (BLOCK_CELLS // R with R targets).
+# Per-cell temporaries are (BLOCK_CELLS, M) arrays, so this bounds peak
+# memory; values do not depend on it.
 BLOCK_CELLS = 256
 
 
@@ -79,17 +83,6 @@ def _block(points, model: SystemModel, values, k: int) -> np.ndarray:
     return out
 
 
-def _per_cell(fn, q, s: TargetState) -> list:
-    """fn(point, TargetState) looped over the cells; NaN where it is masked."""
-    out = []
-    for i, p in enumerate(q):
-        try:
-            out.append(fn(p, TargetState(s.alpha[i], s.xi[i], s.sb_gain[i], s.db_gain[i])))
-        except SensingError:
-            out.append(np.nan)
-    return out
-
-
 def _crb_xi(s: TargetState, model: SystemModel):
     return crb_xi_cells(s.xi, s.alpha, s.db_gain, model.ula, model.panel, model.code,
                         model.harmonics, model.pilots, model.noise_power, model.mode)
@@ -101,21 +94,18 @@ def _crb_block(points, model: SystemModel, builders) -> np.ndarray:
         if builders[0] is None:
             return (crb_alpha_cells(s.alpha, s.sb_gain, model.ula, model.pilots,
                                     model.noise_power), _crb_xi(s, model))
-        return [_per_cell(lambda _, mov, b=b: float(crbs_from_fim(b.fim(mov))[0]), q, s)
-                for b in builders]
+        return [crbs_cells(b.fim_cells(s))[:, 0] for b in builders]
     out = _block(points, model, values, 2)
     out[out <= 0] = np.nan  # a non-positive numeric inverse is masked too
     return out
 
 
-def _peb_block(points, model: SystemModel, builders, fixed_pos) -> np.ndarray:
+def _peb_block(points, model: SystemModel, builders) -> np.ndarray:
     def values(q, s):
         if builders[0] is None:
             return [peb_cells(q, s, model.geom, model.ula, model.panel, model.code,
                               model.harmonics, model.pilots, model.noise_power, model.mode)]
-        return [_per_cell(lambda p, mov: peb_multi_from_fims(
-            builders[0].fim(mov), builders[1].fim(mov), [p] + list(fixed_pos), model.geom),
-            q, s)]
+        return [peb_multi_cells(builders[0].fim_cells(s), builders[1].fim_cells(s), q, model.geom)]
     return _block(points, model, values, 1)
 
 
@@ -127,11 +117,12 @@ def _ris_block(points, model: SystemModel) -> np.ndarray:
     return _block(points, model, values, 2)
 
 
-def _map_cells(points, worker, threads: int) -> np.ndarray:
-    """worker over consecutive blocks of BLOCK_CELLS cells, joined in cell
-    order; with threads > 1 a process pool (at most one process per block)
-    maps the blocks."""
-    blocks = [points[i:i + BLOCK_CELLS] for i in range(0, len(points), BLOCK_CELLS)]
+def _map_cells(points, worker, threads: int, n_targets: int = 1) -> np.ndarray:
+    """worker over consecutive blocks of max(1, BLOCK_CELLS // n_targets)
+    cells, joined in cell order; with threads > 1 a process pool (at most one
+    process per block) maps the blocks."""
+    size = max(1, BLOCK_CELLS // n_targets)
+    blocks = [points[i:i + size] for i in range(0, len(points), size)]
     if threads <= 1:
         return np.concatenate([worker(b) for b in blocks], axis=-1)
     with ProcessPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
@@ -155,10 +146,10 @@ def _entry(v, db: bool = True) -> tuple:
 def run_crb_map(cfg: dict, out_dir: str) -> list[str]:
     """Angle-CRB maps over the scene for the configured target count."""
     model = build_model(cfg)
-    builders = _builders(model, fixed_scene(cfg, model))
+    fixed = fixed_scene(cfg, model)
     cells = _cells(model, float(cfg["grid_res_m"]))
-    worker = functools.partial(_crb_block, model=model, builders=builders)
-    values = _map_cells(cells, worker, int(cfg["threads"]))
+    worker = functools.partial(_crb_block, model=model, builders=_builders(model, fixed))
+    values = _map_cells(cells, worker, int(cfg["threads"]), len(fixed) + 1)
     files = []
     for name, vals in zip(("crb_alpha", "crb_xi"), values):
         rows = [(float(q[0]), float(q[2]), *_entry(v)) for q, v in zip(cells, vals)]
@@ -174,9 +165,8 @@ def run_peb_map(cfg: dict, out_dir: str) -> list[str]:
     model = build_model(cfg)
     fixed = fixed_scene(cfg, model)
     cells = _cells(model, float(cfg["grid_res_m"]))
-    worker = functools.partial(_peb_block, model=model, builders=_builders(model, fixed),
-                               fixed_pos=[p.position for p in fixed])
-    values = _map_cells(cells, worker, int(cfg["threads"]))[0]
+    worker = functools.partial(_peb_block, model=model, builders=_builders(model, fixed))
+    values = _map_cells(cells, worker, int(cfg["threads"]), len(fixed) + 1)[0]
     rows = [(float(q[0]), float(q[2]), *_entry(v, db=False)) for q, v in zip(cells, values)]
     path = os.path.join(out_dir, "peb_map.csv")
     write_csv(path, ("x_m", "z_m", "peb_m", "masked"), rows)

@@ -1,30 +1,49 @@
 """The grid-batched bounds engine against an independent per-cell oracle.
 
-The oracle is the stacked-derivative path: explicit derivative columns,
-``fim_generic`` and a numeric inversion (``crbs_from_fim``; ``efim`` plus the
-angle-to-position Jacobian for the PEB).  It never touches the closed-form
-traces the engine evaluates in array passes.  Angles, gains, the Jacobian
-and the linear-panel response are written out here from their definitions.
-The lattice holds the BS centre, the panel centre and the x = 0 BS-panel
-axis, so every masking rule is exercised.
+The oracle is the stacked-derivative path: explicit derivative columns of
+every target, ``fim_generic`` and a numeric inversion of the diagonally
+normalized FIM for the CRBs; for the PEB, the Schur complement of the gain
+block, the 2R x 2R angle inverse and the angle-to-position Jacobian.  It
+never touches the closed-form traces or the stacked builder, inverse and
+EFIM bodies the engine evaluates in array passes.  Angles, gains, the
+Jacobian and the linear-panel response are written out here from their
+definitions.  The lattice holds the BS centre, the panel centre and the
+x = 0 BS-panel axis (with ten targets, also a fixed target and cells on its
+BS ray), so every masking rule is exercised.
 """
 
 import csv
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from stcmsense.bounds import TargetState, crbs_from_fim, efim, fim_generic, target_derivative_columns
-from stcmsense.channel import steering_vector, vec
-from stcmsense.config import build_model, merge_config
+from stcmsense.bounds import fim_generic
+from stcmsense.channel import db_regressor, sb_regressor, steering_derivative, steering_vector, vec
+from stcmsense.config import build_model, fixed_scene, merge_config
 from stcmsense.errors import SensingError
 from stcmsense.experiments import run_crb_map, run_peb_map, run_ris_compare
+from stcmsense.metasurface import harmonic_pattern_batch
 
 COND_LIMIT = 1e12
 EPS = float(np.finfo(float).eps)
 REL_TOL = 1e-12
 CFG = {"grid_res_m": 10.0}
+
+
+State = namedtuple("State", "alpha xi sb_gain db_gain")
+
+
+def derivative_columns(t, kind, m):
+    """(angle derivative column, regressor) of one target for the given path."""
+    if kind == "sb":
+        a, da = steering_vector(m.ula, t.alpha), steering_derivative(m.ula, t.alpha)
+        dh = vec((np.outer(da, a) + np.outer(a, da)) @ m.pilots.symbols)
+        return t.sb_gain * dh, sb_regressor(t.alpha, m.ula, m.pilots)
+    eta, deta = harmonic_pattern_batch(m.panel, m.code, m.harmonics, t.xi, 0.0, m.mode)
+    return (t.db_gain * db_regressor(t.alpha, deta[:, 0], m.ula, m.pilots),
+            db_regressor(t.alpha, eta[:, 0], m.ula, m.pilots))
 
 
 class Masked(Exception):
@@ -39,9 +58,10 @@ def scaled_cond(f):
 
 
 class Oracle:
-    def __init__(self, model):
+    def __init__(self, model, fixed=()):
         self.m = model
         self.kappa = 1.0
+        self.fixed = [self.state(p[0], p[2]) for p in fixed]
 
     def require(self, f):
         k = scaled_cond(f)
@@ -52,8 +72,8 @@ class Oracle:
     def state(self, x, z):
         m = self.m
         bs, panel = m.geom.bs_center, m.geom.stcm_center
-        d_r = math.hypot(x - bs[0], z - bs[2])
-        d_rp = math.hypot(x - panel[0], z - panel[2])
+        d_r = math.sqrt((x - bs[0]) ** 2 + (z - bs[2]) ** 2)
+        d_rp = math.sqrt((x - panel[0]) ** 2 + (z - panel[2]) ** 2)
         if d_r < 1e-9 or d_rp < 1e-9:
             raise Masked
         lam = m.wavelength
@@ -61,34 +81,40 @@ class Oracle:
         def gain(d):
             return lam / (4 * math.pi * d ** m.iota) * np.exp(-2j * math.pi * d / lam)
 
-        return TargetState(alpha=math.atan2(x - bs[0], z - bs[2]),
+        return State(alpha=math.atan2(x - bs[0], z - bs[2]),
                            xi=math.atan2(x - panel[0], abs(z - panel[2])),
                            sb_gain=gain(2 * d_r), db_gain=gain(m.geom.d_s + d_r + d_rp))
 
     def fim(self, t, kind):
-        m = self.m
-        d, h = target_derivative_columns(t, kind, m.ula, m.pilots, m.panel, m.code,
-                                         m.harmonics, m.mode)
-        return fim_generic([d, h, 1j * h], m.noise_power)
+        """FIM over [angle per target | (Re b, Im b) per target], moving target first."""
+        cols = [derivative_columns(u, kind, self.m) for u in [t] + self.fixed]
+        return fim_generic([d for d, _ in cols] + [c for _, h in cols for c in (h, 1j * h)],
+                           self.m.noise_power).entries
+
+    def inverse(self, f):
+        self.require(f)
+        s = np.sqrt(np.diag(f))
+        return np.linalg.inv(f / np.outer(s, s)) / np.outer(s, s)
 
     def crb(self, t, kind):
-        f = self.fim(t, kind)
-        self.require(f.entries)
-        return float(crbs_from_fim(f)[0])
+        return float(self.inverse(self.fim(t, kind))[0, 0])
 
     def peb(self, x, z, t):
-        m = self.m
+        m, r = self.m, 1 + len(self.fixed)
         bs, panel = m.geom.bs_center, m.geom.stcm_center
         dxb, dzb, dxs, w = x - bs[0], z - bs[2], x - panel[0], panel[2] - z
         rb, rs = dxb * dxb + dzb * dzb, dxs * dxs + w * w
         jac = np.array([[dzb / rb, -dxb / rb], [w / rs, dxs / rs]])
-        fims = [self.fim(t, kind) for kind in ("sb", "db")]
-        for f in fims:
-            self.require(f.entries[1:, 1:])
-            self.kappa = max(self.kappa, scaled_cond(f.entries))
-        f_pos = jac.T @ np.diag([efim(f) for f in fims]) @ jac
-        self.require(f_pos)
-        return float(np.sqrt(np.trace(np.linalg.inv(f_pos))))
+        f_ang = np.zeros((2 * r, 2 * r))
+        for i, kind in enumerate(("sb", "db")):
+            f = self.fim(t, kind)
+            self.require(f[r:, r:])
+            self.kappa = max(self.kappa, scaled_cond(f))
+            angles = slice(i * r, (i + 1) * r)
+            f_ang[angles, angles] = f[:r, :r] - f[:r, r:] @ np.linalg.solve(f[r:, r:], f[r:, :r])
+        cov = self.inverse(f_ang)
+        pair = np.linalg.inv(cov[np.ix_([0, r], [0, r])])
+        return float(np.sqrt(np.trace(self.inverse(jac.T @ pair @ jac))))
 
     def ris(self, t):
         m = self.m
@@ -130,14 +156,14 @@ MAPS = [
 ]
 
 
-@pytest.mark.parametrize("runner,name,columns", MAPS, ids=[m[1] for m in MAPS])
-def test_engine_matches_stacked_derivative_oracle(tmp_path, runner, name, columns):
-    cfg = merge_config(CFG)
+def check_against_oracle(tmp_path, overrides, runner, name, columns):
+    """Every value and mask of one map CSV against the oracle; returns the
+    set of lattice cells."""
+    cfg = merge_config(overrides)
     runner(cfg, str(tmp_path))
     rows = read_rows(tmp_path / name)
-    oracle = Oracle(build_model(cfg))
-    cells = {(float(r["x_m"]), float(r["z_m"])) for r in rows}
-    assert {(0.0, 0.0), (0.0, 100.0), (0.0, 50.0)} <= cells
+    model = build_model(cfg)
+    oracle = Oracle(model, [p.position for p in fixed_scene(cfg, model)])
     masked = 0
     for r in rows:
         x, z = float(r["x_m"]), float(r["z_m"])
@@ -151,3 +177,17 @@ def test_engine_matches_stacked_derivative_oracle(tmp_path, runner, name, column
             got = 10.0 ** (float(r[col]) / 10.0) if db else float(r[col])
             assert abs(got - ref) <= (REL_TOL + 64 * kappa * EPS) * abs(ref), (name, col, x, z)
     assert masked >= 2  # at least the two terminal cells
+    return {(float(r["x_m"]), float(r["z_m"])) for r in rows}
+
+
+@pytest.mark.parametrize("runner,name,columns", MAPS, ids=[m[1] for m in MAPS])
+def test_engine_matches_stacked_derivative_oracle(tmp_path, runner, name, columns):
+    cells = check_against_oracle(tmp_path, CFG, runner, name, columns)
+    assert {(0.0, 0.0), (0.0, 100.0), (0.0, 50.0)} <= cells
+
+
+@pytest.mark.parametrize("overrides", [{**CFG, "n_targets": 2}, {"grid_res_m": 20.0, "n_targets": 10}],
+                         ids=["two_targets", "ten_targets"])
+@pytest.mark.parametrize("runner,name,columns", MAPS[:3], ids=[m[1] for m in MAPS[:3]])
+def test_multi_target_engine_matches_oracle(tmp_path, runner, name, columns, overrides):
+    check_against_oracle(tmp_path, overrides, runner, name, columns)

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ COARSE = {"grid_res_m": 10.0, "n_trials": 1500, "classification_snr_db": [-5.0, 
 def csv_bytes(runner, cfg, out):
     """{file name: bytes} of every CSV one experiment call writes."""
     out.mkdir()
-    return {os.path.basename(f): open(f, "rb").read()
+    return {os.path.basename(f): Path(f).read_bytes()
             for f in runner(cfg, str(out)) if f.endswith(".csv")}
 
 
@@ -278,8 +279,10 @@ class TestDeterminism:
         assert open(f1[0], "rb").read() == open(f2[0], "rb").read()
         assert open(f1[1], "rb").read() == open(f2[1], "rb").read()
         # both block workers: peb-map, and the fixed-target builder path
+        ten = {"n_targets": 10, "grid_res_m": 20.0}
         for runner, extra in ((run_peb_map, {}), (run_crb_map, {"n_targets": 2}),
-                              (run_peb_map, {"n_targets": 2})):
+                              (run_peb_map, {"n_targets": 2}), (run_crb_map, ten),
+                              (run_peb_map, ten)):
             tag = f"{runner.__name__}-{len(extra)}"
             serial = csv_bytes(runner, merge_config({**COARSE, **extra}), tmp_path / tag)
             pooled = csv_bytes(runner, merge_config({**COARSE, **extra, "threads": 2}),
@@ -289,6 +292,8 @@ class TestDeterminism:
     @pytest.mark.parametrize("runner,extra", [
         (run_crb_map, {}), (run_peb_map, {}), (run_ris_compare, {}),
         (run_crb_map, {"n_targets": 2}), (run_peb_map, {"n_targets": 2}),
+        (run_crb_map, {"n_targets": 10, "grid_res_m": 20.0}),
+        (run_peb_map, {"n_targets": 10, "grid_res_m": 20.0}),
     ])
     def test_block_size_does_not_change_bytes(self, tmp_path, monkeypatch, runner, extra):
         cfg = merge_config({**COARSE, **extra})
@@ -351,6 +356,12 @@ class TestCli:
         ({"harmonics": 2.7}, "harmonics"),
         ({"grid_res_m": 1e-9}, "grid_res_m"),
         ({"grid_res_m": -1.0}, "grid_res_m"),
+        ({"bs": {"antennas": 0}}, "bs.antennas"),
+        ({"bs": {"antennas": -4}}, "bs.antennas"),
+        ({"harmonics": -1}, "harmonics"),
+        ({"geometry": {"bs_center": None}}, "geometry.bs_center"),
+        ({"geometry": {"stcm_center": [0, 0]}}, "geometry.stcm_center"),
+        ({"wavelength_mode": "bogus"}, "wavelength_mode"),
     ])
     def test_bad_numbers_fail_with_one_line(self, tmp_path, capsys, doc, key):
         cfg_path = tmp_path / "bad.json"
