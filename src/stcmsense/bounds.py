@@ -75,10 +75,6 @@ class FisherMatrix:
         if f.shape[0] != f.shape[1]:
             raise ValueError("Fisher matrix must be square")
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
     def condition_number(self) -> float:
         """Scale-invariant conditioning; see :func:`scale_invariant_cond`."""
         return scale_invariant_cond(self.entries)

@@ -63,55 +63,55 @@ class ClassPosterior:
         return _LABELS[self.map_label]
 
 
-def rayleigh_scale(sigma_i: float, distance: float, sigma_nu: float = 1.0,
+def rayleigh_scale(sigma_i: float, distance, sigma_nu: float = 1.0,
                    esymbol: float = 1.0, wavelength: float = SPEED_OF_LIGHT / 1e10,
-                   iota: float = 2.0) -> float:
+                   iota: float = 2.0):
     """Analysis Rayleigh scale of the gain magnitude under hypothesis i.
 
     s = G(d) sigma_i sigma_nu (pi/2)^(-1/2) with the same propagation factor
-    G as the path gains; zero exactly when sigma_i = 0.
+    G as the path gains; zero exactly when sigma_i = 0.  A scalar distance
+    gives a float, an (n,) array of distances an (n,) array.
     """
-    if distance <= 0:
+    d = np.asarray(distance, dtype=float)
+    if np.any(d <= 0):
         raise NonPositiveDistance("distance must be positive")
     if sigma_i < 0 or sigma_nu < 0:
         raise OutOfRange("scales must be nonnegative")
-    g = math.sqrt(esymbol) * wavelength / (4 * math.pi * distance**iota)
-    return g * sigma_i * sigma_nu * math.sqrt(2.0 / math.pi)
+    g = math.sqrt(esymbol) * wavelength / (4 * math.pi * d**iota)
+    s = g * sigma_i * sigma_nu * math.sqrt(2.0 / math.pi)
+    return float(s) if s.ndim == 0 else s
 
 
 def physical_fading_scale(sigma_i: float, distance: float, sigma_nu: float = 1.0,
                           esymbol: float = 1.0, wavelength: float = SPEED_OF_LIGHT / 1e10,
                           iota: float = 2.0) -> float:
     """Rayleigh scale of |G(d) sigma_i nu| when nu is CN(0, sigma_nu^2)."""
-    if sigma_i == 0.0:
-        return 0.0
     return rayleigh_scale(sigma_i, distance, sigma_nu, esymbol, wavelength, iota) * math.sqrt(math.pi) / 2.0
 
 
-def likelihood_conditional(beta_hat_mag: float, scale_i: float, estimator_var: float) -> float:
+def likelihood_conditional(beta_hat_mag, scale_i, estimator_var: float):
     """Rayleigh-type density of |beta_hat| under one hypothesis.
 
     2x/(2 s^2 + v) exp(-x^2/(2 s^2 + v)); at s = 0 this is the density of
-    pure estimation noise.
+    pure estimation noise.  ``beta_hat_mag`` and ``scale_i`` broadcast
+    against each other (arrays give an array, scalars a float).
     """
-    if beta_hat_mag < 0:
+    x = np.asarray(beta_hat_mag, dtype=float)
+    if np.any(x < 0):
         raise OutOfRange("|beta_hat| must be nonnegative")
     if estimator_var <= 0:
         raise OutOfRange("estimator variance must be positive")
-    v = 2.0 * scale_i**2 + estimator_var
-    return 2.0 * beta_hat_mag / v * math.exp(-beta_hat_mag**2 / v)
+    v = 2.0 * np.asarray(scale_i, dtype=float) ** 2 + estimator_var
+    out = 2.0 * x / v * np.exp(-x**2 / v)
+    return float(out) if out.ndim == 0 else out
 
 
 def class_scales(hypotheses: HypothesisSet, distance: float, sigma_nu: float = 1.0,
                  esymbol: float = 1.0, wavelength: float = SPEED_OF_LIGHT / 1e10,
                  iota: float = 2.0) -> np.ndarray:
     """Analysis scales of all three hypotheses at the given roundtrip distance."""
-    return np.array(
-        [
-            0.0 if s == 0 else rayleigh_scale(s, distance, sigma_nu, esymbol, wavelength, iota)
-            for s in hypotheses.rcs_sqrts
-        ]
-    )
+    return np.array([rayleigh_scale(s, distance, sigma_nu, esymbol, wavelength, iota)
+                     for s in hypotheses.rcs_sqrts])
 
 
 def posterior(beta_hat_mag: float, scales, priors, estimator_var: float) -> ClassPosterior:
@@ -119,26 +119,18 @@ def posterior(beta_hat_mag: float, scales, priors, estimator_var: float) -> Clas
 
     Ties (measure zero) break toward the smaller index.
     """
-    scales = np.asarray(scales, dtype=float)
-    priors = np.asarray(priors, dtype=float)
-    like = np.array(
-        [likelihood_conditional(beta_hat_mag, s, estimator_var) for s in scales]
-    )
-    weights = like * priors
+    like = likelihood_conditional(beta_hat_mag, scales, estimator_var)
+    return _normalized(like * np.asarray(priors, dtype=float), int(np.argmax(scales)),
+                       beta_hat_mag, estimator_var)
+
+
+def _normalized(weights: np.ndarray, heaviest: int, statistic: float,
+                estimator_var: float) -> ClassPosterior:
     total = weights.sum()
-    if total == 0.0:
-        # far tail of every density: decide by the heaviest combined scale
-        post = np.zeros(3)
-        post[int(np.argmax(scales))] = 1.0
-    else:
-        post = weights / total
-    label = int(np.argmax(post))
-    return ClassPosterior(
-        posteriors=post,
-        map_label=label,
-        statistic=float(beta_hat_mag),
-        estimator_std=math.sqrt(estimator_var),
-    )
+    # far tail of every density (total 0): decide by the heaviest combined scale
+    post = weights / total if total != 0.0 else np.eye(3)[heaviest]
+    return ClassPosterior(posteriors=post, map_label=int(np.argmax(post)),
+                          statistic=float(statistic), estimator_std=math.sqrt(estimator_var))
 
 
 def decision_thresholds(scales, priors, estimator_var: float) -> np.ndarray:
@@ -166,49 +158,53 @@ def confusion_matrix(gain_scale: float, hypotheses: HypothesisSet, estimator_var
     """Row-stochastic confusion matrix: rows true class, columns decision.
 
     ``gain_scale`` is the product G(d) sigma_nu shared by all hypotheses at
-    the probed cell.  Truth draws combine the complex-Gaussian fading of the
-    physical model with the estimator noise; decisions apply the analysis
-    likelihoods.  ``method`` "mc" simulates; "exact" integrates the truth
-    density over the deterministic decision regions (Rayleigh tail
-    differences at the region edges).
+    the probed cell.  ``method`` "mc" stacks the three simulated rows of
+    :func:`confusion_row`; "exact" integrates the truth density over the
+    deterministic decision regions (Rayleigh tail differences at the region
+    edges).
+    """
+    if method == "mc":
+        return np.array([confusion_row(gain_scale, hypotheses, estimator_var, j, n_trials, seed)
+                         for j in range(3)])
+    if method != "exact":
+        raise ValueError("method must be 'mc' or 'exact'")
+    sig = np.asarray(hypotheses.rcs_sqrts)
+    t01, t12 = decision_thresholds(gain_scale * sig * math.sqrt(2.0 / math.pi),
+                                   hypotheses.priors, estimator_var)
+    if t01 > t12:
+        raise OutOfRange("decision regions are not intervals under these priors")
+    # per true class, the |beta_hat| Rayleigh scale^2 from the physical truth scale
+    s2 = (gain_scale * sig / math.sqrt(2.0)) ** 2 + estimator_var / 2.0
+    cdf = 1.0 - np.exp(-(np.array([0.0, t01, t12, np.inf]) ** 2) / (2.0 * s2[:, None]))
+    cdf[:, -1] = 1.0
+    return np.diff(cdf, axis=1)
+
+
+def confusion_row(gain_scale: float, hypotheses: HypothesisSet, estimator_var: float,
+                  true_index: int, n_trials: int = 10_000, seed: int = 0) -> np.ndarray:
+    """Simulated decision frequencies (3,) for one true class.
+
+    Truth draws combine the complex-Gaussian fading of the physical model
+    with the estimator noise, from ``stream_rng(seed, true_index)``;
+    decisions apply the analysis likelihoods.
     """
     if n_trials < 1:
         raise OutOfRange("n_trials must be >= 1")
     sig = np.asarray(hypotheses.rcs_sqrts)
     scales = gain_scale * sig * math.sqrt(2.0 / math.pi)  # analysis scales
-    tau = gain_scale * sig / math.sqrt(2.0)               # physical truth scales
-    out = np.zeros((3, 3))
-    if method == "exact":
-        t01, t12 = decision_thresholds(scales, hypotheses.priors, estimator_var)
-        if t01 > t12:
-            raise OutOfRange("decision regions are not intervals under these priors")
-        edges = np.array([0.0, t01, t12, np.inf])
-        for j in range(3):
-            s2 = tau[j] ** 2 + estimator_var / 2.0  # |beta_hat| Rayleigh scale^2
-            cdf = 1.0 - np.exp(-(edges**2) / (2.0 * s2))
-            cdf[-1] = 1.0
-            out[j] = np.diff(cdf)
-        return out
-    if method != "mc":
-        raise ValueError("method must be 'mc' or 'exact'")
-    v = 2.0 * scales**2 + estimator_var
-    priors = np.asarray(hypotheses.priors)
-    for j in range(3):
-        rng = stream_rng(seed, j)
-        # nu ~ CN(0, s_nu^2) through the path gain: |fading| ~ Rayleigh(tau_j)
-        fading = tau[j] * (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
-        noise = math.sqrt(estimator_var / 2.0) * (
-            rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials)
-        )
-        x = np.abs(fading + noise)
-        weighted = priors[None, :] * (2.0 * x[:, None] / v[None, :]) * np.exp(
-            -(x[:, None] ** 2) / v[None, :]
-        )
-        decisions = np.argmax(weighted, axis=1)
-        dead = weighted.sum(axis=1) == 0.0  # far tail: heaviest scale wins
-        decisions[dead] = int(np.argmax(v))
-        out[j] = np.bincount(decisions, minlength=3) / n_trials
-    return out
+    tau = gain_scale * sig[true_index] / math.sqrt(2.0)   # physical truth scale
+    rng = stream_rng(seed, true_index)
+    # nu ~ CN(0, s_nu^2) through the path gain: |fading| ~ Rayleigh(tau)
+    fading = tau * (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
+    noise = math.sqrt(estimator_var / 2.0) * (rng.standard_normal(n_trials)
+                                              + 1j * rng.standard_normal(n_trials))
+    x = np.abs(fading + noise)
+    w0, w1, w2 = (prior * likelihood_conditional(x, s, estimator_var)
+                  for prior, s in zip(hypotheses.priors, scales))
+    # MAP label, ties toward the smaller index
+    decisions = np.where(w2 > np.maximum(w0, w1), 2, (w1 > w0).astype(np.intp))
+    decisions[w0 + w1 + w2 == 0.0] = int(np.argmax(scales))  # far tail: heaviest scale wins
+    return np.bincount(decisions, minlength=3) / n_trials
 
 
 def fuse(beta_hat_direct: float, beta_hat_via_panel: float,
@@ -220,23 +216,8 @@ def fuse(beta_hat_direct: float, beta_hat_via_panel: float,
     its own Rayleigh scales (different roundtrip distances) and estimator
     variance.
     """
-    priors = np.asarray(priors, dtype=float)
-    l_n = np.array(
-        [likelihood_conditional(beta_hat_direct, s, var_direct) for s in np.asarray(scales_direct)]
-    )
-    l_r = np.array(
-        [likelihood_conditional(beta_hat_via_panel, s, var_via) for s in np.asarray(scales_via)]
-    )
-    weights = priors * l_n * l_r
-    total = weights.sum()
-    if total == 0.0:
-        post = np.zeros(3)
-        post[int(np.argmax(np.asarray(scales_direct) + np.asarray(scales_via)))] = 1.0
-    else:
-        post = weights / total
-    return ClassPosterior(
-        posteriors=post,
-        map_label=int(np.argmax(post)),
-        statistic=float(beta_hat_direct),
-        estimator_std=math.sqrt(var_direct),
-    )
+    weights = (np.asarray(priors, dtype=float)
+               * likelihood_conditional(beta_hat_direct, scales_direct, var_direct)
+               * likelihood_conditional(beta_hat_via_panel, scales_via, var_via))
+    heaviest = int(np.argmax(np.asarray(scales_direct) + np.asarray(scales_via)))
+    return _normalized(weights, heaviest, beta_hat_direct, var_direct)

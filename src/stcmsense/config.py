@@ -136,7 +136,8 @@ def _number(v) -> bool:
 def _check_numbers(cfg: dict, defaults: dict = DEFAULT_CONFIG, prefix: str = "") -> None:
     """Every key whose default is a number must hold a finite number, and an
     integral one where the default is an integer (a count or a seed); every
-    ``geometry`` vector must hold as many finite numbers as its default."""
+    ``geometry`` vector must hold as many finite numbers as its default, and
+    ``classification_snr_db`` at least one finite number."""
     for key, default in defaults.items():
         path, v = prefix + key, cfg[key]
         if isinstance(default, dict):
@@ -150,6 +151,9 @@ def _check_numbers(cfg: dict, defaults: dict = DEFAULT_CONFIG, prefix: str = "")
         elif prefix == "geometry." and not (
                 isinstance(v, list) and len(v) == len(default) and all(map(_number, v))):
             raise ConfigError(f"{path} must be {len(default)} finite numbers, got {json.dumps(v)}")
+        elif path == "classification_snr_db" and not (
+                isinstance(v, list) and v and all(map(_number, v))):
+            raise ConfigError(f"{path} must be a non-empty list of finite numbers, got {json.dumps(v)}")
 
 
 def _check_ranges(cfg: dict) -> None:

@@ -11,6 +11,12 @@ under which the ML gain estimate is exactly CN(beta, sigma_n^2 / h2) and the
 scaled magnitude-squared statistic is exactly noncentral chi-square with two
 degrees of freedom.  For an identity combiner h2 reduces to ||H||^2, the
 plain white-noise model.
+
+h2 and the marginal p_D are array-valued (:func:`effective_energy_cells`,
+:func:`pd_marginal_cells`); the scalar regressor and :func:`pd_marginal` are
+the one-element case.  :func:`detection_map` evaluates them in one array
+pass over its cells, with Rayleigh-scale callables of (n,) distances and no
+per-bearing cache.
 """
 
 from __future__ import annotations
@@ -84,13 +90,30 @@ def despread_regressor(q, ula: UlaLayout, pilots: PilotMatrix,
 def despread_regressor_at_angle(alpha: float, ula: UlaLayout, pilots: PilotMatrix,
                                 combiner: Combiner) -> DespreadRegressor:
     a = steering_vector(ula, alpha)
+    h = vec(np.outer(combiner_matrix(combiner, pilots) @ a, a @ pilots.symbols))
+    return DespreadRegressor(h, float(effective_energy_cells([alpha], ula, pilots, combiner)[0]))
+
+
+def effective_energy_cells(alpha, ula: UlaLayout, pilots: PilotMatrix,
+                           combiner: Combiner) -> np.ndarray:
+    """Noise-referred energy h2 at the (n,) bearings ``alpha``, as (n,).
+
+    H = vec(Z a a^T X) has rank one, so ||H||^2 = ||Z a||^2 ||X^T a||^2 and
+    H^H (I kron Z Z^H) H = ||Z^H Z a||^2 ||X^T a||^2, giving
+
+        h2 = ||Z a||^4 ||X^T a||^2 / ||Z^H Z a||^2
+
+    from three (M x M)(M x n) products, stacked per bearing so that a value
+    does not depend on how many bearings share the call.  A bearing with
+    Z a = 0 carries no energy: h2 = 0 there.
+    """
+    a = np.ascontiguousarray(steering_vector(ula, np.atleast_1d(alpha)).T)[:, None, :]
     z = combiner_matrix(combiner, pilots)
-    hmat = z @ np.outer(a, a) @ pilots.symbols
-    h = vec(hmat)
-    norm_sq = float(np.real(np.vdot(h, h)))
-    zzh = z @ z.conj().T
-    colored = float(np.real(np.einsum("is,ij,js->", hmat.conj(), zzh, hmat)))
-    return DespreadRegressor(vector=h, effective_norm_sq=norm_sq**2 / colored)
+    za = a @ z.T  # (n, 1, M) rows (Z a)^T
+    za_sq = np.sum(np.abs(za) ** 2, axis=(1, 2))
+    xa_sq = np.sum(np.abs(a @ pilots.symbols) ** 2, axis=(1, 2))
+    colored = np.sum(np.abs(za @ z.conj()) ** 2, axis=(1, 2))
+    return np.divide(za_sq**2 * xa_sq, colored, out=np.zeros_like(za_sq), where=colored > 0)
 
 
 def ml_beta_estimate(y: np.ndarray, h: np.ndarray) -> complex:
@@ -176,12 +199,6 @@ def marcum_q1(a: float, b: float) -> float:
     if b - a >= 16.0:
         return 0.0
 
-    def pois(k: int) -> float:
-        return _pois_pmf(k, lam)
-
-    def chi_term(j: int) -> float:
-        return _pois_pmf(j, g)
-
     def chi_window(lo: int, hi_open: bool, k: int) -> float:
         # e^{-g} sum of g^j/j! over j = lo..k (hi_open: j = k+1..inf),
         # restricted to the numerically significant window around j ~ g
@@ -189,14 +206,14 @@ def marcum_q1(a: float, b: float) -> float:
         if hi_open:
             j = max(k + 1, int(g))
             while True:
-                t = chi_term(j)
+                t = _pois_pmf(j, g)
                 total += t
                 if t < _MARCUM_WINDOW * max(total, 1e-300):
                     break
                 j += 1
             j = int(g) - 1
             while j >= k + 1:
-                t = chi_term(j)
+                t = _pois_pmf(j, g)
                 total += t
                 if t < _MARCUM_WINDOW * max(total, 1e-300):
                     break
@@ -206,14 +223,14 @@ def marcum_q1(a: float, b: float) -> float:
                 return 0.0
             j = min(k, int(g))
             while j >= lo:
-                t = chi_term(j)
+                t = _pois_pmf(j, g)
                 total += t
                 if t < _MARCUM_WINDOW * max(total, 1e-300):
                     break
                 j -= 1
             j = min(k, int(g)) + 1
             while j <= k:
-                t = chi_term(j)
+                t = _pois_pmf(j, g)
                 total += t
                 if t < _MARCUM_WINDOW * max(total, 1e-300):
                     break
@@ -231,20 +248,20 @@ def marcum_q1(a: float, b: float) -> float:
             return chi_window(0, True, k)
         return chi_window(0, False, k)
 
-    acc = pois(k0) * weight(k0)
-    mass = pois(k0)
+    acc = _pois_pmf(k0, lam) * weight(k0)
+    mass = _pois_pmf(k0, lam)
     # downward sweep; the 1e-18 cutoff keeps the geometric remainder of the
     # neglected Poisson mass below budget even for wide distributions.  The
     # running weight is re-anchored by direct summation every 64 steps so
     # recurrence drift stays bounded independent of the sweep length.
     k = k0 - 1
     w_k = weight(k)
-    pk = pois(k) if k >= 0 else 0.0
+    pk = _pois_pmf(k, lam) if k >= 0 else 0.0
     since_anchor = 0
     while k >= 0 and pk > 0.0:
         acc += pk * w_k
         mass += pk
-        step = chi_term(k)
+        step = _pois_pmf(k, g)
         w_k = w_k + step if complement else w_k - step
         w_k = min(max(w_k, 0.0), 1.0)
         pk *= (k / lam) if k > 0 else 0.0
@@ -260,14 +277,14 @@ def marcum_q1(a: float, b: float) -> float:
     k = k0 + 1
     k_cap = k0 + int(20.0 * math.sqrt(lam)) + 200
     w_k = weight(k)
-    pk = pois(k)
+    pk = _pois_pmf(k, lam)
     since_anchor = 0
     while mass < 1.0 - _MARCUM_MASS and k <= k_cap:
         acc += pk * w_k
         mass += pk
         k += 1
         pk *= lam / k
-        step = chi_term(k)
+        step = _pois_pmf(k, g)
         w_k = w_k - step if complement else w_k + step
         w_k = min(max(w_k, 0.0), 1.0)
         since_anchor += 1
@@ -294,16 +311,23 @@ def pd_conditional(beta: complex, h, noise_power: float, gamma_th: float) -> flo
 
 
 def pd_marginal(scale_sigma: float, h, noise_power: float, gamma_th: float) -> float:
-    """Rayleigh-marginalized detection probability.
+    """:func:`pd_marginal_cells` at one cell; ``h`` is a DespreadRegressor,
+    a regressor vector, or the scalar effective energy directly."""
+    return float(pd_marginal_cells(scale_sigma, _as_norm_sq(h), noise_power, gamma_th))
+
+
+def pd_marginal_cells(scale_sigma, h2, noise_power: float, gamma_th: float):
+    """Rayleigh-marginalized detection probability at stacked cells.
 
     p_D = exp(-gamma_th sigma_n^2 / (4 h2 s^2 + 2 sigma_n^2)) where ``s`` is
-    the Rayleigh scale of the gain magnitude; s = 0 collapses to the false
-    alarm probability.
+    the Rayleigh scale of the gain magnitude and ``h2`` the effective
+    energy, broadcast against each other; s = 0 or h2 = 0 collapses to the
+    false alarm probability.
     """
-    if scale_sigma < 0:
+    s = np.asarray(scale_sigma, dtype=float)
+    if np.any(s < 0):
         raise OutOfRange("Rayleigh scale must be nonnegative")
-    h_sq = _as_norm_sq(h)
-    return math.exp(-gamma_th * noise_power / (4.0 * h_sq * scale_sigma**2 + 2.0 * noise_power))
+    return np.exp(-gamma_th * noise_power / (4.0 * np.asarray(h2) * s**2 + 2.0 * noise_power))
 
 
 def _as_norm_sq(h) -> float:
@@ -320,31 +344,25 @@ def detection_map(grid_points, geom: SceneGeometry, ula: UlaLayout,
                   rayleigh_scales: dict, combiners=(Combiner.ALL_ONES, Combiner.MATCHED_DESPREAD)):
     """Marginal detection probability over the grid per target type/combiner.
 
-    ``rayleigh_scales`` maps type label -> callable(sb roundtrip distance)
-    giving the gain Rayleigh scale at that cell.  Returns
-    {(label, combiner): (n_points,) array}, keys combiner-major in the order
-    given.  A cell without a bearing (on the BS or panel phase center) is
-    masked: it comes back as NaN in every array.
+    ``rayleigh_scales`` maps type label -> callable taking the (n,) single-
+    bounce roundtrip distances and returning the (n,) gain Rayleigh scales
+    there.  Returns {(label, combiner): (n_points,) array}, keys
+    combiner-major in the order given.  A cell without a bearing (on the BS
+    or panel phase center) is masked: it comes back as NaN in every array.
 
-    The effective regressor energy depends on the cell only through alpha,
-    so it is evaluated once per combiner and alpha (rounded to 1e-12 rad).
-    Angles and distances come from one array pass over the cells.
+    One array pass over the points, with no value cached across cells:
+    temporaries are (n_points, M), so the CLI map passes blocks of cells.
     """
     gamma_th = threshold_from_pfa(p_fa)
     pts = np.asarray(grid_points, dtype=float).reshape(-1, 3)
     out = {(label, comb): np.full(len(pts), np.nan)
            for comb in combiners for label in rayleigh_scales}
-    live = np.flatnonzero(~terminal_mask(pts, geom))
-    alphas = angles_from_position(pts[live], geom).alpha.tolist()
-    distances = triangle_distances(pts[live], geom)[0].tolist()
-    h_cache: dict = {}
-    for i, alpha, d_r in zip(live.tolist(), alphas, distances):
-        scales = {label: fn(2.0 * d_r) for label, fn in rayleigh_scales.items()}
-        for comb in combiners:
-            key = (comb, round(alpha, 12))
-            if key not in h_cache:
-                h_cache[key] = despread_regressor_at_angle(alpha, ula, pilots,
-                                                           comb).effective_norm_sq
-            for label, scale in scales.items():
-                out[(label, comb)][i] = pd_marginal(scale, h_cache[key], noise_power, gamma_th)
+    live = ~terminal_mask(pts, geom)
+    alpha = angles_from_position(pts[live], geom).alpha
+    roundtrip = 2.0 * triangle_distances(pts[live], geom)[0]
+    scales = {label: fn(roundtrip) for label, fn in rayleigh_scales.items()}
+    for comb in combiners:
+        h2 = effective_energy_cells(alpha, ula, pilots, comb)
+        for label, scale in scales.items():
+            out[(label, comb)][live] = pd_marginal_cells(scale, h2, noise_power, gamma_th)
     return out

@@ -5,8 +5,8 @@ JSON manifest into the output directory, and returns the list of files it
 wrote.  Variances are reported as 10 log10(rad^2); masked grid cells carry
 an explicit boolean column.
 
-The bound maps (crb-map, peb-map, ris-compare) split the grid into blocks
-of consecutive cells.  A block worker drops the terminal cells and
+The maps (crb-map, peb-map, ris-compare, detect-map) split the grid into
+blocks of consecutive cells.  A block worker drops the terminal cells and
 evaluates each quantity in one array pass over the rest.  With one target
 the passes run the closed forms (``crb_alpha_cells``, ``crb_xi_cells``,
 ``peb_cells``, ``crb_ris_cells``) over blocks of ``BLOCK_CELLS`` cells.
@@ -14,10 +14,12 @@ With R > 1 targets, ``MultiTargetFimBuilder.fim_cells`` stacks the moving
 target's (n, 3R, 3R) FIMs against the cached fixed targets, and
 ``crbs_cells`` and ``peb_multi_cells`` invert them; those matrices grow
 with R, so the blocks hold max(1, BLOCK_CELLS // R) cells (25 at R = 10).
-``threads`` > 1 maps the blocks over up to that many worker processes.
-Every value is a pure function of its cell, so neither the block size nor
-``threads`` changes a byte: blocks are joined in cell order, independent
-of completion order.
+detect-map runs ``detection.detection_map`` on blocks of ``BLOCK_CELLS``
+cells (one h2 pass per combiner, one p_D pass per map).  ``threads`` > 1
+maps the blocks over up to that many worker processes.  Every value is a
+pure function of its cell, so neither the block size nor ``threads``
+changes a byte: blocks are joined in cell order, independent of
+completion order.  classify-mc simulates only the confusion row it reports.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .bounds import (
     peb_multi_cells,
 )
 from .channel import path_gains
-from .classification import confusion_matrix, rayleigh_scale
+from .classification import confusion_row, rayleigh_scale
 from .config import SystemModel, build_model, config_hash, fixed_scene, grid_points
 from .detection import Combiner, despread_regressor_at_angle, detection_map
 from .geometry import ScatterPoint, angles_from_position, terminal_mask
@@ -174,6 +176,13 @@ def run_peb_map(cfg: dict, out_dir: str) -> list[str]:
     return [path, manifest]
 
 
+def _detect_block(points, model: SystemModel, scales: dict) -> np.ndarray:
+    """(4, n) p_D rows for a block of cells, in ``detection_map`` key order."""
+    maps = detection_map(points, model.geom, model.ula, model.pilots, model.noise_power,
+                         model.p_fa, scales, tuple(Combiner))
+    return np.array(list(maps.values()))
+
+
 def run_detection_map(cfg: dict, out_dir: str) -> list[str]:
     """Marginal detection probability maps: 2 target types x 2 combiners."""
     model = build_model(cfg)
@@ -182,16 +191,15 @@ def run_detection_map(cfg: dict, out_dir: str) -> list[str]:
                                        wavelength=model.wavelength, iota=model.iota)
               for label, sigma in (("human_like", model.hypotheses.rcs_sqrts[1]),
                                    ("object_like", model.hypotheses.rcs_sqrts[2]))}
-    maps = detection_map(cells, model.geom, model.ula, model.pilots, model.noise_power,
-                         model.p_fa, scales)
+    worker = functools.partial(_detect_block, model=model, scales=scales)
+    values = _map_cells(cells, worker, int(cfg["threads"]))
+    xz = cells[:, [0, 2]].tolist()
     files = []
-    for (label, comb), pd in maps.items():
-        rows = [
-            (float(q[0]), float(q[2]), None if math.isnan(p) else float(p), label,
-             comb.value, math.isnan(p))
-            for q, p in zip(cells, pd)
-        ]
-        path = os.path.join(out_dir, f"detect_map_{label}_{comb.value}.csv")
+    for (label, combiner), pd in zip([(label, c.value) for c in Combiner for label in scales],
+                                     values):
+        rows = [(x, z, None if math.isnan(p) else p, label, combiner, math.isnan(p))
+                for (x, z), p in zip(xz, pd.tolist())]
+        path = os.path.join(out_dir, f"detect_map_{label}_{combiner}.csv")
         write_csv(path, ("x_m", "z_m", "p_d", "sp_type", "combiner", "masked"), rows)
         files.append(path)
     files.append(write_manifest(out_dir, "detect_map", config_hash(cfg), __version__, files))
@@ -224,12 +232,9 @@ def run_classification_mc(cfg: dict, out_dir: str) -> list[str]:
     for snr_db in cfg["classification_snr_db"]:
         for true_index, label in ((1, "human_like"), (2, "object_like")):
             gain_scale, est_var = classification_operating_point(model, snr_db, true_index)
-            conf = confusion_matrix(gain_scale, model.hypotheses, est_var,
-                                    n_trials=n_trials,
-                                    seed=seed + 1000 * true_index, method="mc")
-            p = conf[true_index]
-            rows.append((float(snr_db), label, float(p[0]), float(p[1]), float(p[2]),
-                         n_trials, seed))
+            p = confusion_row(gain_scale, model.hypotheses, est_var, true_index,
+                              n_trials=n_trials, seed=seed + 1000 * true_index)
+            rows.append((float(snr_db), label, *p.tolist(), n_trials, seed))
     path = os.path.join(out_dir, "classification_mc.csv")
     write_csv(path, ("snr_db", "true_class", "p_h0", "p_h1", "p_h2", "n_trials", "seed"), rows)
     manifest = write_manifest(out_dir, "classification_mc", config_hash(cfg), __version__, [path])

@@ -70,13 +70,6 @@ class SceneGeometry:
         """+1 when the panel sits above the BS on the z-axis, -1 below."""
         return 1.0 if self.stcm_center[2] >= self.bs_center[2] else -1.0
 
-    def contains(self, q) -> bool:
-        q = np.asarray(q, dtype=float)
-        return bool(
-            self.x_bounds[0] <= q[0] <= self.x_bounds[1]
-            and self.z_bounds[0] <= q[2] <= self.z_bounds[1]
-        )
-
 
 @dataclass(frozen=True)
 class AnglePair:

@@ -7,6 +7,7 @@ from stcmsense.classification import (
     HypothesisSet,
     class_scales,
     confusion_matrix,
+    confusion_row,
     decision_thresholds,
     fuse,
     likelihood_conditional,
@@ -15,6 +16,7 @@ from stcmsense.classification import (
     rayleigh_scale,
 )
 from stcmsense.errors import NonPositiveDistance
+from stcmsense.rng import stream_rng
 
 UNIFORM = (1 / 3, 1 / 3, 1 / 3)
 
@@ -36,6 +38,16 @@ class TestRayleighScale:
     def test_nonpositive_distance(self):
         with pytest.raises(NonPositiveDistance):
             rayleigh_scale(1.0, 0.0)
+        with pytest.raises(NonPositiveDistance):
+            rayleigh_scale(1.0, np.array([40.0, -1.0]))
+
+    def test_array_distances_are_scalar_calls(self):
+        d = np.array([3.0, 41.5, 200.0])
+        got = rayleigh_scale(10 ** (17 / 20), d, iota=2.2)
+        assert got.shape == (3,)
+        assert np.allclose(got, [rayleigh_scale(10 ** (17 / 20), x, iota=2.2) for x in d],
+                           rtol=1e-15, atol=0)
+        assert isinstance(rayleigh_scale(1.0, 50.0), float)
 
     def test_physical_scale_ratio(self):
         # the physical fading scale is sqrt(pi)/2 of the analysis scale
@@ -138,6 +150,33 @@ class TestConfusion:
         ]
         ratio = np.std(small) / np.std(large)
         assert 1.8 < ratio < 6.0  # sqrt(10) ~ 3.16 up to replication noise
+
+    @pytest.mark.parametrize("seed", [9, 20240101])
+    def test_row_is_matrix_row_bit_for_bit(self, seed):
+        hyp = HypothesisSet()
+        conf = confusion_matrix(2e-6, hyp, 1e-13, n_trials=3000, seed=seed)
+        for j in range(3):
+            row = confusion_row(2e-6, hyp, 1e-13, j, n_trials=3000, seed=seed)
+            assert np.array_equal(row, conf[j])
+
+    def test_row_matches_explicit_argmax(self):
+        # the MAP rule written out with argmax over the stacked weighted
+        # densities, from the same truth draws
+        hyp = HypothesisSet()
+        for gain_scale, est_var, j in ((2e-6, 1e-13, 1), (1e-2, 1e-14, 2), (1e-7, 1e-10, 0)):
+            sig = np.asarray(hyp.rcs_sqrts)
+            v = 2.0 * (gain_scale * sig * np.sqrt(2 / np.pi)) ** 2 + est_var
+            rng = stream_rng(4, j)
+            n = 5000
+            fading = gain_scale * sig[j] / np.sqrt(2) * (rng.standard_normal(n)
+                                                        + 1j * rng.standard_normal(n))
+            noise = np.sqrt(est_var / 2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            x = np.abs(fading + noise)[:, None]
+            weighted = np.asarray(hyp.priors) * (2 * x / v) * np.exp(-(x**2) / v)
+            labels = np.argmax(weighted, axis=1)
+            labels[weighted.sum(axis=1) == 0] = 2
+            want = np.bincount(labels, minlength=3) / n
+            assert np.array_equal(confusion_row(gain_scale, hyp, est_var, j, n, seed=4), want)
 
     def test_reproducible_from_seed(self):
         a = confusion_matrix(1e-6, HypothesisSet(), 1e-14, n_trials=1000, seed=9)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import ncx2
 
-from stcmsense.channel import unvec
+from stcmsense.channel import PilotMatrix, unvec
+from stcmsense.config import build_model, merge_config
 from stcmsense.detection import (
     Combiner,
     DetectorConfig,
@@ -10,14 +11,17 @@ from stcmsense.detection import (
     despread_regressor_at_angle,
     detection_map,
     detection_statistic,
+    effective_energy_cells,
     marcum_q1,
     ml_beta_estimate,
     pd_conditional,
     pd_marginal,
+    pd_marginal_cells,
     threshold_from_pfa,
 )
 from stcmsense.classification import rayleigh_scale
 from stcmsense.errors import OutOfRange, ZeroRegressor
+from stcmsense.experiments import run_detection_map
 from stcmsense.rng import stream_rng
 
 NOISE = 1e-15
@@ -253,3 +257,106 @@ def test_detection_statistic_definition():
     s = detection_statistic(0.5 + 0.5j, 1.0, 3.0, 0.25)
     assert s.gamma_tilde == pytest.approx(2 * 3.0 * 0.5 / 0.25)
     assert s.noncentrality == pytest.approx(2 * 3.0 * 1.0 / 0.25)
+
+
+# --- the array-valued map against an explicit per-cell oracle -------------
+#
+# The oracle writes out H = vec(Z a a^T X), the noise-referred energy
+# ||H||^4 / (H^H (I kron Z Z^H) H) and the marginal p_D exponential from
+# their definitions, one cell at a time; it never calls the package's
+# detection or scale code.
+
+ORACLE_CFG = {"grid_res_m": 10.0}
+PD_REL_TOL = 1e-12
+
+
+def oracle_energy(alpha, model, comb):
+    m = model.ula.m_antennas
+    xs = (np.arange(m) - (m - 1) / 2.0) * model.ula.spacing
+    a = np.exp(1j * (2 * np.pi / model.wavelength) * xs * np.sin(alpha))
+    x = model.pilots.symbols
+    z = np.ones((m, m)) if comb is Combiner.ALL_ONES else x.conj().T
+    h = (z @ np.outer(a, a) @ x).ravel(order="F")
+    energy = np.vdot(h, h).real
+    colored = np.vdot(h, np.kron(np.eye(x.shape[1]), z @ z.conj().T) @ h).real
+    return energy**2 / colored if colored > 0 else 0.0
+
+
+def oracle_pd(x, z, model, label, comb):
+    """p_D at the cell (x, 0, z), or None where the cell has no bearing."""
+    bs, panel = model.geom.bs_center, model.geom.stcm_center
+    d_r = np.hypot(x - bs[0], z - bs[2])
+    if d_r < 1e-9 or np.hypot(x - panel[0], z - panel[2]) < 1e-9:
+        return None
+    sigma = dict(zip(("human_like", "object_like"), model.hypotheses.rcs_sqrts[1:]))[label]
+    lam = model.wavelength
+    scale = (lam / (4 * np.pi * (2 * d_r) ** model.iota) * sigma * model.sigma_nu
+             * np.sqrt(2 / np.pi))
+    h2 = oracle_energy(np.arctan2(x - bs[0], z - bs[2]), model, comb)
+    noise, gamma_th = model.noise_power, -2 * np.log(model.p_fa)
+    return float(np.exp(-gamma_th * noise / (4 * h2 * scale**2 + 2 * noise)))
+
+
+def assert_pd_matches(got, x, z, model, label, comb):
+    ref = oracle_pd(x, z, model, label, comb)
+    assert (got is None) == (ref is None), (x, z)
+    if ref is not None:
+        assert abs(got - ref) <= PD_REL_TOL * ref, (x, z, got, ref)
+
+
+KEYS = [(label, comb) for comb in Combiner for label in ("human_like", "object_like")]
+
+
+@pytest.mark.parametrize("label,comb", KEYS, ids=[f"{l}-{c.value}" for l, c in KEYS])
+def test_detection_csv_matches_oracle(tmp_path, label, comb):
+    # the 10 m lattice holds the BS centre, the panel centre and the x = 0 axis
+    cfg = merge_config(ORACLE_CFG)
+    model = build_model(cfg)
+    run_detection_map(cfg, str(tmp_path))
+    with open(tmp_path / f"detect_map_{label}_{comb.value}.csv") as fh:
+        rows = [line.rstrip("\n").split(",") for line in fh][1:]
+    cells = set()
+    for r in rows:
+        x, z = float(r[0]), float(r[1])
+        cells.add((x, z))
+        assert (r[5] == "true") == (r[2] == "")
+        assert_pd_matches(None if r[2] == "" else float(r[2]), x, z, model, label, comb)
+    assert {(0.0, 0.0), (0.0, 100.0), (0.0, 50.0)} <= cells
+
+
+@pytest.mark.parametrize("label,comb", KEYS, ids=[f"{l}-{c.value}" for l, c in KEYS])
+def test_detection_map_near_all_ones_nulls(label, comb):
+    # sin(alpha) = 2k/M puts the all-ones combiner on a null: Z a ~ 0
+    model = build_model(merge_config({}))
+    m = model.ula.m_antennas
+    sines = np.array([2.0 * k / m for k in range(-m // 2, m // 2 + 1)])
+    pts = np.array([[r * s, 0.0, r * np.sqrt(1 - s * s)] for r in (12.0, 37.0) for s in sines])
+    scales = {lab: (lambda d, s=s: rayleigh_scale(s, d, model.sigma_nu,
+                                                  wavelength=model.wavelength, iota=model.iota))
+              for lab, s in zip(("human_like", "object_like"), model.hypotheses.rcs_sqrts[1:])}
+    pd = detection_map(pts, model.geom, model.ula, model.pilots, model.noise_power,
+                       model.p_fa, scales, combiners=(comb,))[(label, comb)]
+    for q, p in zip(pts, pd):
+        assert_pd_matches(float(p), q[0], q[2], model, label, comb)
+
+
+def test_zero_combined_energy_gives_false_alarm(ula):
+    # Z a = 0 at every bearing (all-zero pilots): h2 = 0 and p_D = p_FA,
+    # with no 0/0 on the way
+    zero = PilotMatrix(symbols=np.zeros((16, 16)), total_power=0.0)
+    alphas = np.linspace(-1.2, 1.2, 7)
+    with np.errstate(all="raise"):
+        h2 = effective_energy_cells(alphas, ula, zero, Combiner.MATCHED_DESPREAD)
+        pd = pd_marginal_cells(np.full(7, 1e-6), h2, NOISE, threshold_from_pfa(1e-4))
+    assert np.array_equal(h2, np.zeros(7))
+    assert np.allclose(pd, 1e-4, rtol=1e-14)
+
+
+def test_scalar_regressor_is_one_element_case(ula, pilots):
+    alphas = np.array([-1.1, -0.3, 0.0, 0.25, 0.9])
+    for comb in Combiner:
+        cells = effective_energy_cells(alphas, ula, pilots, comb)
+        for alpha, h2 in zip(alphas, cells):
+            reg = despread_regressor_at_angle(float(alpha), ula, pilots, comb)
+            assert reg.effective_norm_sq == h2
+            assert pd_marginal(1e-7, reg, NOISE, 18.0) == pd_marginal(1e-7, h2, NOISE, 18.0)

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from stcmsense import experiments
 from stcmsense.cli import main
-from stcmsense.classification import rayleigh_scale
+from stcmsense.classification import confusion_matrix, rayleigh_scale
 from stcmsense.config import (
     build_model,
     config_hash,
@@ -182,6 +183,17 @@ class TestExperimentOutputs:
             total = float(r[2]) + float(r[3]) + float(r[4])
             assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_classification_rows_are_confusion_rows(self, tmp_path):
+        cfg = merge_config(COARSE)
+        model = build_model(cfg)
+        _, rows = read_csv(run_classification_mc(cfg, str(tmp_path))[0])
+        for r in rows:
+            j = {"human_like": 1, "object_like": 2}[r[1]]
+            gain_scale, est_var = experiments.classification_operating_point(model, float(r[0]), j)
+            conf = confusion_matrix(gain_scale, model.hypotheses, est_var,
+                                    n_trials=int(r[5]), seed=int(r[6]) + 1000 * j)
+            assert [float(p) for p in r[2:5]] == conf[j].tolist()
+
     def test_ris_compare_masked_everywhere(self, tmp_path):
         files = run_ris_compare(merge_config(COARSE), str(tmp_path))
         header, rows = read_csv(files[0])
@@ -278,11 +290,11 @@ class TestDeterminism:
         f2 = run_crb_map(multi, str(d2))
         assert open(f1[0], "rb").read() == open(f2[0], "rb").read()
         assert open(f1[1], "rb").read() == open(f2[1], "rb").read()
-        # both block workers: peb-map, and the fixed-target builder path
+        # every block worker: peb-map, the fixed-target FIM path, detect-map
         ten = {"n_targets": 10, "grid_res_m": 20.0}
         for runner, extra in ((run_peb_map, {}), (run_crb_map, {"n_targets": 2}),
                               (run_peb_map, {"n_targets": 2}), (run_crb_map, ten),
-                              (run_peb_map, ten)):
+                              (run_peb_map, ten), (run_detection_map, {})):
             tag = f"{runner.__name__}-{len(extra)}"
             serial = csv_bytes(runner, merge_config({**COARSE, **extra}), tmp_path / tag)
             pooled = csv_bytes(runner, merge_config({**COARSE, **extra, "threads": 2}),
@@ -294,6 +306,7 @@ class TestDeterminism:
         (run_crb_map, {"n_targets": 2}), (run_peb_map, {"n_targets": 2}),
         (run_crb_map, {"n_targets": 10, "grid_res_m": 20.0}),
         (run_peb_map, {"n_targets": 10, "grid_res_m": 20.0}),
+        (run_detection_map, {}),
     ])
     def test_block_size_does_not_change_bytes(self, tmp_path, monkeypatch, runner, extra):
         cfg = merge_config({**COARSE, **extra})
@@ -362,6 +375,10 @@ class TestCli:
         ({"geometry": {"bs_center": None}}, "geometry.bs_center"),
         ({"geometry": {"stcm_center": [0, 0]}}, "geometry.stcm_center"),
         ({"wavelength_mode": "bogus"}, "wavelength_mode"),
+        ({"classification_snr_db": []}, "classification_snr_db"),
+        ({"classification_snr_db": 5}, "classification_snr_db"),
+        ({"classification_snr_db": ["a"]}, "classification_snr_db"),
+        ({"classification_snr_db": [None]}, "classification_snr_db"),
     ])
     def test_bad_numbers_fail_with_one_line(self, tmp_path, capsys, doc, key):
         cfg_path = tmp_path / "bad.json"
@@ -372,6 +389,18 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
         assert not list(out.glob("*.csv"))
+
+    def test_detect_and_classify_run_warning_clean(self, tmp_path):
+        # a batched 0/0 or overflow would surface here as an exception
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["detect-map", "--grid-res", "20", "--out", str(tmp_path / "d")]) == 0
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"n_trials": 2000}))
+            assert main(["classify-mc", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "c")]) == 0
+        assert len(list((tmp_path / "d").glob("*.csv"))) == 4
+        assert (tmp_path / "c" / "classification_mc.csv").exists()
 
     def test_validate_passes_on_defaults(self):
         assert main(["validate"]) == 0
