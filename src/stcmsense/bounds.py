@@ -414,7 +414,14 @@ def _inverse(f: np.ndarray, limit: float) -> np.ndarray:
 
 def _position_peb(q, geom: SceneGeometry, e: np.ndarray, limit: float) -> np.ndarray:
     """sqrt(Tr(F^{-1})) in meters at stacked points q (n, 3) of the (x, z)
-    information F = T^T diag(e) T from angle-pair information e (n, 2)."""
+    information F = T^T diag(e) T from angle-pair information e (n, 2).
+
+    NaN where e is NaN, where either angle information is negative (the
+    ``negative_info`` mask: an angle EFIM that came out indefinite, as when
+    a numerically singular FIM has a well-conditioned gain block) or where
+    F fails the condition limit.
+    """
+    e = np.where((e < 0).any(axis=-1, keepdims=True), np.nan, e)
     t = jacobian_angles_to_position(q, geom)
     f = np.einsum("nki,nk,nkj->nij", t, e, t)
     return np.sqrt(np.trace(_inverse(f, limit), axis1=-2, axis2=-1))

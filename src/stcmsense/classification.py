@@ -180,31 +180,43 @@ def confusion_matrix(gain_scale: float, hypotheses: HypothesisSet, estimator_var
     return np.diff(cdf, axis=1)
 
 
-def confusion_row(gain_scale: float, hypotheses: HypothesisSet, estimator_var: float,
+def confusion_row(gain_scale, hypotheses: HypothesisSet, estimator_var: float,
                   true_index: int, n_trials: int = 10_000, seed: int = 0) -> np.ndarray:
-    """Simulated decision frequencies (3,) for one true class.
+    """Simulated decision frequencies for one true class: (3,) at a scalar
+    ``gain_scale``, (k, 3) at a (k,) array of them.
 
     Truth draws combine the complex-Gaussian fading of the physical model
     with the estimator noise, from ``stream_rng(seed, true_index)``;
-    decisions apply the analysis likelihoods.
+    decisions apply the analysis likelihoods.  The unit fading and the noise
+    are drawn once and scaled per gain, so every row reuses the same draws:
+    common random numbers, whose errors are correlated across the rows.
     """
     if n_trials < 1:
         raise OutOfRange("n_trials must be >= 1")
+    g = np.atleast_1d(np.asarray(gain_scale, dtype=float))
     sig = np.asarray(hypotheses.rcs_sqrts)
-    scales = gain_scale * sig * math.sqrt(2.0 / math.pi)  # analysis scales
-    tau = gain_scale * sig[true_index] / math.sqrt(2.0)   # physical truth scale
+    scales = g[:, None] * sig * math.sqrt(2.0 / math.pi)  # analysis scales
+    taus = g * sig[true_index] / math.sqrt(2.0)           # physical truth scales
     rng = stream_rng(seed, true_index)
     # nu ~ CN(0, s_nu^2) through the path gain: |fading| ~ Rayleigh(tau)
-    fading = tau * (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
+    unit = rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials)
     noise = math.sqrt(estimator_var / 2.0) * (rng.standard_normal(n_trials)
                                               + 1j * rng.standard_normal(n_trials))
-    x = np.abs(fading + noise)
+    rows = np.array([_decision_frequencies(np.abs(tau * unit + noise), s, hypotheses.priors,
+                                           estimator_var)
+                     for tau, s in zip(taus, scales)])
+    return rows if np.ndim(gain_scale) else rows[0]
+
+
+def _decision_frequencies(x: np.ndarray, scales, priors, estimator_var: float) -> np.ndarray:
+    """MAP label frequencies (3,) of the statistics x under analysis scales
+    (3,); a helper, so each row's temporaries die before the next row."""
     w0, w1, w2 = (prior * likelihood_conditional(x, s, estimator_var)
-                  for prior, s in zip(hypotheses.priors, scales))
+                  for prior, s in zip(priors, scales))
     # MAP label, ties toward the smaller index
     decisions = np.where(w2 > np.maximum(w0, w1), 2, (w1 > w0).astype(np.intp))
     decisions[w0 + w1 + w2 == 0.0] = int(np.argmax(scales))  # far tail: heaviest scale wins
-    return np.bincount(decisions, minlength=3) / n_trials
+    return np.bincount(decisions, minlength=3) / len(x)
 
 
 def fuse(beta_hat_direct: float, beta_hat_via_panel: float,

@@ -157,7 +157,10 @@ def _check_numbers(cfg: dict, defaults: dict = DEFAULT_CONFIG, prefix: str = "")
 
 
 def _check_ranges(cfg: dict) -> None:
-    """Counts in range (the Kronecker pilots need a square antenna count), known mode."""
+    """Counts in range (the Kronecker pilots need a square antenna count), a
+    positive carrier, known mode."""
+    if not cfg["carrier_hz"] > 0:
+        raise ConfigError(f"carrier_hz must be positive, got {json.dumps(cfg['carrier_hz'])}")
     m = cfg["bs"]["antennas"]
     if m < 1 or math.isqrt(int(m)) ** 2 != m:
         raise ConfigError(f"bs.antennas must be a positive perfect square, got {json.dumps(m)}")

@@ -19,7 +19,8 @@ cells (one h2 pass per combiner, one p_D pass per map).  ``threads`` > 1
 maps the blocks over up to that many worker processes.  Every value is a
 pure function of its cell, so neither the block size nor ``threads``
 changes a byte: blocks are joined in cell order, independent of
-completion order.  classify-mc simulates only the confusion row it reports.
+completion order.  classify-mc simulates only the confusion row it reports,
+and draws each class's trials once for all of its SNR rows.
 """
 
 from __future__ import annotations
@@ -224,17 +225,25 @@ def classification_operating_point(model: SystemModel, snr_db: float, true_index
 
 
 def run_classification_mc(cfg: dict, out_dir: str) -> list[str]:
-    """Confusion rows versus mean SNR for both true target types."""
+    """Confusion rows versus mean SNR for both true target types.
+
+    Each class draws its trials once, from ``seed + 1000 * true_index``, and
+    every SNR row of that class rescales the same draws (common random
+    numbers: the errors of neighbouring rows are correlated).
+    """
     model = build_model(cfg)
     n_trials = int(cfg["n_trials"])
     seed = int(cfg["seed"])
-    rows = []
-    for snr_db in cfg["classification_snr_db"]:
-        for true_index, label in ((1, "human_like"), (2, "object_like")):
-            gain_scale, est_var = classification_operating_point(model, snr_db, true_index)
-            p = confusion_row(gain_scale, model.hypotheses, est_var, true_index,
-                              n_trials=n_trials, seed=seed + 1000 * true_index)
-            rows.append((float(snr_db), label, *p.tolist(), n_trials, seed))
+    snrs = [float(snr_db) for snr_db in cfg["classification_snr_db"]]
+    labels = {1: "human_like", 2: "object_like"}
+    p = {}
+    for j in labels:
+        points = [classification_operating_point(model, snr_db, j) for snr_db in snrs]
+        # only the gain moves with the SNR; the estimator variance does not
+        p[j] = confusion_row(np.array([g for g, _ in points]), model.hypotheses, points[0][1], j,
+                             n_trials=n_trials, seed=seed + 1000 * j)
+    rows = [(snr_db, label, *p[j][k].tolist(), n_trials, seed)
+            for k, snr_db in enumerate(snrs) for j, label in labels.items()]
     path = os.path.join(out_dir, "classification_mc.csv")
     write_csv(path, ("snr_db", "true_class", "p_h0", "p_h1", "p_h2", "n_trials", "seed"), rows)
     manifest = write_manifest(out_dir, "classification_mc", config_hash(cfg), __version__, [path])

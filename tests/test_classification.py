@@ -159,6 +159,19 @@ class TestConfusion:
             row = confusion_row(2e-6, hyp, 1e-13, j, n_trials=3000, seed=seed)
             assert np.array_equal(row, conf[j])
 
+    @pytest.mark.parametrize("seed", [9, 20240101])
+    def test_array_gain_is_stacked_scalar_rows(self, seed):
+        # one draw per class serves every gain; each row is the scalar call
+        hyp = HypothesisSet()
+        gains = np.array([1e-7, 2e-6, 3.3e-6, 1e-4, 1e-2])
+        for j in range(3):
+            rows = confusion_row(gains, hyp, 1e-13, j, n_trials=3000, seed=seed)
+            want = np.array([confusion_row(float(g), hyp, 1e-13, j, n_trials=3000, seed=seed)
+                             for g in gains])
+            assert rows.shape == (len(gains), 3)
+            assert np.array_equal(rows, want)
+        assert confusion_row(2e-6, hyp, 1e-13, 1, n_trials=10, seed=seed).shape == (3,)
+
     def test_row_matches_explicit_argmax(self):
         # the MAP rule written out with argmax over the stacked weighted
         # densities, from the same truth draws

@@ -128,12 +128,12 @@ class TestExperimentOutputs:
 
     def test_manifest_checksums(self, tmp_path):
         files = run_peb_map(merge_config(COARSE), str(tmp_path))
-        manifest = json.load(open(files[-1]))
+        manifest = json.loads(Path(files[-1]).read_text())
         import hashlib
 
         for name, digest in manifest["outputs"].items():
             p = os.path.join(tmp_path, name)
-            assert hashlib.sha256(open(p, "rb").read()).hexdigest() == digest
+            assert hashlib.sha256(Path(p).read_bytes()).hexdigest() == digest
         assert manifest["config_sha256"] == config_hash(merge_config(COARSE))
 
     def test_detection_map_outputs_four_maps(self, tmp_path):
@@ -275,7 +275,7 @@ class TestDeterminism:
         f2 = [f for f in runner(cfg, str(d2)) if f.endswith(".csv")]
         assert [os.path.basename(f) for f in f1] == [os.path.basename(f) for f in f2]
         for a, b in zip(f1, f2):
-            assert open(a, "rb").read() == open(b, "rb").read()
+            assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_threads_do_not_change_results(self, tmp_path, monkeypatch):
         # small blocks, so each worker process maps several of them
@@ -288,8 +288,8 @@ class TestDeterminism:
         d2.mkdir()
         f1 = run_crb_map(base, str(d1))
         f2 = run_crb_map(multi, str(d2))
-        assert open(f1[0], "rb").read() == open(f2[0], "rb").read()
-        assert open(f1[1], "rb").read() == open(f2[1], "rb").read()
+        assert Path(f1[0]).read_bytes() == Path(f2[0]).read_bytes()
+        assert Path(f1[1]).read_bytes() == Path(f2[1]).read_bytes()
         # every block worker: peb-map, the fixed-target FIM path, detect-map
         ten = {"n_targets": 10, "grid_res_m": 20.0}
         for runner, extra in ((run_peb_map, {}), (run_crb_map, {"n_targets": 2}),
@@ -321,7 +321,7 @@ class TestDeterminism:
         d2.mkdir()
         f1 = run_classification_mc(merge_config(COARSE), str(d1))
         f2 = run_classification_mc(merge_config({**COARSE, "seed": 777}), str(d2))
-        assert open(f1[0]).read() != open(f2[0]).read()
+        assert Path(f1[0]).read_bytes() != Path(f2[0]).read_bytes()
 
 
 class TestCli:
@@ -379,6 +379,8 @@ class TestCli:
         ({"classification_snr_db": 5}, "classification_snr_db"),
         ({"classification_snr_db": ["a"]}, "classification_snr_db"),
         ({"classification_snr_db": [None]}, "classification_snr_db"),
+        ({"carrier_hz": 0}, "carrier_hz"),
+        ({"carrier_hz": -1e10}, "carrier_hz"),
     ])
     def test_bad_numbers_fail_with_one_line(self, tmp_path, capsys, doc, key):
         cfg_path = tmp_path / "bad.json"
@@ -392,15 +394,25 @@ class TestCli:
 
     def test_detect_and_classify_run_warning_clean(self, tmp_path):
         # a batched 0/0 or overflow would surface here as an exception
+        def run(cmd, doc, out):
+            cfg_path = tmp_path / f"{out}.json"
+            cfg_path.write_text(json.dumps(doc))
+            return main([cmd, "--config", str(cfg_path), "--out", str(tmp_path / out)])
+
+        # with ten targets the 2 m cell (80, 0, 26) has a negative angle
+        # information: masked explicitly, with no invalid sqrt
+        ten = {"n_targets": 10, "grid_res_m": 2.0,
+               "geometry": {"x_bounds": [76.0, 80.0], "z_bounds": [24.0, 28.0]}}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["detect-map", "--grid-res", "20", "--out", str(tmp_path / "d")]) == 0
-            cfg_path = tmp_path / "cfg.json"
-            cfg_path.write_text(json.dumps({"n_trials": 2000}))
-            assert main(["classify-mc", "--config", str(cfg_path),
-                         "--out", str(tmp_path / "c")]) == 0
+            assert run("detect-map", {"grid_res_m": 20.0}, "d") == 0
+            assert run("classify-mc", {"n_trials": 2000}, "c") == 0
+            assert run("peb-map", ten, "p") == 0
         assert len(list((tmp_path / "d").glob("*.csv"))) == 4
         assert (tmp_path / "c" / "classification_mc.csv").exists()
+        _, rows = read_csv(tmp_path / "p" / "peb_map.csv")
+        assert len(rows) == 9
+        assert ["80.0", "26.0", "", "true"] in rows
 
     def test_validate_passes_on_defaults(self):
         assert main(["validate"]) == 0
