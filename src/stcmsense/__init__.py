@@ -3,10 +3,10 @@
 Modules
 -------
 geometry        scene layout, angle/position maps, angle Jacobian
-metasurface     coding sequences, harmonic patterns and derivatives, linear baseline
+metasurface     coding sequences, harmonic patterns; the fixed-profile baseline as one case
 channel         array responses, pilots, path gains, echo synthesis and stacking
 bounds          Fisher information, closed-form angle CRBs, EFIM, position bounds
-detection       despreading, ML gain estimate, Marcum-Q hit probabilities
+detection       despreading, ML gain estimate, thresholds, marginal p_D maps, Marcum Q
 classification  Rayleigh MAP labeling, confusion rates, two-path fusion
 experiments     CLI-facing sweeps producing CSV data + manifests
 """
@@ -45,7 +45,6 @@ from .channel import (  # noqa: F401
     dft_pilots,
     path_gain,
     path_gains,
-    sample_covariance,
     stack_db,
     stack_sb,
     steering_derivative,
@@ -69,11 +68,8 @@ from .bounds import (  # noqa: F401
 )
 from .detection import (  # noqa: F401
     Combiner,
-    DetectorConfig,
-    despread_regressor,
     marcum_q1,
     ml_beta_estimate,
-    pd_conditional,
     pd_marginal,
     threshold_from_pfa,
 )

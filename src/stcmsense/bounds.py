@@ -484,26 +484,18 @@ def peb_multi_cells(f_sb: np.ndarray, f_db: np.ndarray, q, geom: SceneGeometry,
     return _position_peb(q, geom, 1.0 / _inverse(f_ang, limit)[:, idx, idx], limit)
 
 
-def peb_multi_from_fims(f_sb: FisherMatrix, f_db: FisherMatrix, positions,
-                        geom: SceneGeometry, which: int = 0,
-                        limit: float = CONDITION_LIMIT) -> float:
-    """PEB of target ``which`` from precomputed multi-target angle FIMs
-    (:func:`peb_multi_cells`); raises where masked."""
-    q = np.asarray(positions[which], dtype=float)[None]
-    return _one(peb_multi_cells(f_sb.entries[None], f_db.entries[None], q, geom, which, limit),
-                "multi-target position information is masked here")
-
-
 def peb_multi(targets, positions, geom: SceneGeometry, ula: UlaLayout,
               panel: PanelLayout, code: CodingMatrix, harmonics: HarmonicSet,
               pilots: PilotMatrix, noise_power: float,
               mode: WavelengthMode = WavelengthMode.EXACT,
               which: int = 0, limit: float = CONDITION_LIMIT) -> float:
-    """PEB of target ``which`` in an R-target scene."""
+    """PEB of target ``which`` in an R-target scene; raises where masked."""
     f_sb = fim_multi_target(targets, "sb", ula, pilots, noise_power)
     f_db = fim_multi_target(targets, "db", ula, pilots, noise_power, panel, code,
                             harmonics, mode)
-    return peb_multi_from_fims(f_sb, f_db, positions, geom, which, limit)
+    q = np.asarray(positions[which], dtype=float)[None]
+    return _one(peb_multi_cells(f_sb.entries[None], f_db.entries[None], q, geom, which, limit),
+                "multi-target position information is masked here")
 
 
 def crb_ris_cells(xi, alpha, gain, profile: RisProfile, ris_layout: PanelLayout,
@@ -535,10 +527,3 @@ def crb_ris(xi: float, alpha: float, gain: complex, profile: RisProfile,
                            phi_s, limit)
     return (FisherMatrix(entries=f[0], labels=("xi", "re_gain", "im_gain")),
             float(crb[0]) if np.isfinite(crb[0]) else np.inf)
-
-
-def fim_ris(xi: float, alpha: float, gain: complex, profile: RisProfile,
-            ris_layout: PanelLayout, ula: UlaLayout, pilots: PilotMatrix,
-            noise_power: float, phi_s: float = 0.0) -> FisherMatrix:
-    """3x3 FIM of the fixed-profile linear-panel baseline; see :func:`crb_ris_cells`."""
-    return crb_ris(xi, alpha, gain, profile, ris_layout, ula, pilots, noise_power, phi_s)[0]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import NonPositiveDistance, NotPerfectSquare, TooFewSymbols
+from .errors import NonPositiveDistance, NotPerfectSquare
 from .geometry import SceneGeometry, ScatterPoint, angles_from_position, triangle_distances
 from .metasurface import (
     CodingMatrix,
@@ -34,10 +34,6 @@ from .rng import complex_normal
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.ravel(a, order="F")
-
-
-def unvec(v: np.ndarray, shape) -> np.ndarray:
-    return np.reshape(v, shape, order="F")
 
 
 @dataclass(frozen=True)
@@ -135,15 +131,6 @@ def dft_pilots(m_antennas: int, total_power: float) -> PilotMatrix:
     return PilotMatrix(symbols=scale * x, total_power=total_power)
 
 
-def sample_covariance(x, ddof: int = 1) -> np.ndarray:
-    """Empirical symbol covariance sum_s x_s x_s^H / (S - ddof)."""
-    x = x.symbols if isinstance(x, PilotMatrix) else np.asarray(x, dtype=complex)
-    s = x.shape[1]
-    if s < 2:
-        raise TooFewSymbols("need at least two symbols")
-    return (x @ x.conj().T) / (s - ddof)
-
-
 def path_gain(distance: float, rcs_sqrt: float = 1.0, fading: complex = 1.0,
               esymbol: float = 1.0, wavelength: float = SPEED_OF_LIGHT / 1e10,
               iota: float = 2.0) -> complex:
@@ -202,11 +189,6 @@ class EchoBundle:
 
     def harmonic(self, m: int) -> np.ndarray:
         return self.per_harmonic[m]
-
-    def save_npz(self, path) -> None:
-        """Binary debug dump: one array per harmonic plus noise power."""
-        arrays = {f"harmonic_{m}": y for m, y in self.per_harmonic.items()}
-        np.savez(path, noise_power=self.noise_power, **arrays)
 
 
 def _bs_panel_angles(geom: SceneGeometry):

@@ -82,13 +82,6 @@ def rayleigh_scale(sigma_i: float, distance, sigma_nu: float = 1.0,
     return float(s) if s.ndim == 0 else s
 
 
-def physical_fading_scale(sigma_i: float, distance: float, sigma_nu: float = 1.0,
-                          esymbol: float = 1.0, wavelength: float = SPEED_OF_LIGHT / 1e10,
-                          iota: float = 2.0) -> float:
-    """Rayleigh scale of |G(d) sigma_i nu| when nu is CN(0, sigma_nu^2)."""
-    return rayleigh_scale(sigma_i, distance, sigma_nu, esymbol, wavelength, iota) * math.sqrt(math.pi) / 2.0
-
-
 def likelihood_conditional(beta_hat_mag, scale_i, estimator_var: float):
     """Rayleigh-type density of |beta_hat| under one hypothesis.
 
@@ -104,14 +97,6 @@ def likelihood_conditional(beta_hat_mag, scale_i, estimator_var: float):
     v = 2.0 * np.asarray(scale_i, dtype=float) ** 2 + estimator_var
     out = 2.0 * x / v * np.exp(-x**2 / v)
     return float(out) if out.ndim == 0 else out
-
-
-def class_scales(hypotheses: HypothesisSet, distance: float, sigma_nu: float = 1.0,
-                 esymbol: float = 1.0, wavelength: float = SPEED_OF_LIGHT / 1e10,
-                 iota: float = 2.0) -> np.ndarray:
-    """Analysis scales of all three hypotheses at the given roundtrip distance."""
-    return np.array([rayleigh_scale(s, distance, sigma_nu, esymbol, wavelength, iota)
-                     for s in hypotheses.rcs_sqrts])
 
 
 def posterior(beta_hat_mag: float, scales, priors, estimator_var: float) -> ClassPosterior:

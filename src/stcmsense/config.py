@@ -12,6 +12,7 @@ import copy
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,9 +102,23 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
-    """Stable digest of the fully-resolved configuration."""
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    """Stable digest of the resolved configuration without the execution-only
+    ``threads``, with each number hashed as its default's type (3 == 3.0)."""
+    canon = json.dumps(_canonical({k: v for k, v in cfg.items() if k != "threads"}, DEFAULT_CONFIG),
+                       sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _canonical(v, default):
+    """``v`` with numbers cast to the type of their default (list entries to
+    that of the default's first entry); values without a default stay."""
+    if isinstance(v, dict):
+        return {k: _canonical(x, default.get(k) if isinstance(default, dict) else None)
+                for k, x in v.items()}
+    if isinstance(v, list):
+        return [_canonical(x, default[0] if isinstance(default, list) and default else None)
+                for x in v]
+    return type(default)(v) if _number(v) and type(default) in (int, float) else v
 
 
 @dataclass(frozen=True)
@@ -130,7 +145,8 @@ class SystemModel:
 
 
 def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A finite int or float; an int past the float range is not finite either."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _check_numbers(cfg: dict, defaults: dict = DEFAULT_CONFIG, prefix: str = "") -> None:
@@ -158,9 +174,11 @@ def _check_numbers(cfg: dict, defaults: dict = DEFAULT_CONFIG, prefix: str = "")
 
 def _check_ranges(cfg: dict) -> None:
     """Counts in range (the Kronecker pilots need a square antenna count), a
-    positive carrier, known mode."""
-    if not cfg["carrier_hz"] > 0:
-        raise ConfigError(f"carrier_hz must be positive, got {json.dumps(cfg['carrier_hz'])}")
+    positive carrier and code period, every analysed sideband at a positive
+    frequency, known mode."""
+    for path, v in (("carrier_hz", cfg["carrier_hz"]), ("code.period_s", cfg["code"]["period_s"])):
+        if not v > 0:
+            raise ConfigError(f"{path} must be positive, got {json.dumps(v)}")
     m = cfg["bs"]["antennas"]
     if m < 1 or math.isqrt(int(m)) ** 2 != m:
         raise ConfigError(f"bs.antennas must be a positive perfect square, got {json.dumps(m)}")
@@ -168,6 +186,10 @@ def _check_ranges(cfg: dict) -> None:
                          ("panel.n_y", cfg["panel"]["n_y"], 1), ("code.length", cfg["code"]["length"], 2)):
         if v < low:
             raise ConfigError(f"{path} must be at least {low}, got {json.dumps(v)}")
+    # the lowest sideband f_c - m_f f_0 sets a wavelength c / f in the patterns
+    if not cfg["carrier_hz"] - cfg["harmonics"] * (1.0 / cfg["code"]["period_s"]) > 0:
+        raise ConfigError("harmonics / code.period_s must stay below carrier_hz, got "
+                          f"{json.dumps(cfg['harmonics'])} / {json.dumps(cfg['code']['period_s'])}")
     modes = [w.value for w in WavelengthMode]
     if cfg["wavelength_mode"] not in modes:
         raise ConfigError(f"wavelength_mode must be one of {modes}, got {json.dumps(cfg['wavelength_mode'])}")
@@ -236,45 +258,54 @@ def grid_points(geom: SceneGeometry, res_m: float) -> tuple[np.ndarray, np.ndarr
             geom.z_bounds[0] + res_m * np.arange(counts[1]))
 
 
+def _point(v, path: str) -> np.ndarray:
+    if not (isinstance(v, list) and len(v) == 3 and all(map(_number, v))):
+        raise ConfigError(f"{path} must be 3 finite numbers, got {json.dumps(v)}")
+    return np.asarray(v, dtype=float)
+
+
 def scene_from_config(cfg: dict) -> list[ScatterPoint]:
     """Explicit scatter points from the ``scene`` config block."""
+    if not (isinstance(cfg["scene"], list) and all(isinstance(e, dict) for e in cfg["scene"])):
+        raise ConfigError(f"scene must be a list of objects, got {json.dumps(cfg['scene'])}")
+    kinds = [k.value for k in TargetKind]
     points = []
-    for entry in cfg.get("scene", []):
-        kind = TargetKind(entry.get("kind", "object_like"))
-        rcs = rcs_sqrt_from_dbsm(float(entry["rcs_dbsm"])) if kind is not TargetKind.ABSENT else 0.0
-        points.append(ScatterPoint(position=np.asarray(entry["position"], dtype=float),
-                                   rcs_sqrt=rcs, kind=kind))
+    for i, entry in enumerate(cfg["scene"]):
+        kind, rcs = entry.get("kind", "object_like"), entry.get("rcs_dbsm")
+        if kind not in kinds:
+            raise ConfigError(f"scene[{i}].kind must be one of {kinds}, got {json.dumps(kind)}")
+        if kind != "absent" and not _number(rcs):
+            raise ConfigError(f"scene[{i}].rcs_dbsm must be a finite number, got {json.dumps(rcs)}")
+        points.append(ScatterPoint(position=_point(entry.get("position"), f"scene[{i}].position"),
+                                   rcs_sqrt=0.0 if kind == "absent" else rcs_sqrt_from_dbsm(rcs),
+                                   kind=TargetKind(kind)))
     return points
 
 
 def fixed_scene(cfg: dict, model: SystemModel) -> list[ScatterPoint]:
     """Fixed scatter points for the configured target count.
 
-    An explicit ``scene`` block wins; otherwise the named layouts apply,
-    with unit sqrt-RCS for every target (full-power reflection convention).
-    The ten-target ring places nine targets at -72..72 degrees in 18-degree
-    steps, 50 m from the BS.
+    An explicit ``scene`` block wins; otherwise the named layout for
+    ``n_targets`` R applies, R - 1 points with unit sqrt-RCS each
+    (full-power reflection convention).  The ten-target ring places nine
+    targets at -72..72 degrees in 18-degree steps, 50 m from the BS.
     """
-    if cfg.get("scene"):
-        return scene_from_config(cfg)
+    scene = scene_from_config(cfg)
     n = int(cfg["n_targets"])
-    if n == 1:
-        return []
-    if n == 2:
-        spots = [np.asarray(p, dtype=float) for p in cfg["fixed_targets"]["two"]]
-    elif n == 10:
-        placement = cfg["fixed_targets"]["ten"]
-        if placement == "angular_ring":
-            angles = np.deg2rad(np.arange(-72.0, 72.1, 18.0))
-            spots = [
-                model.geom.bs_center + 50.0 * np.array([np.sin(a), 0.0, np.cos(a)])
-                for a in angles
-            ]
-        else:
-            spots = [np.asarray(p, dtype=float) for p in placement]
-    else:
+    if scene or n == 1:
+        return scene
+    if n not in (2, 10):
         raise ConfigError("n_targets must be one of 1, 2, 10")
-    return [
-        ScatterPoint(position=p, rcs_sqrt=1.0, kind=TargetKind.OBJECT_LIKE)
-        for p in spots
-    ]
+    key = "two" if n == 2 else "ten"
+    placement = cfg["fixed_targets"][key]
+    if n == 10 and placement == "angular_ring":
+        angles = np.deg2rad(np.arange(-72.0, 72.1, 18.0))
+        spots = [model.geom.bs_center + 50.0 * np.array([np.sin(a), 0.0, np.cos(a)])
+                 for a in angles]
+    elif isinstance(placement, list) and len(placement) == n - 1:
+        spots = [_point(p, f"fixed_targets.{key}[{i}]") for i, p in enumerate(placement)]
+    else:
+        ring = ' or "angular_ring"' if n == 10 else ""
+        raise ConfigError(f"fixed_targets.{key} must be a list of n_targets - 1 = {n - 1} "
+                          f"points{ring}, got {json.dumps(placement)}")
+    return [ScatterPoint(position=p, rcs_sqrt=1.0, kind=TargetKind.OBJECT_LIKE) for p in spots]

@@ -41,32 +41,11 @@ class Combiner(enum.Enum):
 
 
 @dataclass(frozen=True)
-class DetectorConfig:
-    p_fa: float = 1e-4
-    combiner: Combiner = Combiner.MATCHED_DESPREAD
-
-    def __post_init__(self):
-        if not 0.0 < self.p_fa < 1.0:
-            raise OutOfRange("p_fa must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
 class DespreadRegressor:
     """Combined regressor H = vec(Z A X) plus its noise-referred energy."""
 
     vector: np.ndarray
     effective_norm_sq: float
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.real(np.vdot(self.vector, self.vector)))
-
-
-@dataclass(frozen=True)
-class DetectionStatistic:
-    beta_hat: complex
-    gamma_tilde: float
-    noncentrality: float
 
 
 def combiner_matrix(combiner: Combiner, pilots: PilotMatrix) -> np.ndarray:
@@ -76,19 +55,10 @@ def combiner_matrix(combiner: Combiner, pilots: PilotMatrix) -> np.ndarray:
     return pilots.symbols.conj().T
 
 
-def despread_regressor(q, ula: UlaLayout, pilots: PilotMatrix,
-                       combiner: Combiner, geom: SceneGeometry) -> DespreadRegressor:
-    """Regressor of the hypothesized single-bounce return at position q.
-
-    H = vec(Z a(angle) a(angle)^T X); the effective energy divides out the
-    combiner's noise coloring so that detection statistics stay exact.
-    """
-    ang = angles_from_position(q, geom)
-    return despread_regressor_at_angle(ang.alpha, ula, pilots, combiner)
-
-
 def despread_regressor_at_angle(alpha: float, ula: UlaLayout, pilots: PilotMatrix,
                                 combiner: Combiner) -> DespreadRegressor:
+    """Single-bounce regressor H = vec(Z a(alpha) a(alpha)^T X) at bearing
+    alpha, with its noise-referred energy (:func:`effective_energy_cells`)."""
     a = steering_vector(ula, alpha)
     h = vec(np.outer(combiner_matrix(combiner, pilots) @ a, a @ pilots.symbols))
     return DespreadRegressor(h, float(effective_energy_cells([alpha], ula, pilots, combiner)[0]))
@@ -123,16 +93,6 @@ def ml_beta_estimate(y: np.ndarray, h: np.ndarray) -> complex:
     if nsq == 0:
         raise ZeroRegressor("regressor has zero norm")
     return complex(np.vdot(h, np.asarray(y, dtype=complex).ravel()) / nsq)
-
-
-def detection_statistic(beta_hat: complex, beta_true: complex,
-                        h_norm_sq: float, noise_power: float) -> DetectionStatistic:
-    """Scaled magnitude-squared statistic and its noncentrality."""
-    return DetectionStatistic(
-        beta_hat=beta_hat,
-        gamma_tilde=2.0 * h_norm_sq * abs(beta_hat) ** 2 / noise_power,
-        noncentrality=2.0 * h_norm_sq * abs(beta_true) ** 2 / noise_power,
-    )
 
 
 def threshold_from_pfa(p_fa: float) -> float:
@@ -299,21 +259,9 @@ def marcum_q1(a: float, b: float) -> float:
     return min(max(acc, 0.0), 1.0)
 
 
-def pd_conditional(beta: complex, h, noise_power: float, gamma_th: float) -> float:
-    """Detection probability given the gain draw: Q1(sqrt(mu), sqrt(g_th)).
-
-    ``h`` is a DespreadRegressor, a regressor vector, or the scalar
-    effective energy directly.
-    """
-    h_sq = _as_norm_sq(h)
-    mu = 2.0 * h_sq * abs(beta) ** 2 / noise_power
-    return marcum_q1(math.sqrt(mu), math.sqrt(gamma_th))
-
-
-def pd_marginal(scale_sigma: float, h, noise_power: float, gamma_th: float) -> float:
-    """:func:`pd_marginal_cells` at one cell; ``h`` is a DespreadRegressor,
-    a regressor vector, or the scalar effective energy directly."""
-    return float(pd_marginal_cells(scale_sigma, _as_norm_sq(h), noise_power, gamma_th))
+def pd_marginal(scale_sigma: float, h2: float, noise_power: float, gamma_th: float) -> float:
+    """:func:`pd_marginal_cells` at one cell of effective energy ``h2``."""
+    return float(pd_marginal_cells(scale_sigma, h2, noise_power, gamma_th))
 
 
 def pd_marginal_cells(scale_sigma, h2, noise_power: float, gamma_th: float):
@@ -328,15 +276,6 @@ def pd_marginal_cells(scale_sigma, h2, noise_power: float, gamma_th: float):
     if np.any(s < 0):
         raise OutOfRange("Rayleigh scale must be nonnegative")
     return np.exp(-gamma_th * noise_power / (4.0 * np.asarray(h2) * s**2 + 2.0 * noise_power))
-
-
-def _as_norm_sq(h) -> float:
-    if isinstance(h, DespreadRegressor):
-        return h.effective_norm_sq
-    if np.isscalar(h):
-        return float(h)
-    v = np.asarray(h, dtype=complex).ravel()
-    return float(np.real(np.vdot(v, v)))
 
 
 def detection_map(grid_points, geom: SceneGeometry, ula: UlaLayout,

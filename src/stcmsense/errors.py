@@ -21,10 +21,6 @@ class NotPerfectSquare(SensingError):
     """Antenna count must be a perfect square for Kronecker pilots."""
 
 
-class TooFewSymbols(SensingError):
-    """Sample covariance needs at least two symbols."""
-
-
 class DimensionMismatch(SensingError):
     """Vectors entering a Gram computation must share a common length."""
 

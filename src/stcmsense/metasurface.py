@@ -177,30 +177,25 @@ def harmonic_wavelength(layout: PanelLayout, code: CodingMatrix, m: int,
     return SPEED_OF_LIGHT / (layout.carrier_hz + m * code.f0)
 
 
-def wavenumber(angle, wavelength: float) -> np.ndarray:
-    """In-plane wavenumber vector(s) (2 pi / lambda)(sin a, 0, cos a)."""
-    a = np.asarray(angle, dtype=float)
-    k = 2 * np.pi / wavelength
-    return k * np.stack([np.sin(a), np.zeros_like(a), np.cos(a)], axis=-1)
+def _pattern_terms(coeffs: np.ndarray, wavelength: float, xi: np.ndarray,
+                   phi_fixed: float, pos: np.ndarray):
+    """(eta, d eta / d xi) at the 1-D angle array ``xi``.
 
-
-def _pattern_terms(layout: PanelLayout, code: CodingMatrix, m: int, xi: np.ndarray,
-                   phi_fixed: float, mode: WavelengthMode, pos: np.ndarray):
-    """(eta_m, d eta_m / d xi) at the 1-D angle array ``xi``.
-
-    eta_m = sum_n a^m_n exp{j (k(xi) + k(phi_fixed))^T q_n} with isotropic
-    element patterns; the derivative differentiates the wavenumber k(xi).
-    ``pos`` is the layout's element positions, built once per caller.
+    eta = sum_n c_n exp{j (k(xi) + k(phi_fixed))^T q_n} with isotropic
+    element patterns and |k| = 2 pi / ``wavelength``; the derivative
+    differentiates the wavenumber k(xi).  A harmonic passes its Fourier
+    coefficients a^m and lambda_m, the fixed-profile baseline its phases w
+    and lambda_c.  ``pos`` is the layout's element positions, built once
+    per caller.
     """
-    k = 2 * np.pi / harmonic_wavelength(layout, code, m, mode)
-    a = fourier_coefficients(code, m)
+    k = 2 * np.pi / wavelength
     # z-components vanish on the panel plane but are kept for generality
     phase = k * (
         (np.sin(xi)[:, None] + np.sin(phi_fixed)) * pos[None, :, 0]
         + (np.cos(xi)[:, None] + np.cos(phi_fixed)) * pos[None, :, 2]
     )
     dphase = k * (np.cos(xi)[:, None] * pos[None, :, 0] - np.sin(xi)[:, None] * pos[None, :, 2])
-    core = a[None, :] * np.exp(1j * phase)
+    core = coeffs[None, :] * np.exp(1j * phase)
     return core.sum(axis=1), (1j * dphase * core).sum(axis=1)
 
 
@@ -212,8 +207,9 @@ def harmonic_pattern(layout: PanelLayout, code: CodingMatrix, m: int,
     Symmetric under swapping the two angles; the one-angle case of
     :func:`harmonic_pattern_batch`.
     """
-    eta, _ = _pattern_terms(layout, code, m, np.array([phi_d], dtype=float), phi_a, mode,
-                            layout.element_positions())
+    eta, _ = _pattern_terms(fourier_coefficients(code, m),
+                            harmonic_wavelength(layout, code, m, mode),
+                            np.array([phi_d], dtype=float), phi_a, layout.element_positions())
     return complex(eta[0])
 
 
@@ -221,8 +217,9 @@ def harmonic_pattern_derivative(layout: PanelLayout, code: CodingMatrix, m: int,
                                 xi: float, phi_fixed: float = 0.0,
                                 mode: WavelengthMode = WavelengthMode.EXACT) -> complex:
     """d eta_m / d xi at (xi, phi_fixed), differentiating the wavenumber."""
-    _, deta = _pattern_terms(layout, code, m, np.array([xi], dtype=float), phi_fixed, mode,
-                             layout.element_positions())
+    _, deta = _pattern_terms(fourier_coefficients(code, m),
+                             harmonic_wavelength(layout, code, m, mode),
+                             np.array([xi], dtype=float), phi_fixed, layout.element_positions())
     return complex(deta[0])
 
 
@@ -240,7 +237,9 @@ def harmonic_pattern_batch(layout: PanelLayout, code: CodingMatrix,
     eta = np.empty((len(members), xi.size), dtype=complex)
     deta = np.empty_like(eta)
     for i, m in enumerate(members):
-        eta[i], deta[i] = _pattern_terms(layout, code, m, xi, phi_fixed, mode, pos)
+        eta[i], deta[i] = _pattern_terms(fourier_coefficients(code, m),
+                                         harmonic_wavelength(layout, code, m, mode),
+                                         xi, phi_fixed, pos)
     return eta, deta
 
 
@@ -283,50 +282,24 @@ def default_coding_matrix(layout: PanelLayout, code_length: int = 8,
 
 # --- linear-RIS baseline ---------------------------------------------------
 
-def panel_steering(layout: PanelLayout, angle) -> np.ndarray:
-    """Panel steering vector at the carrier wavelength: (N,), or
-    (len(angle), N) for an array of angles."""
-    return np.exp(1j * _element_phase(layout, wavenumber(angle, layout.wavelength)))
-
-
-def _element_phase(layout: PanelLayout, k: np.ndarray) -> np.ndarray:
-    """k . q_n for every element n and wavenumber vector(s) k (..., 3)."""
-    return np.sum(k[..., None, :] * layout.element_positions(), axis=-1)
-
-
-def _scalar_or_array(out: np.ndarray, angle):
-    return complex(out) if np.ndim(angle) == 0 else out
-
-
 def ris_response(profile: RisProfile, layout: PanelLayout, phi_d, phi_a: float):
-    """a_R(phi_d)^T diag(w) a_R(phi_a) for a fixed phase profile.
-
-    An array ``phi_d`` gives one response per angle.
-    """
-    if profile.phases.shape[0] != layout.n_elements:
-        raise ValueError("profile length must match the panel")
-    core = profile.phases * panel_steering(layout, phi_d) * panel_steering(layout, phi_a)
-    return _scalar_or_array(np.sum(core, axis=-1), phi_d)
+    """a_R(phi_d)^T diag(w) a_R(phi_a) for a fixed phase profile: the pattern
+    of :func:`_pattern_terms` with coefficients w at the carrier wavelength.
+    An array ``phi_d`` gives one response per angle."""
+    return _ris_terms(profile, layout, phi_d, phi_a)[0]
 
 
 def ris_response_derivative(profile: RisProfile, layout: PanelLayout, xi,
                             phi_fixed: float = 0.0):
     """d/dxi of :func:`ris_response` with the second angle held fixed."""
-    xi_arr = np.asarray(xi, dtype=float)
-    k = 2 * np.pi / layout.wavelength
-    dk = k * np.stack([np.cos(xi_arr), np.zeros_like(xi_arr), -np.sin(xi_arr)], axis=-1)
-    core = profile.phases * panel_steering(layout, xi) * panel_steering(layout, phi_fixed)
-    return _scalar_or_array(np.sum(1j * _element_phase(layout, dk) * core, axis=-1), xi)
+    return _ris_terms(profile, layout, xi, phi_fixed)[1]
 
 
-# --- CSV round trip ----------------------------------------------------------
-
-def write_coding_csv(code: CodingMatrix, path) -> None:
-    """Rows = elements in row-major (p, q) order, columns = time slots."""
-    np.savetxt(path, code.entries.astype(int), fmt="%d", delimiter=",")
-
-
-def read_coding_csv(path, scheme: CodingScheme = CodingScheme.PM,
-                    period_t0: float = 2e-6) -> CodingMatrix:
-    entries = np.atleast_2d(np.loadtxt(path, delimiter=","))
-    return CodingMatrix(entries=entries, scheme=scheme, period_t0=period_t0)
+def _ris_terms(profile: RisProfile, layout: PanelLayout, xi, phi_fixed: float):
+    """:func:`_pattern_terms` of the profile, as complex numbers at a scalar xi."""
+    if profile.phases.shape[0] != layout.n_elements:
+        raise ValueError("profile length must match the panel")
+    eta, deta = _pattern_terms(profile.phases, layout.wavelength,
+                               np.atleast_1d(np.asarray(xi, dtype=float)), phi_fixed,
+                               layout.element_positions())
+    return (eta, deta) if np.ndim(xi) else (complex(eta[0]), complex(deta[0]))

@@ -3,10 +3,12 @@
 ``benchmarks/run.py`` reads per-function span counts as
 ``names["layer.func"]`` and ``benchmarks/tracer.py`` attaches counting hooks
 by the same names.  A renamed or deleted function would otherwise surface
-only in a traced benchmark run.  These checks read the benchmark files and
-change nothing there.
+only in a traced benchmark run.  The oracles that the benchmark and the
+tests compare against must stay independent of the package.  These checks
+read the benchmark files and change nothing there.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -71,3 +73,13 @@ def test_hook_argument_positions(tracer):
             assert int(pos) < len(params) and params[int(pos)] == arg, (qual, pos, arg, params)
             checked += 1
     assert checked >= 7
+
+
+@pytest.mark.parametrize("path", [BENCH / "oracle.py", Path(__file__).parent / "pattern_oracle.py"],
+                         ids=["benchmarks-oracle", "tests-pattern_oracle"])
+def test_oracles_do_not_import_the_package(path):
+    # an oracle that reused the package's code would check it against itself
+    tree = ast.parse(path.read_text())
+    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
+    assert modules and [m for m in modules if m.split(".")[0] == "stcmsense"] == []

@@ -12,7 +12,6 @@ from stcmsense.bounds import (
     fim_db_single,
     fim_generic,
     fim_multi_target,
-    fim_ris,
     fim_sb_single,
     peb_multi,
     peb_single,
@@ -319,7 +318,7 @@ class TestRisBaseline:
             assert not np.isfinite(crb) or crb >= 1e10
 
     def test_gain_block_stays_invertible(self, ula, panel, pilots):
-        f = fim_ris(0.5, 0.3, 1e-7, RisProfile(np.ones(64, complex)), panel, ula, pilots, NOISE)
+        f, _ = crb_ris(0.5, 0.3, 1e-7, RisProfile(np.ones(64, complex)), panel, ula, pilots, NOISE)
         gain_block = f.entries[1:, 1:]
         crbs = np.diag(np.linalg.inv(gain_block))
         assert np.all(np.isfinite(crbs)) and np.all(crbs > 0)

@@ -2,20 +2,19 @@ import numpy as np
 import pytest
 
 from stcmsense.channel import (
+    PilotMatrix,
     UlaLayout,
     dft_pilots,
     path_gain,
     path_gains,
-    sample_covariance,
     stack_db,
     stack_sb,
     steering_derivative,
     steering_vector,
     synthesize_echo,
-    unvec,
     vec,
 )
-from stcmsense.errors import NonPositiveDistance, NotPerfectSquare, TooFewSymbols
+from stcmsense.errors import NonPositiveDistance, NotPerfectSquare
 from stcmsense.geometry import ScatterPoint, TargetKind, angles_from_position, triangle_distances
 from stcmsense.metasurface import HarmonicSet, harmonic_pattern_batch
 from stcmsense.rng import stream_rng
@@ -81,30 +80,27 @@ class TestPilots:
             dft_pilots(12, 1.0)
 
     def test_column_covariance_proportional_identity(self, pilots):
-        r = sample_covariance(pilots)
+        r = pilots.gram()
         off = r - np.diag(np.diag(r))
         assert np.max(np.abs(off)) < 1e-18
         assert np.allclose(np.diag(r).real, np.diag(r).real[0], rtol=1e-12)
 
 
 class TestSampleCovariance:
+    # the pilot Gram X X^H is the unnormalized sample covariance of the symbols
     def test_matches_double_loop(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
         acc = np.zeros((4, 4), dtype=complex)
         for s in range(6):
             acc += np.outer(x[:, s], np.conj(x[:, s]))
-        assert np.allclose(sample_covariance(x), acc / 5, atol=1e-14)
+        assert np.allclose(PilotMatrix(x, 1.0).gram(), acc, atol=1e-14)
 
     def test_rank_one_for_repeated_symbol(self):
         col = np.array([1.0, 1j, -1.0, -1j])
         x = np.tile(col[:, None], (1, 5))
-        r = sample_covariance(x)
+        r = PilotMatrix(x, 1.0).gram()
         assert np.linalg.matrix_rank(r, tol=1e-12) == 1
-
-    def test_too_few_symbols(self):
-        with pytest.raises(TooFewSymbols):
-            sample_covariance(np.ones((4, 1), dtype=complex))
 
 
 class TestPathGain:
@@ -218,7 +214,8 @@ class TestStacking:
         y, regs, gains = stack_sb([p], geom, ula, pilots, 0.0)
         bundle = synthesize_echo([p], geom, ula, panel, code, harmonics, pilots, 0.0,
                                  keep_components=True)
-        assert np.allclose(unvec(y, (16, 16)), bundle.components[0]["c2"], rtol=1e-12, atol=1e-30)
+        assert np.allclose(np.reshape(y, (16, 16), order="F"), bundle.components[0]["c2"],
+                           rtol=1e-12, atol=1e-30)
         assert np.allclose(y, gains[0] * regs[0], rtol=1e-12)
 
     def test_db_stack_single_target_exact(self, geom, ula, panel, code, harmonics, pilots):
@@ -251,14 +248,3 @@ class TestStacking:
             for m in harmonics.members
         ]
         assert np.allclose(y, np.concatenate(blocks), rtol=1e-12, atol=1e-30)
-
-
-def test_echo_bundle_npz_roundtrip(tmp_path, geom, ula, panel, code, harmonics, pilots):
-    p = ScatterPoint(position=[10.0, 0.0, 20.0], rcs_sqrt=1.0)
-    b = synthesize_echo([p], geom, ula, panel, code, harmonics, pilots, NOISE_POWER,
-                        rng=stream_rng(5))
-    path = tmp_path / "echo.npz"
-    b.save_npz(path)
-    data = np.load(path)
-    assert np.array_equal(data["harmonic_0"], b.harmonic(0))
-    assert float(data["noise_power"]) == NOISE_POWER

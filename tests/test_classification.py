@@ -5,13 +5,11 @@ from scipy.special import i0e
 
 from stcmsense.classification import (
     HypothesisSet,
-    class_scales,
     confusion_matrix,
     confusion_row,
     decision_thresholds,
     fuse,
     likelihood_conditional,
-    physical_fading_scale,
     posterior,
     rayleigh_scale,
 )
@@ -48,12 +46,6 @@ class TestRayleighScale:
         assert np.allclose(got, [rayleigh_scale(10 ** (17 / 20), x, iota=2.2) for x in d],
                            rtol=1e-15, atol=0)
         assert isinstance(rayleigh_scale(1.0, 50.0), float)
-
-    def test_physical_scale_ratio(self):
-        # the physical fading scale is sqrt(pi)/2 of the analysis scale
-        a = rayleigh_scale(1.0, 60.0)
-        p = physical_fading_scale(1.0, 60.0)
-        assert p / a == pytest.approx(np.sqrt(np.pi) / 2, rel=1e-14)
 
 
 class TestLikelihood:
@@ -248,7 +240,6 @@ def test_hypothesis_set_validation():
 
 
 def test_class_scales_table_defaults(geom):
-    hyp = HypothesisSet()
-    s = class_scales(hyp, 100.0)
+    s = [rayleigh_scale(sigma, 100.0) for sigma in HypothesisSet().rcs_sqrts]
     assert s[0] == 0.0
     assert s[2] / s[1] == pytest.approx(10 ** 0.8, rel=1e-12)

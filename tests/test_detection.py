@@ -2,19 +2,15 @@ import numpy as np
 import pytest
 from scipy.stats import ncx2
 
-from stcmsense.channel import PilotMatrix, unvec
+from stcmsense.channel import PilotMatrix
 from stcmsense.config import build_model, merge_config
 from stcmsense.detection import (
     Combiner,
-    DetectorConfig,
-    despread_regressor,
     despread_regressor_at_angle,
     detection_map,
-    detection_statistic,
     effective_energy_cells,
     marcum_q1,
     ml_beta_estimate,
-    pd_conditional,
     pd_marginal,
     pd_marginal_cells,
     threshold_from_pfa,
@@ -22,6 +18,7 @@ from stcmsense.detection import (
 from stcmsense.classification import rayleigh_scale
 from stcmsense.errors import OutOfRange, ZeroRegressor
 from stcmsense.experiments import run_detection_map
+from stcmsense.geometry import angles_from_position
 from stcmsense.rng import stream_rng
 
 NOISE = 1e-15
@@ -29,8 +26,9 @@ NOISE = 1e-15
 
 class TestDespread:
     def test_boresight_all_ones_columns_constant(self, geom, ula, pilots):
-        reg = despread_regressor([0.0, 0.0, 30.0], ula, pilots, Combiner.ALL_ONES, geom)
-        mat = unvec(reg.vector, (16, 16))
+        alpha = angles_from_position([0.0, 0.0, 30.0], geom).alpha
+        reg = despread_regressor_at_angle(alpha, ula, pilots, Combiner.ALL_ONES)
+        mat = np.reshape(reg.vector, (16, 16), order="F")
         assert np.allclose(mat, mat[0:1, :], atol=1e-18)
 
     def test_positive_energy(self, geom, ula, pilots):
@@ -38,8 +36,9 @@ class TestDespread:
         for _ in range(20):
             q = [rng.uniform(-70, 70), 0.0, rng.uniform(5, 95)]
             for comb in Combiner:
-                reg = despread_regressor(q, ula, pilots, comb, geom)
-                assert reg.norm_sq > 0
+                alpha = angles_from_position(q, geom).alpha
+                reg = despread_regressor_at_angle(alpha, ula, pilots, comb)
+                assert np.vdot(reg.vector, reg.vector).real > 0
                 assert reg.effective_norm_sq > 0
 
     def test_matched_effective_energy_closed_value(self, ula, pilots):
@@ -105,8 +104,6 @@ class TestThreshold:
         for bad in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(OutOfRange):
                 threshold_from_pfa(bad)
-        with pytest.raises(OutOfRange):
-            DetectorConfig(p_fa=1.5)
 
 
 class TestMarcumQ:
@@ -152,13 +149,15 @@ class TestMarcumQ:
 
 
 class TestPdConditional:
+    # p_D given the gain draw is Q1(sqrt(mu), sqrt(gamma_th)) with the
+    # noncentrality mu = 2 h2 |beta|^2 / sigma_n^2
     def test_zero_gain_reduces_to_false_alarm(self):
         g = threshold_from_pfa(1e-4)
-        assert pd_conditional(0.0, 1.0, NOISE, g) == pytest.approx(1e-4, rel=1e-12)
+        assert marcum_q1(0.0, np.sqrt(g)) == pytest.approx(1e-4, rel=1e-12)
 
     def test_limit_to_one(self):
         g = threshold_from_pfa(1e-4)
-        assert pd_conditional(1.0, 1e6, 1e-9, g) == 1.0
+        assert marcum_q1(np.sqrt(2 * 1e6 / 1e-9), np.sqrt(g)) == 1.0
 
     def test_against_noncentral_chi2_monte_carlo(self):
         # empirical tail of the exact statistic within 3 binomial sigmas
@@ -169,7 +168,7 @@ class TestPdConditional:
             n = 1_000_000
             draws = ncx2.rvs(2, mu, size=n, random_state=np.random.RandomState(3))
             emp = np.mean(draws > gamma_th)
-            p = pd_conditional(beta_mag, h_sq, 1.0, gamma_th)
+            p = marcum_q1(np.sqrt(mu), np.sqrt(gamma_th))
             sigma = np.sqrt(p * (1 - p) / n)
             assert abs(emp - p) < 3 * sigma + 1e-9
 
@@ -251,12 +250,6 @@ class TestDetectionMap:
             assert np.all(np.isnan(pd[terminal]))
             rest = np.delete(pd, terminal)
             assert np.all((rest >= 1e-4 - 1e-12) & (rest <= 1.0))
-
-
-def test_detection_statistic_definition():
-    s = detection_statistic(0.5 + 0.5j, 1.0, 3.0, 0.25)
-    assert s.gamma_tilde == pytest.approx(2 * 3.0 * 0.5 / 0.25)
-    assert s.noncentrality == pytest.approx(2 * 3.0 * 1.0 / 0.25)
 
 
 # --- the array-valued map against an explicit per-cell oracle -------------
@@ -356,7 +349,8 @@ def test_scalar_regressor_is_one_element_case(ula, pilots):
     alphas = np.array([-1.1, -0.3, 0.0, 0.25, 0.9])
     for comb in Combiner:
         cells = effective_energy_cells(alphas, ula, pilots, comb)
-        for alpha, h2 in zip(alphas, cells):
+        pds = pd_marginal_cells(1e-7, cells, NOISE, 18.0)
+        for alpha, h2, pd in zip(alphas, cells, pds):
             reg = despread_regressor_at_angle(float(alpha), ula, pilots, comb)
             assert reg.effective_norm_sq == h2
-            assert pd_marginal(1e-7, reg, NOISE, 18.0) == pd_marginal(1e-7, h2, NOISE, 18.0)
+            assert pd_marginal(1e-7, h2, NOISE, 18.0) == pd

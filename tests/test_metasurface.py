@@ -14,11 +14,8 @@ from stcmsense.metasurface import (
     harmonic_pattern,
     harmonic_pattern_batch,
     harmonic_pattern_derivative,
-    panel_steering,
-    read_coding_csv,
     ris_response,
     ris_response_derivative,
-    write_coding_csv,
 )
 
 from pattern_oracle import direct_coefficient, direct_pattern
@@ -245,17 +242,6 @@ class TestRisResponse:
         for xi in (-0.9, 0.1, 0.8):
             fd = (ris_response(prof, panel, xi + h, 0.0) - ris_response(prof, panel, xi - h, 0.0)) / (2 * h)
             assert ris_response_derivative(prof, panel, xi) == pytest.approx(fd, rel=1e-6)
-
-    def test_steering_norm(self, panel):
-        assert np.linalg.norm(panel_steering(panel, 0.3)) == pytest.approx(8.0, rel=1e-14)
-
-
-def test_coding_csv_roundtrip(tmp_path, panel, code):
-    path = tmp_path / "code.csv"
-    write_coding_csv(code, path)
-    back = read_coding_csv(path)
-    assert np.array_equal(back.entries, code.entries)
-    assert back.scheme is CodingScheme.PM
 
 
 def test_coding_matrix_alphabet_validation():

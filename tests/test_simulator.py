@@ -80,6 +80,10 @@ class TestConfig:
         c = config_hash(merge_config({"seed": 1}))
         assert a == b
         assert a != c
+        # threads changes no output byte, and a number hashes as its default's type
+        for same in ({"threads": 2}, {"harmonics": 3.0}, {"carrier_hz": 10**10},
+                     {"classification_snr_db": [-5, 0, 5, 10, 15, 20, 25, 30, 35, 40, 45]}):
+            assert config_hash(merge_config(same)) == a, same
 
     def test_grid_covers_bounds(self, model):
         xs, zs = grid_points(model.geom, 1.0)
@@ -381,6 +385,17 @@ class TestCli:
         ({"classification_snr_db": [None]}, "classification_snr_db"),
         ({"carrier_hz": 0}, "carrier_hz"),
         ({"carrier_hz": -1e10}, "carrier_hz"),
+        ({"scene": "x"}, "scene"),
+        ({"scene": [{"position": [1, 2]}]}, "scene[0].rcs_dbsm"),
+        ({"scene": [{"position": [1, 2], "rcs_dbsm": 1.0}]}, "scene[0].position"),
+        ({"scene": [{"position": [1, 0, 2], "rcs_dbsm": None}]}, "scene[0].rcs_dbsm"),
+        ({"scene": [{"position": [1, 0, 2], "rcs_dbsm": 1.0, "kind": "cat"}]}, "scene[0].kind"),
+        ({"n_targets": 2, "fixed_targets": {"two": []}}, "fixed_targets.two"),
+        ({"n_targets": 10, "fixed_targets": {"ten": "bogus"}}, "fixed_targets.ten"),
+        ({"harmonics": 20000}, "harmonics"),
+        ({"harmonics": 100000}, "harmonics"),
+        ({"code": {"period_s": 0}}, "code.period_s"),
+        ({"sigma_nu": 10**400}, "sigma_nu"),
     ])
     def test_bad_numbers_fail_with_one_line(self, tmp_path, capsys, doc, key):
         cfg_path = tmp_path / "bad.json"
