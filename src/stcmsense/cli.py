@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 
-from .config import load_config
+from .config import DEFAULT_CONFIG, load_config
 from .errors import SensingError
 from .experiments import (
     run_classification_mc,
@@ -39,31 +39,23 @@ _EXPERIMENTS = {
 }
 
 
+# (flag, config key, metavar, help); each flag parses as its key's default type
+_FLAGS = (
+    ("--seed", "seed", "N", "override the experiment seed"),
+    ("--grid-res", "grid_res_m", "METERS", "grid resolution override"),
+    ("--threads", "threads", "N", "worker processes over cell blocks"),
+    ("--harmonics", "harmonics", "MF", "highest analyzed harmonic order"),
+    ("--targets", "n_targets", "R", "number of targets (1, 2 or 10)"),
+)
+
+
 def _add_common(parser: argparse.ArgumentParser, needs_out: bool) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config overriding the defaults")
-    parser.add_argument("--seed", type=int, metavar="N", help="override the experiment seed")
-    parser.add_argument("--grid-res", type=float, metavar="METERS", dest="grid_res",
-                        help="grid resolution override")
-    parser.add_argument("--threads", type=int, metavar="N", help="worker processes over cell blocks")
-    parser.add_argument("--harmonics", type=int, metavar="MF", help="highest analyzed harmonic order")
-    parser.add_argument("--targets", type=int, metavar="R", help="number of targets (1, 2 or 10)")
+    for flag, key, metavar, text in _FLAGS:
+        parser.add_argument(flag, dest=key, type=type(DEFAULT_CONFIG[key]), metavar=metavar,
+                            help=text)
     if needs_out:
         parser.add_argument("--out", metavar="DIR", default=".", help="output directory")
-
-
-def _overrides(args) -> dict:
-    out = {}
-    if args.seed is not None:
-        out["seed"] = args.seed
-    if args.grid_res is not None:
-        out["grid_res_m"] = args.grid_res
-    if args.threads is not None:
-        out["threads"] = args.threads
-    if args.harmonics is not None:
-        out["harmonics"] = args.harmonics
-    if getattr(args, "targets", None) is not None:
-        out["n_targets"] = args.targets
-    return out
 
 
 def main(argv=None) -> int:
@@ -75,8 +67,9 @@ def main(argv=None) -> int:
     _add_common(sub.add_parser("validate"), needs_out=False)
 
     args = parser.parse_args(argv)
+    overrides = {key: v for _, key, _, _ in _FLAGS if (v := getattr(args, key)) is not None}
     try:
-        cfg = load_config(args.config, _overrides(args))
+        cfg = load_config(args.config, overrides)
         if args.command == "validate":
             return 1 if run_validate(cfg) else 0
         os.makedirs(args.out, exist_ok=True)

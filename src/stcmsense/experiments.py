@@ -16,11 +16,12 @@ target's (n, 3R, 3R) FIMs against the cached fixed targets, and
 with R, so the blocks hold max(1, BLOCK_CELLS // R) cells (25 at R = 10).
 detect-map runs ``detection.detection_map`` on blocks of ``BLOCK_CELLS``
 cells (one h2 pass per combiner, one p_D pass per map).  ``threads`` > 1
-maps the blocks over up to that many worker processes.  Every value is a
-pure function of its cell, so neither the block size nor ``threads``
-changes a byte: blocks are joined in cell order, independent of
-completion order.  classify-mc simulates only the confusion row it reports,
-and draws each class's trials once for all of its SNR rows.
+maps the blocks over up to that many worker processes, and no more than one
+per block or per CPU.  Every value is a pure function of its cell, so
+neither the block size nor ``threads`` changes a byte: blocks are joined in
+cell order, independent of completion order.  classify-mc simulates only
+the confusion row it reports, and draws each class's trials once for all of
+its SNR rows.
 """
 
 from __future__ import annotations
@@ -122,13 +123,14 @@ def _ris_block(points, model: SystemModel) -> np.ndarray:
 
 def _map_cells(points, worker, threads: int, n_targets: int = 1) -> np.ndarray:
     """worker over consecutive blocks of max(1, BLOCK_CELLS // n_targets)
-    cells, joined in cell order; with threads > 1 a process pool (at most one
-    process per block) maps the blocks."""
+    cells, joined in cell order; with threads > 1 a process pool of at most
+    one process per block and per CPU maps the blocks."""
     size = max(1, BLOCK_CELLS // n_targets)
     blocks = [points[i:i + size] for i in range(0, len(points), size)]
-    if threads <= 1:
+    workers = min(threads, len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
         return np.concatenate([worker(b) for b in blocks], axis=-1)
-    with ProcessPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(worker, blocks)), axis=-1)
 
 
@@ -150,9 +152,9 @@ def run_crb_map(cfg: dict, out_dir: str) -> list[str]:
     """Angle-CRB maps over the scene for the configured target count."""
     model = build_model(cfg)
     fixed = fixed_scene(cfg, model)
-    cells = _cells(model, float(cfg["grid_res_m"]))
+    cells = _cells(model, cfg["grid_res_m"])
     worker = functools.partial(_crb_block, model=model, builders=_builders(model, fixed))
-    values = _map_cells(cells, worker, int(cfg["threads"]), len(fixed) + 1)
+    values = _map_cells(cells, worker, cfg["threads"], len(fixed) + 1)
     files = []
     for name, vals in zip(("crb_alpha", "crb_xi"), values):
         rows = [(float(q[0]), float(q[2]), *_entry(v)) for q, v in zip(cells, vals)]
@@ -167,9 +169,9 @@ def run_peb_map(cfg: dict, out_dir: str) -> list[str]:
     """Position-error-bound map (meters) for the moving target."""
     model = build_model(cfg)
     fixed = fixed_scene(cfg, model)
-    cells = _cells(model, float(cfg["grid_res_m"]))
+    cells = _cells(model, cfg["grid_res_m"])
     worker = functools.partial(_peb_block, model=model, builders=_builders(model, fixed))
-    values = _map_cells(cells, worker, int(cfg["threads"]), len(fixed) + 1)[0]
+    values = _map_cells(cells, worker, cfg["threads"], len(fixed) + 1)[0]
     rows = [(float(q[0]), float(q[2]), *_entry(v, db=False)) for q, v in zip(cells, values)]
     path = os.path.join(out_dir, "peb_map.csv")
     write_csv(path, ("x_m", "z_m", "peb_m", "masked"), rows)
@@ -187,13 +189,13 @@ def _detect_block(points, model: SystemModel, scales: dict) -> np.ndarray:
 def run_detection_map(cfg: dict, out_dir: str) -> list[str]:
     """Marginal detection probability maps: 2 target types x 2 combiners."""
     model = build_model(cfg)
-    cells = _cells(model, float(cfg["grid_res_m"]))
+    cells = _cells(model, cfg["grid_res_m"])
     scales = {label: functools.partial(rayleigh_scale, sigma, sigma_nu=model.sigma_nu,
                                        wavelength=model.wavelength, iota=model.iota)
               for label, sigma in (("human_like", model.hypotheses.rcs_sqrts[1]),
                                    ("object_like", model.hypotheses.rcs_sqrts[2]))}
     worker = functools.partial(_detect_block, model=model, scales=scales)
-    values = _map_cells(cells, worker, int(cfg["threads"]))
+    values = _map_cells(cells, worker, cfg["threads"])
     xz = cells[:, [0, 2]].tolist()
     files = []
     for (label, combiner), pd in zip([(label, c.value) for c in Combiner for label in scales],
@@ -232,9 +234,7 @@ def run_classification_mc(cfg: dict, out_dir: str) -> list[str]:
     numbers: the errors of neighbouring rows are correlated).
     """
     model = build_model(cfg)
-    n_trials = int(cfg["n_trials"])
-    seed = int(cfg["seed"])
-    snrs = [float(snr_db) for snr_db in cfg["classification_snr_db"]]
+    n_trials, seed, snrs = cfg["n_trials"], cfg["seed"], cfg["classification_snr_db"]
     labels = {1: "human_like", 2: "object_like"}
     p = {}
     for j in labels:
@@ -253,9 +253,9 @@ def run_classification_mc(cfg: dict, out_dir: str) -> list[str]:
 def run_ris_compare(cfg: dict, out_dir: str) -> list[str]:
     """Fixed-profile linear-panel baseline CRB(xi) next to the switching panel."""
     model = build_model(cfg)
-    cells = _cells(model, float(cfg["grid_res_m"]))
+    cells = _cells(model, cfg["grid_res_m"])
     worker = functools.partial(_ris_block, model=model)
-    ris, stcm = _map_cells(cells, worker, int(cfg["threads"]))
+    ris, stcm = _map_cells(cells, worker, cfg["threads"])
     rows = [(float(q[0]), float(q[2]), *_entry(r), *_entry(x)) for q, r, x in zip(cells, ris, stcm)]
     path = os.path.join(out_dir, "ris_compare.csv")
     write_csv(path, ("x_m", "z_m", "ris_crb_xi_db", "ris_masked",

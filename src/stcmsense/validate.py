@@ -22,7 +22,7 @@ from .rng import stream_rng
 def run_validate(cfg: dict | None = None, printer=print) -> int:
     cfg = merge_config(cfg or {})
     model = build_model(cfg)
-    rng = stream_rng(int(cfg["seed"]), 999)
+    rng = stream_rng(cfg["seed"], 999)
     failures = 0
 
     def check(name: str, ok: bool, detail: str = ""):

@@ -1,0 +1,158 @@
+"""Fuzz of the config schema: ``merge_config`` on random documents.
+
+Each document sets random JSON values at random key paths, known or not.
+``merge_config`` must either raise ConfigError naming a path the document
+holds (``config`` for a document that is no object), or return a config
+whose every leaf has its default's type and passes its ``RULES`` row, and
+whose ``scene`` entries build.  Any other exception fails.  Only
+``merge_config`` and ``scene_from_config`` run: an accepted document may
+still ask for unbounded work, which nothing checks yet.
+"""
+
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stcmsense.config import DEFAULT_CONFIG, RULES, merge_config, scene_from_config
+from stcmsense.errors import ConfigError
+
+
+def _paths(tree, prefix=""):
+    """(path, default) of every key in a nested dict, objects included."""
+    for key, value in tree.items():
+        path = f"{prefix}.{key}" if prefix else key
+        yield path, value
+        if isinstance(value, dict):
+            yield from _paths(value, path)
+
+
+PATHS = dict(_paths(DEFAULT_CONFIG))
+LEAVES = {p: d for p, d in PATHS.items() if not isinstance(d, dict)}
+OBJECTS = [""] + [p for p, d in PATHS.items() if isinstance(d, dict)]
+
+# ints far past the float range, NaN and +-inf included
+NUMBERS = st.one_of(st.integers(), st.integers(min_value=-(10**400), max_value=10**400),
+                    st.floats())
+# numbers a rule may accept, so that documents also reach the cross-key checks
+NEAR = st.sampled_from([0, 1, 2, 3, 4, 9, 10, 16, 1e-4]) | st.floats(-400, 400)
+JSON = st.recursive(st.none() | st.booleans() | NUMBERS | st.text(max_size=6),
+                    lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+                    max_leaves=12)
+KINDS = st.sampled_from(["absent", "human_like", "object_like", None])
+# points, now and then on a terminal or the default two-target spot
+XYZ = st.lists(NEAR, min_size=3, max_size=3)
+SPOT = st.one_of(XYZ, XYZ, XYZ, st.sampled_from([[0, 0, 0], [0, 0, 100], [60.0, 0, 40]]))
+POINT = SPOT | st.lists(NEAR | NUMBERS, min_size=2, max_size=4)
+
+
+def _value(path: str, lean: bool):
+    """Values for one key: any JSON value, or with ``lean`` values that its
+    rule may well accept."""
+    default = LEAVES.get(path)
+    if path == "scene":
+        entry = st.fixed_dictionaries({"position": SPOT, "rcs_dbsm": st.floats(-300, 300),
+                                       "kind": KINDS})
+        if lean:
+            return st.lists(entry, max_size=3)
+        return st.lists(st.dictionaries(
+            st.sampled_from(["position", "rcs_dbsm", "kind", "extra"]),
+            st.one_of(POINT, NEAR, NUMBERS, KINDS, JSON), max_size=4) | JSON, max_size=3) | JSON
+    if path.startswith("fixed_targets."):
+        if lean:
+            return st.lists(SPOT, max_size=10) | st.just("angular_ring")
+        return st.one_of(st.lists(POINT | JSON, max_size=10), JSON)
+    if isinstance(default, str):
+        options = st.sampled_from(["exact", "carrier", "angular_ring"])
+        return options if lean else options | JSON
+    if isinstance(default, list):
+        # vectors of the default's length, points put in the y = 0 plane
+        near = st.lists(NEAR, min_size=len(default), max_size=len(default)).map(
+            lambda v: [v[0], 0, v[2]] if len(v) == 3 else v)
+        return near if lean else st.one_of(near, st.lists(NEAR | NUMBERS, max_size=12), JSON)
+    if isinstance(default, (int, float)):
+        near = st.sampled_from([default, 2 * default, type(default)(default / 2)])
+        return st.one_of(near, near, NEAR) if lean else st.one_of(near, NEAR, NUMBERS, JSON)
+    return JSON  # an object path, or a key the schema does not know
+
+
+@st.composite
+def documents(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON)
+    lean = draw(st.booleans())
+    # the keys with nested values weigh as much as all the others
+    nested = st.sampled_from(["scene", "fixed_targets.two", "fixed_targets.ten", "n_targets"])
+    paths = draw(st.lists(st.sampled_from(sorted(LEAVES)) | nested, max_size=4, unique=True))
+    if draw(st.integers(0, 3)) == 0:  # a whole object, or a key the schema lacks
+        unknown = st.builds(lambda parent, name: f"{parent}.{name}" if parent else name,
+                            st.sampled_from(OBJECTS), st.from_regex(r"[a-z_]{1,8}", fullmatch=True))
+        paths.append(draw(st.sampled_from(OBJECTS[1:]) | unknown))
+    doc = {}
+    for path in paths:
+        *parents, key = path.split(".")
+        node = doc
+        for name in parents:
+            node = node.setdefault(name, {})
+            if not isinstance(node, dict):
+                break
+        else:
+            node[key] = draw(_value(path, lean))
+    return doc
+
+
+def _held(doc, prefix=""):
+    """Every path a document holds, list indices included."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            path = f"{prefix}.{key}" if prefix else str(key)
+            yield path
+            yield from _held(value, path)
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            path = f"{prefix}[{i}]"
+            yield path
+            yield from _held(value, path)
+
+
+def _names_held_path(message: str, doc) -> bool:
+    if not isinstance(doc, dict):
+        return message.startswith("config ")
+    held = list(_held(doc))
+    if any(repr(p) in message for p in held):  # a key quoted as given
+        return True
+    tokens = re.findall(r"[A-Za-z_]\w*(?:\[\d+\]|\.\w+)*", message)
+    return any(t == p or t.startswith((p + ".", p + "[")) for p in held for t in tokens)
+
+
+def _typed_like(value, default) -> bool:
+    if isinstance(default, list):
+        return isinstance(value, list) and (
+            not default or all(_typed_like(v, default[0]) for v in value))
+    if isinstance(default, (int, float)):
+        return type(value) is type(default)
+    return True  # an option: its rule decides
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(documents())
+def test_merge_config_checks_or_rejects_every_document(doc):
+    try:
+        cfg = merge_config(doc)
+    except ConfigError as exc:
+        assert _names_held_path(str(exc), doc), (str(exc), doc)
+        return
+    assert dict(_paths(cfg)).keys() == PATHS.keys()
+    for path, default in LEAVES.items():
+        node = cfg
+        for name in path.split("."):
+            node = node[name]
+        test, want = RULES[path]
+        assert _typed_like(node, default), (path, node)
+        assert test(node), (path, want, node)
+    assert len(scene_from_config(cfg)) == len(cfg["scene"])  # every accepted entry builds
+
+
+def test_every_leaf_has_a_rule():
+    assert RULES.keys() == LEAVES.keys()

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stcmsense import experiments
+from stcmsense import cli, experiments
 from stcmsense.cli import main
 from stcmsense.classification import confusion_matrix, rayleigh_scale
 from stcmsense.config import (
@@ -305,6 +305,31 @@ class TestDeterminism:
                                tmp_path / f"{tag}-pool")
             assert pooled == serial, tag
 
+    def test_pool_is_bounded_by_cpus(self, tmp_path, monkeypatch):
+        # a huge thread count asks for no more processes than CPUs; the fake
+        # pool records that request and maps the blocks in this process
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, blocks):
+                return map(fn, blocks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(experiments, "BLOCK_CELLS", 8)
+        pooled = csv_bytes(run_crb_map, merge_config({**COARSE, "threads": 10**6}), tmp_path / "p")
+        assert asked == [3]
+        assert pooled == csv_bytes(run_crb_map, merge_config(COARSE), tmp_path / "serial")
+
     @pytest.mark.parametrize("runner,extra", [
         (run_crb_map, {}), (run_peb_map, {}), (run_ris_compare, {}),
         (run_crb_map, {"n_targets": 2}), (run_peb_map, {"n_targets": 2}),
@@ -347,6 +372,15 @@ class TestCli:
         assert rc == 0
         _, rows = read_csv(out / "crb_alpha_map.csv")
         assert len(rows) == 9 * 6
+
+    def test_flags_override_their_keys(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_validate", lambda cfg: seen.append(cfg) or 0)
+        assert main(["validate", "--seed", "5", "--grid-res", "4", "--threads", "2",
+                     "--harmonics", "4", "--targets", "2"]) == 0
+        cfg = seen[0]
+        assert [cfg[k] for k in ("seed", "grid_res_m", "threads", "harmonics", "n_targets")] \
+            == [5, 4.0, 2, 4, 2]
 
     def test_bad_config_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
@@ -396,16 +430,45 @@ class TestCli:
         ({"harmonics": 100000}, "harmonics"),
         ({"code": {"period_s": 0}}, "code.period_s"),
         ({"sigma_nu": 10**400}, "sigma_nu"),
+        # a document that is no object
+        ([1, 2], "config"),
+        ("x", "config"),
+        (None, "config"),
+        # dB values whose linear form or its square would overflow or underflow
+        ({"noise_power_dbm": 1e308}, "noise_power_dbm"),
+        ({"rcs_dbsm": {"human_like": 1e6}}, "rcs_dbsm.human_like"),
+        ({"rcs_dbsm": {"human_like": -1e4}}, "rcs_dbsm.human_like"),
+        ({"classification_snr_db": [1e6]}, "classification_snr_db"),
+        ({"scene": [{"position": [10, 0, 20], "rcs_dbsm": -1e4}]}, "scene[0].rcs_dbsm"),
+        # keys that only some verbs used to read
+        ({"n_targets": 3}, "n_targets"),
+        ({"threads": 0}, "threads"),
+        ({"threads": -4}, "threads"),
+        ({"path_loss_exponent": -3}, "path_loss_exponent"),
+        ({"path_loss_exponent": 1e6}, "path_loss_exponent"),
+        ({"seed": -5000}, "seed"),
+        ({"sigma_nu": -1}, "sigma_nu"),
+        ({"p_fa": 2}, "p_fa"),
+        ({"n_trials": 0}, "n_trials"),
+        # conditions across keys
+        ({"rcs_dbsm": {"human_like": 20}}, "rcs_dbsm.human_like"),
+        ({"geometry": {"bs_center": [0, 1, 0]}}, "geometry.bs_center"),
+        ({"geometry": {"stcm_center": [0, 0, 0]}}, "geometry.stcm_center"),
+        ({"n_targets": 2, "fixed_targets": {"two": [[0, 0, 0]]}}, "fixed_targets.two"),
+        ({"geometry": {"foo": 1}}, "geometry.foo"),
     ])
     def test_bad_numbers_fail_with_one_line(self, tmp_path, capsys, doc, key):
+        # every verb and validate resolve the config alike, so all reject it
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(doc))
-        out = tmp_path / "out"
-        rc = main(["crb-map", "--config", str(cfg_path), "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
-        assert not list(out.glob("*.csv"))
+        for cmd in ("crb-map", "peb-map", "detect-map", "classify-mc", "ris-compare", "validate"):
+            out = tmp_path / cmd
+            rc = main([cmd, "--config", str(cfg_path)]
+                      + ([] if cmd == "validate" else ["--out", str(out)]))
+            err = capsys.readouterr().err.strip().splitlines()
+            assert rc == 1, cmd
+            assert len(err) == 1 and err[0].startswith("error:") and key in err[0], (cmd, err)
+            assert not list(out.glob("*.csv")), cmd
 
     def test_detect_and_classify_run_warning_clean(self, tmp_path):
         # a batched 0/0 or overflow would surface here as an exception
