@@ -81,8 +81,10 @@ def dbm_to_watt(dbm: float) -> float:
 
 
 # Every dB value (powers in dBm, RCS in dBsm, SNRs in dB) stays within this
-# bound, so each linear value 10^(x/10) and its square are normal floats.
+# bound, so each linear value 10^(x/10) and its square are normal floats;
+# an amplitude (``sigma_nu``) stays within the same bound as 10^(x/20).
 DB_LIMIT = 300.0
+AMPLITUDE_LIMIT = 10.0 ** (DB_LIMIT / 20.0)
 
 
 def _number(v) -> bool:
@@ -123,7 +125,7 @@ RULES = {
     "pilot_total_power_dbm": (_db, _DB),
     "noise_power_dbm": (_db, _DB),
     "path_loss_exponent": (lambda v: 0 < v <= 10, "in (0, 10]"),
-    "sigma_nu": (lambda v: v > 0, "positive"),
+    "sigma_nu": (lambda v: 0 < v <= AMPLITUDE_LIMIT, f"in (0, {AMPLITUDE_LIMIT:g}]"),
     "rcs_dbsm.human_like": (_db, _DB),
     "rcs_dbsm.object_like": (_db, _DB),
     "geometry.bs_center": _CENTER,

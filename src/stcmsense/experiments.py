@@ -19,9 +19,10 @@ cells (one h2 pass per combiner, one p_D pass per map).  ``threads`` > 1
 maps the blocks over up to that many worker processes, and no more than one
 per block or per CPU.  Every value is a pure function of its cell, so
 neither the block size nor ``threads`` changes a byte: blocks are joined in
-cell order, independent of completion order.  classify-mc simulates only
-the confusion row it reports, and draws each class's trials once for all of
-its SNR rows.
+cell order, independent of completion order.  Map rows are built per
+column (one conversion and one NaN mask per value column) and zipped into a
+list.  classify-mc simulates only the confusion row it reports, and draws
+each class's trials once for all of its SNR rows.
 """
 
 from __future__ import annotations
@@ -135,17 +136,18 @@ def _map_cells(points, worker, threads: int, n_targets: int = 1) -> np.ndarray:
 
 
 def _cells(model: SystemModel, res: float) -> np.ndarray:
-    """(n, 3) lattice points, x fastest."""
+    """(n, 3) lattice points, x fastest; ``[:, ::2]`` holds the CSV's x and z."""
     xs, zs = grid_points(model.geom, res)
     x, z = np.meshgrid(xs, zs)
     return np.column_stack([x.ravel(), np.zeros(x.size), z.ravel()])
 
 
-def _entry(v, db: bool = True) -> tuple:
-    """(CSV value, masked flag) of one map value; variances in dB."""
-    if np.isnan(v):
-        return None, True
-    return (10.0 * math.log10(v) if db else float(v)), False
+def _column(vals: np.ndarray, db: bool = True) -> tuple[list, list]:
+    """(CSV values, masked flags) of one map column; variances in dB by
+    ``math.log10`` (``np.log10`` differs in the last ulp on some doubles)."""
+    masked = np.isnan(vals).tolist()
+    to_csv = (lambda v: 10.0 * math.log10(v)) if db else float
+    return [None if m else to_csv(v) for v, m in zip(vals.tolist(), masked)], masked
 
 
 def run_crb_map(cfg: dict, out_dir: str) -> list[str]:
@@ -155,9 +157,9 @@ def run_crb_map(cfg: dict, out_dir: str) -> list[str]:
     cells = _cells(model, cfg["grid_res_m"])
     worker = functools.partial(_crb_block, model=model, builders=_builders(model, fixed))
     values = _map_cells(cells, worker, cfg["threads"], len(fixed) + 1)
-    files = []
+    xz, files = cells[:, ::2].T.tolist(), []
     for name, vals in zip(("crb_alpha", "crb_xi"), values):
-        rows = [(float(q[0]), float(q[2]), *_entry(v)) for q, v in zip(cells, vals)]
+        rows = list(zip(*xz, *_column(vals)))
         path = os.path.join(out_dir, f"{name}_map.csv")
         write_csv(path, ("x_m", "z_m", "crb_db", "masked"), rows)
         files.append(path)
@@ -172,7 +174,7 @@ def run_peb_map(cfg: dict, out_dir: str) -> list[str]:
     cells = _cells(model, cfg["grid_res_m"])
     worker = functools.partial(_peb_block, model=model, builders=_builders(model, fixed))
     values = _map_cells(cells, worker, cfg["threads"], len(fixed) + 1)[0]
-    rows = [(float(q[0]), float(q[2]), *_entry(v, db=False)) for q, v in zip(cells, values)]
+    rows = list(zip(*cells[:, ::2].T.tolist(), *_column(values, db=False)))
     path = os.path.join(out_dir, "peb_map.csv")
     write_csv(path, ("x_m", "z_m", "peb_m", "masked"), rows)
     manifest = write_manifest(out_dir, "peb_map", config_hash(cfg), __version__, [path])
@@ -196,12 +198,12 @@ def run_detection_map(cfg: dict, out_dir: str) -> list[str]:
                                    ("object_like", model.hypotheses.rcs_sqrts[2]))}
     worker = functools.partial(_detect_block, model=model, scales=scales)
     values = _map_cells(cells, worker, cfg["threads"])
-    xz = cells[:, [0, 2]].tolist()
+    xs, zs = cells[:, ::2].T.tolist()
     files = []
     for (label, combiner), pd in zip([(label, c.value) for c in Combiner for label in scales],
                                      values):
         rows = [(x, z, None if math.isnan(p) else p, label, combiner, math.isnan(p))
-                for (x, z), p in zip(xz, pd.tolist())]
+                for x, z, p in zip(xs, zs, pd.tolist())]
         path = os.path.join(out_dir, f"detect_map_{label}_{combiner}.csv")
         write_csv(path, ("x_m", "z_m", "p_d", "sp_type", "combiner", "masked"), rows)
         files.append(path)
@@ -256,7 +258,7 @@ def run_ris_compare(cfg: dict, out_dir: str) -> list[str]:
     cells = _cells(model, cfg["grid_res_m"])
     worker = functools.partial(_ris_block, model=model)
     ris, stcm = _map_cells(cells, worker, cfg["threads"])
-    rows = [(float(q[0]), float(q[2]), *_entry(r), *_entry(x)) for q, r, x in zip(cells, ris, stcm)]
+    rows = list(zip(*cells[:, ::2].T.tolist(), *_column(ris), *_column(stcm)))
     path = os.path.join(out_dir, "ris_compare.csv")
     write_csv(path, ("x_m", "z_m", "ris_crb_xi_db", "ris_masked",
                      "stcm_crb_xi_db", "stcm_masked"), rows)

@@ -15,6 +15,9 @@ Conventions:
 * Element pattern is isotropic (E == 1); a directive element factor would
   enter every closed form as one common multiplier.
 * ``sinc`` is the unnormalized sin(x)/x with sinc(0) = 1.
+* y never enters the phase (both wavenumbers lie in the x-z plane, the
+  elements at z = 0), so a column acts as one element with the summed
+  coefficient; kernel temporaries scale with n_x, not n_x n_y.
 """
 
 from __future__ import annotations
@@ -177,26 +180,33 @@ def harmonic_wavelength(layout: PanelLayout, code: CodingMatrix, m: int,
     return SPEED_OF_LIGHT / (layout.carrier_hz + m * code.f0)
 
 
-def _pattern_terms(coeffs: np.ndarray, wavelength: float, xi: np.ndarray,
-                   phi_fixed: float, pos: np.ndarray):
-    """(eta, d eta / d xi) at the 1-D angle array ``xi``.
+def _pattern_terms(coeffs, wavelengths, xi, phi_fixed: float, layout: PanelLayout):
+    """(eta, d eta / d xi), each (K, len(xi)), for K coefficient rows.
 
-    eta = sum_n c_n exp{j (k(xi) + k(phi_fixed))^T q_n} with isotropic
-    element patterns and |k| = 2 pi / ``wavelength``; the derivative
+    eta_i = sum_n c_in exp{j (k_i(xi) + k_i(phi_fixed))^T q_n} with isotropic
+    element patterns and |k_i| = 2 pi / ``wavelengths[i]``; the derivative
     differentiates the wavenumber k(xi).  A harmonic passes its Fourier
     coefficients a^m and lambda_m, the fixed-profile baseline its phases w
-    and lambda_c.  ``pos`` is the layout's element positions, built once
-    per caller.
+    and lambda_c.  The n_y elements n = p n_y + q of column p share
+    exp{j k (sin xi + sin phi_fixed) x_p}, so the coefficients are summed
+    per column and the exponentials taken at the n_x column positions.
     """
-    k = 2 * np.pi / wavelength
-    # z-components vanish on the panel plane but are kept for generality
-    phase = k * (
-        (np.sin(xi)[:, None] + np.sin(phi_fixed)) * pos[None, :, 0]
-        + (np.cos(xi)[:, None] + np.cos(phi_fixed)) * pos[None, :, 2]
-    )
-    dphase = k * (np.cos(xi)[:, None] * pos[None, :, 0] - np.sin(xi)[:, None] * pos[None, :, 2])
-    core = coeffs[None, :] * np.exp(1j * phase)
-    return core.sum(axis=1), (1j * dphase * core).sum(axis=1)
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    c = np.reshape(coeffs, (-1, layout.n_x, layout.n_y)).sum(axis=-1)[:, None, :]
+    x = layout.element_positions()[::layout.n_y, 0]
+    k = 2 * np.pi / np.asarray(wavelengths, dtype=float)[:, None, None]
+    phase = k * ((np.sin(xi)[:, None] + np.sin(phi_fixed)) * x)
+    dphase = k * (np.cos(xi)[:, None] * x)
+    core = c * np.exp(1j * phase)
+    return core.sum(axis=-1), (1j * dphase * core).sum(axis=-1)
+
+
+def _orders(layout: PanelLayout, code: CodingMatrix, orders, xi, phi_fixed: float,
+            mode: WavelengthMode):
+    """:func:`_pattern_terms` of the harmonics ``orders``, one row each."""
+    return _pattern_terms(np.stack([fourier_coefficients(code, m) for m in orders]),
+                          [harmonic_wavelength(layout, code, m, mode) for m in orders],
+                          xi, phi_fixed, layout)
 
 
 def harmonic_pattern(layout: PanelLayout, code: CodingMatrix, m: int,
@@ -207,20 +217,16 @@ def harmonic_pattern(layout: PanelLayout, code: CodingMatrix, m: int,
     Symmetric under swapping the two angles; the one-angle case of
     :func:`harmonic_pattern_batch`.
     """
-    eta, _ = _pattern_terms(fourier_coefficients(code, m),
-                            harmonic_wavelength(layout, code, m, mode),
-                            np.array([phi_d], dtype=float), phi_a, layout.element_positions())
-    return complex(eta[0])
+    eta, _ = _orders(layout, code, [m], phi_d, phi_a, mode)
+    return complex(eta[0, 0])
 
 
 def harmonic_pattern_derivative(layout: PanelLayout, code: CodingMatrix, m: int,
                                 xi: float, phi_fixed: float = 0.0,
                                 mode: WavelengthMode = WavelengthMode.EXACT) -> complex:
     """d eta_m / d xi at (xi, phi_fixed), differentiating the wavenumber."""
-    _, deta = _pattern_terms(fourier_coefficients(code, m),
-                             harmonic_wavelength(layout, code, m, mode),
-                             np.array([xi], dtype=float), phi_fixed, layout.element_positions())
-    return complex(deta[0])
+    _, deta = _orders(layout, code, [m], xi, phi_fixed, mode)
+    return complex(deta[0, 0])
 
 
 def harmonic_pattern_batch(layout: PanelLayout, code: CodingMatrix,
@@ -228,19 +234,10 @@ def harmonic_pattern_batch(layout: PanelLayout, code: CodingMatrix,
                            mode: WavelengthMode = WavelengthMode.EXACT):
     """Patterns and xi-derivatives for all m in the set at angles ``xi``.
 
-    Returns (eta, deta) of shape (|M|, len(xi)), rows in ascending m; a
-    scalar ``xi`` is the one-column case.
+    Returns (eta, deta) of shape (|M|, len(xi)), rows in ascending m, from
+    one array pass over all harmonics; a scalar ``xi`` is the one-column case.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    pos = layout.element_positions()
-    members = harmonics.members
-    eta = np.empty((len(members), xi.size), dtype=complex)
-    deta = np.empty_like(eta)
-    for i, m in enumerate(members):
-        eta[i], deta[i] = _pattern_terms(fourier_coefficients(code, m),
-                                         harmonic_wavelength(layout, code, m, mode),
-                                         xi, phi_fixed, pos)
-    return eta, deta
+    return _orders(layout, code, harmonics.members, xi, phi_fixed, mode)
 
 
 # --- default switching design -------------------------------------------
@@ -299,7 +296,6 @@ def _ris_terms(profile: RisProfile, layout: PanelLayout, xi, phi_fixed: float):
     """:func:`_pattern_terms` of the profile, as complex numbers at a scalar xi."""
     if profile.phases.shape[0] != layout.n_elements:
         raise ValueError("profile length must match the panel")
-    eta, deta = _pattern_terms(profile.phases, layout.wavelength,
-                               np.atleast_1d(np.asarray(xi, dtype=float)), phi_fixed,
-                               layout.element_positions())
+    (eta,), (deta,) = _pattern_terms(profile.phases[None], [layout.wavelength], xi, phi_fixed,
+                                     layout)
     return (eta, deta) if np.ndim(xi) else (complex(eta[0]), complex(deta[0]))

@@ -4,8 +4,10 @@
 ``names["layer.func"]`` and ``benchmarks/tracer.py`` attaches counting hooks
 by the same names.  A renamed or deleted function would otherwise surface
 only in a traced benchmark run.  The oracles that the benchmark and the
-tests compare against must stay independent of the package.  These checks
-read the benchmark files and change nothing there.
+tests compare against must stay independent of the package.  The map
+outputs must pass the benchmark's own output check on every cell, not only
+on its sampled rows, and keep the row counts its counting hooks read.
+These checks read the benchmark files and change nothing there.
 """
 
 import ast
@@ -13,9 +15,13 @@ import importlib
 import importlib.util
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import pytest
+
+from stcmsense import experiments
+from stcmsense.config import build_model, fixed_scene, load_config
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -26,6 +32,26 @@ def tracer():
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+@pytest.fixture
+def check(monkeypatch):
+    """benchmarks/check.py with every row and every masked row sampled."""
+    monkeypatch.syspath_prepend(str(BENCH))  # check.py imports oracle and workloads
+    spec = importlib.util.spec_from_file_location("benchmark_check", BENCH / "check.py")
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)  # its dataclasses look it up
+    spec.loader.exec_module(mod)
+    monkeypatch.setattr(mod, "RANDOM_ROWS", 10**9)
+    monkeypatch.setattr(mod, "MASKED_ROWS", 10**9)
+    return mod
+
+
+def _model_data(cfg):
+    # the raw data benchmarks/run.py hands the checker
+    model = build_model(cfg)
+    fixed = [tuple(p.position) for p in fixed_scene(cfg, model)]
+    return model.code.entries, model.pilots.symbols, model.hypotheses.priors, fixed
 
 
 def _unresolved(quals, layers):
@@ -83,3 +109,39 @@ def test_oracles_do_not_import_the_package(path):
     modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
     modules += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
     assert modules and [m for m in modules if m.split(".")[0] == "stcmsense"] == []
+
+
+MAP_RUNNERS = {"crb-map": experiments.run_crb_map, "peb-map": experiments.run_peb_map,
+               "ris-compare": experiments.run_ris_compare}
+
+
+@pytest.mark.parametrize("verb,n_targets", [("crb-map", 1), ("peb-map", 1), ("ris-compare", 1),
+                                            ("crb-map", 10), ("peb-map", 10)])
+def test_every_map_cell_matches_the_oracle(check, tmp_path, verb, n_targets):
+    # the benchmark samples 16 rows and 8 masked rows per file; a last-ulp
+    # move or a mask flip anywhere on the lattice must show here
+    cfg = load_config(overrides={"n_targets": n_targets, "grid_res_m": 10.0, "threads": 1})
+    MAP_RUNNERS[verb](cfg, str(tmp_path))
+    res = check.Checker(0, _model_data).check(verb, cfg, str(tmp_path))
+    xs, zs = check.lattice(cfg)
+    assert res.problems == []
+    assert res.undecidable == 0
+    assert res.cells_checked == len(check.MAP_FILES[verb]) * len(xs) * len(zs)
+
+
+@pytest.mark.parametrize("verb", sorted(MAP_RUNNERS))
+def test_map_rows_are_sized_lists(check, tmp_path, monkeypatch, verb):
+    # the tracer's write_csv hook counts rows with len(rows); a generator or
+    # zip object there would fail only a traced benchmark run
+    cfg = load_config(overrides={"grid_res_m": 20.0, "threads": 1})
+    xs, zs = check.lattice(cfg)
+    original, written = experiments.write_csv, []
+
+    def write_csv(path, header, rows):
+        assert len(rows) == len(xs) * len(zs)
+        written.append(path)
+        original(path, header, rows)
+
+    monkeypatch.setattr(experiments, "write_csv", write_csv)
+    MAP_RUNNERS[verb](cfg, str(tmp_path))
+    assert len(written) == len(check.MAP_FILES[verb])

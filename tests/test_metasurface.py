@@ -138,6 +138,28 @@ class TestHarmonicPattern:
                     deta[i, j], rel=1e-15
                 )
 
+    @pytest.mark.parametrize("scheme", [CodingScheme.PM, CodingScheme.AM])
+    def test_codes_that_vary_down_a_column(self, scheme):
+        # the default code repeats each column's sequence down its rows, so
+        # a collapse over the wrong grid axis would pass every test above;
+        # here the rows of each column differ on an n_x != n_y panel
+        panel = PanelLayout.half_wavelength(5, 3)
+        alphabet = [-1.0, 1.0] if scheme is CodingScheme.PM else [0.0, 1.0]
+        entries = np.random.default_rng(11).choice(alphabet, size=(15, 8))
+        assert all(len(np.unique(entries[3 * p:3 * p + 3], axis=0)) == 3 for p in range(5))
+        code = CodingMatrix(entries=entries, scheme=scheme)
+        xi, phi = np.array([-1.1, -0.2, 0.45, 1.3]), 0.3
+        eta, deta = harmonic_pattern_batch(panel, code, HarmonicSet(3), xi, phi)
+        for i, m in enumerate(range(-3, 4)):
+            for j, x in enumerate(xi):
+                e_ref, d_ref = direct_pattern(panel, code, m, x, phi)
+                assert eta[i, j] == pytest.approx(e_ref, rel=1e-12)
+                assert deta[i, j] == pytest.approx(d_ref, rel=1e-12)
+                assert harmonic_pattern(panel, code, m, x, phi) == pytest.approx(e_ref, rel=1e-12)
+                assert harmonic_pattern_derivative(panel, code, m, x, phi) == pytest.approx(
+                    d_ref, rel=1e-12
+                )
+
 
 class TestPatternDerivative:
     def test_matches_finite_differences(self, panel, code):

@@ -456,6 +456,8 @@ class TestCli:
         ({"geometry": {"stcm_center": [0, 0, 0]}}, "geometry.stcm_center"),
         ({"n_targets": 2, "fixed_targets": {"two": [[0, 0, 0]]}}, "fixed_targets.two"),
         ({"geometry": {"foo": 1}}, "geometry.foo"),
+        # an amplitude past the +-300 dB bound (detect-map squares it)
+        ({"sigma_nu": 1e300}, "sigma_nu"),
     ])
     def test_bad_numbers_fail_with_one_line(self, tmp_path, capsys, doc, key):
         # every verb and validate resolve the config alike, so all reject it
