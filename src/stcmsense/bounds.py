@@ -16,8 +16,18 @@ for positive semidefiniteness).  Closed-form blocks are written with the
 exact pilot Gram G = X X^H so that they coincide with the stacked-derivative
 computation to floating-point accuracy rather than only approximately.
 
-Singularity policy: any matrix with condition number above
-``constants.CONDITION_LIMIT`` is reported masked, never pseudo-inverted.
+Singularity policy: any matrix whose scaled condition number
+(:func:`scale_invariant_cond`, the 2-norm condition number after
+normalization to unit diagonal) exceeds ``constants.CONDITION_LIMIT`` is
+reported masked, never pseudo-inverted.  The decision reuses the inverse
+that is computed anyway (:func:`_certified_inverse`).  With D the diagonal
+of a k x k FIM F, kappa_F = ||D^-1/2 F D^-1/2||_F ||D^1/2 F^-1 D^1/2||_F
+bounds the scaled condition number: kappa_2 <= kappa_F <= k kappa_2.  So
+kappa_F <= limit / 2 passes a matrix and kappa_F > 2 k limit masks it; the
+factor-2 margins cover the rounding of the computed inverse, whose relative
+error grows as k eps kappa (Higham, Accuracy and Stability of Numerical
+Algorithms, 2002, ch. 14).  Only the rest take the SVD: the few matrices
+near the limit, and any member whose LU meets an exactly zero pivot.
 """
 
 from __future__ import annotations
@@ -42,6 +52,13 @@ from .metasurface import (
 )
 
 
+def _bad(m: np.ndarray) -> np.ndarray:
+    """Stacked matrices with a diagonal entry that is not positive, or any
+    non-finite entry: infinitely ill-conditioned after normalization."""
+    d = np.diagonal(m, axis1=-2, axis2=-1)
+    return np.any(~(d > 0), axis=-1) | ~np.all(np.isfinite(m), axis=(-2, -1))
+
+
 def scale_invariant_cond(matrix: np.ndarray):
     """Condition number after symmetric diagonal normalization.
 
@@ -53,13 +70,53 @@ def scale_invariant_cond(matrix: np.ndarray):
     (..., n, n) matrices give an array of condition numbers.
     """
     m = np.asarray(matrix, dtype=float)
-    d = np.diagonal(m, axis1=-2, axis2=-1)
-    bad = np.any(~(d > 0), axis=-1) | ~np.all(np.isfinite(m), axis=(-2, -1))
-    s = np.sqrt(np.where(bad[..., None], 1.0, d))
+    bad = _bad(m)
+    s = np.sqrt(np.where(bad[..., None], 1.0, np.diagonal(m, axis1=-2, axis2=-1)))
     scaled = np.where(bad[..., None, None], np.eye(m.shape[-1]),
                       m / (s[..., :, None] * s[..., None, :]))
     cond = np.where(bad, np.inf, np.linalg.cond(scaled))
     return float(cond) if cond.ndim == 0 else cond
+
+
+# Margins of _certified_inverse: kappa_F <= PASS * limit passes a matrix,
+# kappa_F > MASK * k * limit masks it, and the SVD decides the rest.
+_PASS_MARGIN = 0.5
+_MASK_MARGIN = 2.0
+
+
+def _certified_inverse(f: np.ndarray, limit: float):
+    """(ok, x) for stacked (n, k, k) FIMs: ok is ``scale_invariant_cond(f)
+    <= limit`` and x[ok] is bitwise ``np.linalg.inv(f[ok])``, as LAPACK
+    inverts each matrix of a stack on its own.  kappa_F from the one
+    inverse of the stack decides what it can (see the module docstring).
+    Members LU finds exactly singular, which ``np.linalg.inv`` refuses, are
+    named by slogdet (sign 0) and left to the SVD."""
+    k = f.shape[-1]
+    bad = _bad(f)
+    g = np.where(bad[:, None, None], np.eye(k), f)
+    singular = np.zeros_like(bad)
+    try:
+        x = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(g)[0] == 0
+        try:
+            x = np.linalg.inv(np.where(singular[:, None, None], np.eye(k), g))
+        except np.linalg.LinAlgError:  # slogdet missed one: certify nothing
+            singular[:], x = True, np.full(f.shape, np.nan)
+    s = np.sqrt(np.diagonal(g, axis1=-2, axis2=-1))
+    ss = s[:, :, None] * s[:, None, :]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kappa_f = np.linalg.norm(g / ss, axis=(-2, -1)) * np.linalg.norm(x * ss, axis=(-2, -1))
+    kappa_f[singular] = np.nan  # NaN, as from an overflowed inverse, decides nothing
+    ok = ~bad & (kappa_f <= _PASS_MARGIN * limit)
+    undecided = ~bad & ~ok & ~(np.isfinite(kappa_f) & (kappa_f > _MASK_MARGIN * k * limit))
+    if undecided.any():
+        ok[undecided] = scale_invariant_cond(f[undecided]) <= limit
+    # passed rows LU left out; inv raises on an exactly singular one, as inv(f[ok]) does
+    redo = ok & singular
+    if redo.any():
+        x[redo] = np.linalg.inv(f[redo])
+    return ok, x
 
 
 @dataclass(frozen=True)
@@ -253,7 +310,7 @@ def _efims(f: np.ndarray, k: int, limit: float = CONDITION_LIMIT) -> np.ndarray:
     f_aa, f_ab, f_bb = f[:, :k, :k], f[:, :k, k:], f[:, k:, k:]
     if not f_bb.size:
         return f_aa.copy()
-    ok = scale_invariant_cond(f_bb) <= limit
+    ok, _ = _certified_inverse(f_bb, limit)
     out = np.full(f_aa.shape, np.nan)
     out[ok] = f_aa[ok] - f_ab[ok] @ np.linalg.solve(f_bb[ok], np.swapaxes(f_ab[ok], 1, 2))
     return out
@@ -406,10 +463,8 @@ class MultiTargetFimBuilder:
 def _inverse(f: np.ndarray, limit: float) -> np.ndarray:
     """Inverses of stacked (n, k, k) FIMs; NaN where the scaled condition
     number exceeds ``limit`` (never a pseudo-inverse)."""
-    ok = scale_invariant_cond(f) <= limit
-    out = np.full(f.shape, np.nan)
-    out[ok] = np.linalg.inv(f[ok])
-    return out
+    ok, x = _certified_inverse(f, limit)
+    return np.where(ok[:, None, None], x, np.nan)
 
 
 def _position_peb(q, geom: SceneGeometry, e: np.ndarray, limit: float) -> np.ndarray:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.stats import random_correlation
 
+from stcmsense import bounds
 from stcmsense.bounds import (
     FisherMatrix,
     TargetState,
@@ -17,6 +19,7 @@ from stcmsense.bounds import (
     peb_single,
 )
 from stcmsense.channel import path_gains, sb_regressor, steering_derivative, steering_vector, vec
+from stcmsense.constants import CONDITION_LIMIT
 from stcmsense.errors import DimensionMismatch, SingularInformation
 from stcmsense.geometry import ScatterPoint, angles_from_position
 from stcmsense.metasurface import HarmonicSet, RisProfile, harmonic_pattern_batch
@@ -328,3 +331,96 @@ class TestRisBaseline:
         # rank-one structure, hence no xi information either
         with pytest.raises(SingularInformation):
             crb_xi_closed(0.5, 0.3, 1e-7, ula, panel, code, HarmonicSet(0), pilots, NOISE)
+
+
+def svd_inverse(f, limit=CONDITION_LIMIT):
+    """The SVD rule written out: inverses where the scaled condition number
+    is within the limit, NaN elsewhere."""
+    ok = bounds.scale_invariant_cond(f) <= limit
+    out = np.full(f.shape, np.nan)
+    out[ok] = np.linalg.inv(f[ok])
+    return out
+
+
+def spectrum(k, kappa, split):
+    """k eigenvalues summing to k with ratio kappa: half at the top and half
+    at the bottom (kappa_F / kappa_2 near k / 2) when ``split``, else one at
+    each end and the rest at their geometric mean (kappa_F / kappa_2 near 1)."""
+    if split:
+        lam = np.where(np.arange(k) < k // 2, 1.0, 1.0 / kappa)
+    else:
+        lam = np.full(k, kappa ** -0.5)
+        lam[0], lam[-1] = 1.0, 1.0 / kappa
+    return lam * k / lam.sum()
+
+
+class TestCertificate:
+    """The kappa_F certificate of _certified_inverse against the SVD rule."""
+
+    @pytest.mark.parametrize("k", [2, 3, 20, 30])
+    def test_mask_equals_the_svd_rule(self, k):
+        rng = np.random.default_rng(k)
+        band = np.log10([CONDITION_LIMIT / (2 * k), 2 * k * CONDITION_LIMIT])
+        log_kappa = np.concatenate([
+            rng.uniform(0.0, 18.0, 40),                                    # everywhere
+            rng.uniform(*band, 80),                                        # undecided band
+            np.log10(CONDITION_LIMIT) + rng.uniform(-4e-4, 4e-4, 40),     # at the limit
+            np.log10(4.0 * CONDITION_LIMIT / k) + rng.uniform(-0.05, 0.05, 20),  # split: kappa_F ~ 2 limit
+        ])
+        mats = []
+        for i, lk in enumerate(log_kappa):
+            c = random_correlation.rvs(spectrum(k, 10.0 ** lk, split=bool(i % 2)), random_state=rng)
+            d = 10.0 ** rng.uniform(-3.0, 3.0, k)   # parameters in mixed units
+            f = d[:, None] * c * d[None, :]
+            mats.append(0.5 * (f + f.T))
+        f = np.array(mats)
+        cond = bounds.scale_invariant_cond(f)
+        ok, x = bounds._certified_inverse(f, CONDITION_LIMIT)
+        np.testing.assert_array_equal(ok, cond <= CONDITION_LIMIT)
+        assert np.linalg.inv(f[ok]).tobytes() == x[ok].tobytes()
+        # the sample reaches both sides of the limit, inside and outside the band
+        inside = (cond > CONDITION_LIMIT / (2 * k)) & (cond < 2 * k * CONDITION_LIMIT)
+        assert inside.sum() >= 80 and ok[inside].any() and not ok[inside].all()
+        assert ok[~inside].any() and not ok[~inside].all()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_edge_stack_matches_the_svd_rule(self, k):
+        rng = np.random.default_rng(11)
+        good = [np.eye(k) + 0.1 * (a + a.T) for a in rng.standard_normal((3, k, k))]
+        singular = np.ones((k, k))  # LU meets an exactly zero pivot
+        edge = [singular]
+        for value, at in [(np.nan, (0, 1)), (np.inf, (1, 0)), (-np.inf, (0, 0)),
+                          (0.0, (1, 1)), (-1.0, (0, 0))]:
+            m = np.eye(k)
+            m[at] = value
+            edge.append(m)
+        near = np.eye(k)
+        near[0, 1] = near[1, 0] = 1.0 - 2.0 / (CONDITION_LIMIT + 1.0)  # kappa_2 ~ the limit
+        f = np.array(good + edge + [near] + good)
+        assert np.linalg.matrix_rank(singular) < k
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(f)
+        got = bounds._inverse(f, CONDITION_LIMIT)
+        assert got.tobytes() == svd_inverse(f).tobytes()
+        ok = ~np.isnan(got).any(axis=(1, 2))
+        assert ok.sum() == 6 + (not np.isnan(svd_inverse(near[None])).any())
+        assert got[ok].tobytes() == np.linalg.inv(f[ok]).tobytes()
+        empty = np.empty((0, k, k))
+        assert bounds._inverse(empty, CONDITION_LIMIT).shape == (0, k, k)
+        assert bounds._certified_inverse(empty, CONDITION_LIMIT)[0].shape == (0,)
+
+    def test_whole_stack_fallback(self, monkeypatch):
+        # if slogdet did not name the member inv refuses, every row takes
+        # the SVD rule
+        f = np.array([np.eye(2), np.ones((2, 2)), [[2.0, 1.0], [1.0, 2.0]]])
+        monkeypatch.setattr(np.linalg, "slogdet", lambda g: (np.ones(len(g)), np.zeros(len(g))))
+        assert bounds._inverse(f, CONDITION_LIMIT).tobytes() == svd_inverse(f).tobytes()
+
+    def test_svd_pass_of_an_lu_singular_member_raises(self, monkeypatch):
+        # the SVD rule passing a matrix inv refuses raises, as inv(f[ok]) does
+        f = np.array([np.eye(2), np.ones((2, 2))])
+        monkeypatch.setattr(bounds, "scale_invariant_cond", lambda m: np.zeros(len(m)))
+        with pytest.raises(np.linalg.LinAlgError):
+            svd_inverse(f)
+        with pytest.raises(np.linalg.LinAlgError):
+            bounds._inverse(f, CONDITION_LIMIT)

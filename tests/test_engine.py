@@ -19,6 +19,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from stcmsense import bounds
 from stcmsense.bounds import fim_generic
 from stcmsense.channel import db_regressor, sb_regressor, steering_derivative, steering_vector, vec
 from stcmsense.config import build_model, fixed_scene, merge_config
@@ -191,3 +192,39 @@ def test_engine_matches_stacked_derivative_oracle(tmp_path, runner, name, column
 @pytest.mark.parametrize("runner,name,columns", MAPS[:3], ids=[m[1] for m in MAPS[:3]])
 def test_multi_target_engine_matches_oracle(tmp_path, runner, name, columns, overrides):
     check_against_oracle(tmp_path, overrides, runner, name, columns)
+
+
+@pytest.mark.parametrize("runner", [run_crb_map, run_peb_map], ids=["crb-map", "peb-map"])
+def test_svd_runs_only_where_the_certificate_cannot_decide(tmp_path, monkeypatch, runner):
+    """At most 5% of the matrices whose mask is decided reach the SVD, and
+    the CSVs are byte-identical to a run where every one of them does."""
+    rows = {"decided": 0, "svd": 0}
+    cond, certify = bounds.scale_invariant_cond, bounds._certified_inverse
+
+    def counting_cond(m):
+        rows["svd"] += len(m)
+        return cond(m)
+
+    def counting_certify(f, limit):
+        rows["decided"] += len(f)
+        return certify(f, limit)
+
+    monkeypatch.setattr(bounds, "scale_invariant_cond", counting_cond)
+    monkeypatch.setattr(bounds, "_certified_inverse", counting_certify)
+    cfg = merge_config({"grid_res_m": 20.0, "n_targets": 10, "threads": 1})
+    (tmp_path / "certified").mkdir()
+    (tmp_path / "svd").mkdir()
+    fast = runner(cfg, str(tmp_path / "certified"))
+    assert rows["decided"] >= 100 and rows["svd"] <= 0.05 * rows["decided"]
+
+    # margins no kappa_F can meet leave every row to the SVD rule
+    monkeypatch.setattr(bounds, "_PASS_MARGIN", 0.0)
+    monkeypatch.setattr(bounds, "_MASK_MARGIN", math.inf)
+    rows.update(decided=0, svd=0)
+    slow = runner(cfg, str(tmp_path / "svd"))
+    assert rows["svd"] >= 0.95 * rows["decided"]
+    csvs = [f for f in fast if f.endswith(".csv")]
+    assert csvs
+    for a, b in zip(csvs, [f for f in slow if f.endswith(".csv")]):
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read(), a
