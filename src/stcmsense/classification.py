@@ -7,8 +7,14 @@ the fading spread of the hypothesis with the estimator noise,
     Pr(x | H_i) = 2x / (2 s_i^2 + v) * exp(-x^2 / (2 s_i^2 + v)),
 
 with s_i the hypothesis gain scale and v the estimator variance; H_0 uses
-s_0 = 0.  MAP decision regions in x are the intervals cut by the pairwise
-density crossings.
+s_0 = 0.  With v_i = 2 s_i^2 + v, class j outweighs class i < j exactly
+when x^2 > c_ij = ln(pi_i v_j / (pi_j v_i)) v_i v_j / (v_j - v_i), where the
+log-densities ln pi_i + ln 2x - ln v_i - x^2 / v_i cross.  The MAP label is
+2 where x^2 > max(c_02, c_12), else 1 where x^2 > c_01, else 0 (ties toward
+the smaller index; label 1 never wins when c_01 >= c_12).  Monte Carlo
+compares each trial's x^2 with these edges, so no density is evaluated and
+nothing underflows; the exact rates integrate the truth density between
+their square roots.
 
 Monte Carlo truth draws use the physical fading model (complex-Gaussian
 small-scale coefficient through the path gain), while the classifier applies
@@ -118,24 +124,33 @@ def _normalized(weights: np.ndarray, heaviest: int, statistic: float,
                           statistic=float(statistic), estimator_std=math.sqrt(estimator_var))
 
 
-def decision_thresholds(scales, priors, estimator_var: float) -> np.ndarray:
-    """Crossings (t_01, t_12) of the weighted densities, MAP region edges.
+def _edge(v, priors, i: int, j: int) -> float:
+    """Squared MAP edge c_ij of classes i < j (module docstring).  Where a
+    prior is 0 or v_i = v_j the edge is infinite: j wins everywhere (-inf)
+    when pi_j > pi_i, and nowhere (+inf) otherwise."""
+    if priors[i] == 0 or priors[j] == 0 or v[i] == v[j]:
+        return -math.inf if priors[j] > priors[i] else math.inf
+    return math.log((priors[i] * v[j]) / (priors[j] * v[i])) * v[i] * v[j] / (v[j] - v[i])
 
-    With combined variances v_i = 2 s_i^2 + v strictly increasing, region i
-    is the interval between consecutive crossings
-    t_ij^2 = ln(pi_i v_j / (pi_j v_i)) v_i v_j / (v_j - v_i).
-    """
-    scales = np.asarray(scales, dtype=float)
-    priors = np.asarray(priors, dtype=float)
-    v = 2.0 * scales**2 + estimator_var
-    if not (v[0] < v[1] < v[2]):
-        raise OutOfRange("combined variances must be strictly increasing")
-    out = []
-    for i, j in ((0, 1), (1, 2)):
-        num = math.log((priors[i] * v[j]) / (priors[j] * v[i])) if priors[i] > 0 and priors[j] > 0 else -math.inf
-        t2 = num * v[i] * v[j] / (v[j] - v[i])
-        out.append(math.sqrt(max(t2, 0.0)))
-    return np.array(out)
+
+def _edges(scales, priors, estimator_var: float) -> tuple[float, float]:
+    """Squared region edges (lo, hi) under analysis scales (3,): label 0
+    where x^2 <= lo, 2 where x^2 > hi, 1 in between (empty when lo = hi)."""
+    if estimator_var <= 0:
+        raise OutOfRange("estimator variance must be positive")
+    v = 2.0 * np.asarray(scales, dtype=float) ** 2 + estimator_var
+    if not v[0] <= v[1] <= v[2]:
+        raise OutOfRange("combined variances must be nondecreasing")
+    hi = max(_edge(v, priors, 0, 2), _edge(v, priors, 1, 2))
+    return min(_edge(v, priors, 0, 1), hi), hi
+
+
+def decision_thresholds(scales, priors, estimator_var: float) -> np.ndarray:
+    """MAP region edges (t_1, t_2) in x: label 0 below t_1, 1 up to t_2, 2
+    above.  These are sqrt(max(c, 0)) of the squared edges Monte Carlo uses:
+    the crossings t_01 and t_12 when the middle class wins somewhere, t_02
+    twice when it never does."""
+    return np.sqrt(np.maximum(_edges(scales, priors, estimator_var), 0.0))
 
 
 def confusion_matrix(gain_scale: float, hypotheses: HypothesisSet, estimator_var: float,
@@ -154,13 +169,11 @@ def confusion_matrix(gain_scale: float, hypotheses: HypothesisSet, estimator_var
     if method != "exact":
         raise ValueError("method must be 'mc' or 'exact'")
     sig = np.asarray(hypotheses.rcs_sqrts)
-    t01, t12 = decision_thresholds(gain_scale * sig * math.sqrt(2.0 / math.pi),
-                                   hypotheses.priors, estimator_var)
-    if t01 > t12:
-        raise OutOfRange("decision regions are not intervals under these priors")
+    t1, t2 = decision_thresholds(gain_scale * sig * math.sqrt(2.0 / math.pi),
+                                 hypotheses.priors, estimator_var)
     # per true class, the |beta_hat| Rayleigh scale^2 from the physical truth scale
     s2 = (gain_scale * sig / math.sqrt(2.0)) ** 2 + estimator_var / 2.0
-    cdf = 1.0 - np.exp(-(np.array([0.0, t01, t12, np.inf]) ** 2) / (2.0 * s2[:, None]))
+    cdf = 1.0 - np.exp(-(np.array([0.0, t1, t2, np.inf]) ** 2) / (2.0 * s2[:, None]))
     cdf[:, -1] = 1.0
     return np.diff(cdf, axis=1)
 
@@ -172,36 +185,35 @@ def confusion_row(gain_scale, hypotheses: HypothesisSet, estimator_var: float,
 
     Truth draws combine the complex-Gaussian fading of the physical model
     with the estimator noise, from ``stream_rng(seed, true_index)``;
-    decisions apply the analysis likelihoods.  The unit fading and the noise
-    are drawn once and scaled per gain, so every row reuses the same draws:
-    common random numbers, whose errors are correlated across the rows.
+    decisions compare each trial's |beta_hat|^2 with the squared MAP edges of
+    the analysis likelihoods.  The unit fading and the noise are drawn once
+    and scaled per gain, so every row reuses the same draws: common random
+    numbers, whose errors are correlated across the rows.
     """
     if n_trials < 1:
         raise OutOfRange("n_trials must be >= 1")
     g = np.atleast_1d(np.asarray(gain_scale, dtype=float))
     sig = np.asarray(hypotheses.rcs_sqrts)
     scales = g[:, None] * sig * math.sqrt(2.0 / math.pi)  # analysis scales
+    edges = [_edges(s, hypotheses.priors, estimator_var) for s in scales]
     taus = g * sig[true_index] / math.sqrt(2.0)           # physical truth scales
     rng = stream_rng(seed, true_index)
-    # nu ~ CN(0, s_nu^2) through the path gain: |fading| ~ Rayleigh(tau)
-    unit = rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials)
-    noise = math.sqrt(estimator_var / 2.0) * (rng.standard_normal(n_trials)
-                                              + 1j * rng.standard_normal(n_trials))
-    rows = np.array([_decision_frequencies(np.abs(tau * unit + noise), s, hypotheses.priors,
-                                           estimator_var)
-                     for tau, s in zip(taus, scales)])
+    # nu ~ CN(0, s_nu^2) through the path gain: |fading| ~ Rayleigh(tau);
+    # rows: real and imaginary parts of the unit fading, then of the noise
+    draws = rng.standard_normal((4, n_trials))
+    draws[2:] *= math.sqrt(estimator_var / 2.0)
+    u_re, u_im, n_re, n_im = draws
+    rows = np.array([_decision_frequencies((tau * u_re + n_re) ** 2 + (tau * u_im + n_im) ** 2,
+                                           *e)
+                     for tau, e in zip(taus, edges)])
     return rows if np.ndim(gain_scale) else rows[0]
 
 
-def _decision_frequencies(x: np.ndarray, scales, priors, estimator_var: float) -> np.ndarray:
-    """MAP label frequencies (3,) of the statistics x under analysis scales
-    (3,); a helper, so each row's temporaries die before the next row."""
-    w0, w1, w2 = (prior * likelihood_conditional(x, s, estimator_var)
-                  for prior, s in zip(priors, scales))
-    # MAP label, ties toward the smaller index
-    decisions = np.where(w2 > np.maximum(w0, w1), 2, (w1 > w0).astype(np.intp))
-    decisions[w0 + w1 + w2 == 0.0] = int(np.argmax(scales))  # far tail: heaviest scale wins
-    return np.bincount(decisions, minlength=3) / len(x)
+def _decision_frequencies(x2: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """MAP label frequencies (3,) of squared statistics x2 between the
+    squared region edges (lo, hi) of :func:`_edges`."""
+    above_lo, above_hi = np.count_nonzero(x2 > lo), np.count_nonzero(x2 > hi)
+    return np.array([len(x2) - above_lo, above_lo - above_hi, above_hi]) / len(x2)
 
 
 def fuse(beta_hat_direct: float, beta_hat_via_panel: float,

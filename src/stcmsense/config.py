@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import PilotMatrix, UlaLayout, dft_pilots
 from .classification import HypothesisSet
-from .constants import MAX_GRID_CELLS
+from .constants import MAX_GRID_CELLS, MAX_TRIALS
 from .errors import ConfigError
 from .geometry import SceneGeometry, ScatterPoint, TargetKind, rcs_sqrt_from_dbsm, terminal_mask
 from .metasurface import (
@@ -134,7 +134,7 @@ RULES = {
     "geometry.z_bounds": _BOUNDS,
     "grid_res_m": (lambda v: v > 0, "positive"),
     "p_fa": (lambda v: 0 < v < 1, "in (0, 1)"),
-    "n_trials": (lambda v: v >= 1, "at least 1"),
+    "n_trials": (lambda v: 1 <= v <= MAX_TRIALS, f"in [1, {MAX_TRIALS}]"),
     "seed": (lambda v: v >= 0, "at least 0"),
     "threads": (lambda v: v >= 1, "at least 1"),
     "n_targets": (lambda v: v in (1, 2, 10), "one of 1, 2, 10"),

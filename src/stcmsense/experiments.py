@@ -21,13 +21,16 @@ per block or per CPU.  Every value is a pure function of its cell, so
 neither the block size nor ``threads`` changes a byte: blocks are joined in
 cell order, independent of completion order.  Map rows are built per
 column (one conversion and one NaN mask per value column) and zipped into a
-list.  classify-mc simulates only the confusion row it reports, and draws
-each class's trials once for all of its SNR rows.
+list.  classify-mc simulates only the confusion row it reports, draws each
+class's trials once for all of its SNR rows, and labels each trial by
+comparing its |beta_hat|^2 with the squared MAP region edges, without
+evaluating a density.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -202,8 +205,8 @@ def run_detection_map(cfg: dict, out_dir: str) -> list[str]:
     files = []
     for (label, combiner), pd in zip([(label, c.value) for c in Combiner for label in scales],
                                      values):
-        rows = [(x, z, None if math.isnan(p) else p, label, combiner, math.isnan(p))
-                for x, z, p in zip(xs, zs, pd.tolist())]
+        p_d, masked = _column(pd, db=False)
+        rows = list(zip(xs, zs, p_d, itertools.repeat(label), itertools.repeat(combiner), masked))
         path = os.path.join(out_dir, f"detect_map_{label}_{combiner}.csv")
         write_csv(path, ("x_m", "z_m", "p_d", "sp_type", "combiner", "masked"), rows)
         files.append(path)

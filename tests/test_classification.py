@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import i0e
 
 from stcmsense.classification import (
     HypothesisSet,
+    _decision_frequencies,
+    _edges,
     confusion_matrix,
     confusion_row,
     decision_thresholds,
@@ -13,7 +19,7 @@ from stcmsense.classification import (
     posterior,
     rayleigh_scale,
 )
-from stcmsense.errors import NonPositiveDistance
+from stcmsense.errors import NonPositiveDistance, OutOfRange
 from stcmsense.rng import stream_rng
 
 UNIFORM = (1 / 3, 1 / 3, 1 / 3)
@@ -187,6 +193,89 @@ class TestConfusion:
         a = confusion_matrix(1e-6, HypothesisSet(), 1e-14, n_trials=1000, seed=9)
         b = confusion_matrix(1e-6, HypothesisSet(), 1e-14, n_trials=1000, seed=9)
         assert np.array_equal(a, b)
+
+
+# log of the ratio of consecutive combined variances v_{i+1} / v_i
+LOG_STEP = st.floats(math.log(1.01), math.log(1e6))
+
+
+class TestEdgeRule:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(est_var=st.floats(1e-12, 1e2), steps=st.tuples(LOG_STEP, LOG_STEP),
+           weights=st.tuples(*[st.floats(1e-3, 1.0)] * 3), zero=st.sampled_from([None, 0, 1, 2]),
+           seed=st.integers(0, 2**32 - 1))
+    # the middle class never wins (c_01 > c_12), with and without a zero prior
+    @example(est_var=1.0, steps=(math.log(2), math.log(2)), weights=(0.45, 0.1, 0.45), zero=None,
+             seed=0)
+    @example(est_var=1e-4, steps=(math.log(3), math.log(50)), weights=(0.3, 0.3, 0.4), zero=1,
+             seed=1)
+    @example(est_var=1e-4, steps=(math.log(3), math.log(50)), weights=(0.3, 0.3, 0.4), zero=0,
+             seed=2)
+    def test_labels_are_the_argmax_of_the_weighted_densities(self, est_var, steps, weights,
+                                                             zero, seed):
+        scales = np.sqrt(est_var * np.expm1(np.cumsum([0.0, *steps])) / 2)
+        priors = np.array(weights)
+        if zero is not None:
+            priors[zero] = 0.0
+        priors /= priors.sum()
+        v = 2 * scales**2 + est_var
+        # x^2 from 1e-6 v_0 to 600 v_0: no weighted density underflows
+        x2 = v[0] * np.exp(np.random.default_rng(seed).uniform(math.log(1e-6), math.log(600), 400))
+        crossings = [math.log(priors[i] * v[j] / (priors[j] * v[i])) * v[i] * v[j] / (v[j] - v[i])
+                     for i, j in ((0, 1), (0, 2), (1, 2)) if priors[i] > 0 and priors[j] > 0]
+        for c in crossings:  # away from every edge, within a relative 1e-9
+            x2 = x2[np.abs(x2 - c) > 1e-9 * x2]
+        want = np.argmax(priors * likelihood_conditional(np.sqrt(x2)[:, None], scales, est_var),
+                         axis=1)
+        lo, hi = _edges(scales, priors, est_var)
+        got = [int(np.argmax(_decision_frequencies(np.array([x]), lo, hi))) for x in x2]
+        assert got == want.tolist()
+
+    def test_middle_class_that_never_wins(self):
+        # c_01 = 2 ln 9 > c_02 = (4/3) ln(4) > c_12 = 4 ln(4/9): one edge at c_02
+        priors, v = (0.45, 0.1, 0.45), 1.0
+        scales = np.sqrt([0.0, 0.5, 1.5])
+        lo, hi = _edges(scales, priors, v)
+        assert lo == hi == pytest.approx(4 / 3 * math.log(4), rel=1e-14)
+        assert np.array_equal(decision_thresholds(scales, priors, v), [math.sqrt(lo)] * 2)
+        freq = _decision_frequencies(np.linspace(0.0, 10.0, 1001), lo, hi)
+        assert freq[1] == 0.0 and freq[0] > 0 and freq[2] > 0
+
+    @pytest.mark.parametrize("priors", [UNIFORM, (0.2, 0.5, 0.3)])
+    def test_equal_combined_variances(self, priors):
+        # sigma_1 = 0 gives v_0 = v_1: the larger prior wins there everywhere,
+        # a tie goes to class 0
+        scales, v = np.array([0.0, 0.0, 0.1]), 1e-4
+        lo, hi = _edges(scales, priors, v)
+        x2 = np.linspace(1e-8, 0.05, 2001)
+        x2 = x2[np.abs(x2 - hi) > 1e-9 * x2]
+        want = np.argmax(np.asarray(priors) * likelihood_conditional(np.sqrt(x2)[:, None], scales,
+                                                                    v), axis=1)
+        got = [int(np.argmax(_decision_frequencies(np.array([x]), lo, hi))) for x in x2]
+        assert got == want.tolist()
+        assert set(got) == ({0, 2} if priors == UNIFORM else {1, 2})
+
+    def test_zero_prior_class_is_never_chosen(self):
+        hyp = HypothesisSet(priors=(0.5, 0.0, 0.5))
+        exact = confusion_matrix(2e-6, hyp, 1e-13, method="exact")
+        mc = confusion_matrix(2e-6, hyp, 1e-13, n_trials=20_000, seed=3)
+        assert np.all(exact[:, 1] == 0.0) and np.all(mc[:, 1] == 0.0)
+        assert np.allclose(exact.sum(axis=1), 1.0, atol=1e-12)
+        se = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / 20_000)
+        assert np.all(np.abs(mc - exact) < 4 * se + 1e-9)
+
+    def test_far_tail_needs_no_special_case(self):
+        # every density underflows here; the edges still decide
+        lo, hi = _edges([0.0, 0.02, 0.1], UNIFORM, 1e-6)
+        assert all(likelihood_conditional(30.0, s, 1e-6) == 0.0 for s in (0.0, 0.02, 0.1))
+        assert _decision_frequencies(np.array([900.0, 1e300, np.inf]), lo, hi).tolist() == [0, 0, 1]
+
+    @pytest.mark.parametrize("est_var", [0.0, -1e-13])
+    def test_nonpositive_estimator_variance(self, est_var):
+        with pytest.raises(OutOfRange):
+            confusion_row(2e-6, HypothesisSet(), est_var, 1, n_trials=10)
+        with pytest.raises(OutOfRange):
+            decision_thresholds([0.0, 0.02, 0.1], UNIFORM, est_var)
 
 
 class TestFuse:

@@ -6,15 +6,18 @@ holds (``config`` for a document that is no object), or return a config
 whose every leaf has its default's type and passes its ``RULES`` row, and
 whose ``scene`` entries build.  Any other exception fails.  Only
 ``merge_config`` and ``scene_from_config`` run: an accepted document may
-still ask for unbounded work, which nothing checks yet.
+still ask for unbounded work (a huge panel or array; ``n_trials`` is bounded),
+which nothing checks yet.
 """
 
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stcmsense.config import DEFAULT_CONFIG, RULES, merge_config, scene_from_config
+from stcmsense.constants import MAX_TRIALS
 from stcmsense.errors import ConfigError
 
 
@@ -156,3 +159,10 @@ def test_merge_config_checks_or_rejects_every_document(doc):
 
 def test_every_leaf_has_a_rule():
     assert RULES.keys() == LEAVES.keys()
+
+
+def test_n_trials_is_bounded():
+    # only the config is resolved: no trial is drawn at either value
+    assert merge_config({"n_trials": MAX_TRIALS})["n_trials"] == MAX_TRIALS
+    with pytest.raises(ConfigError, match=r"^n_trials must be in \[1, 10000000\], got 10000001$"):
+        merge_config({"n_trials": MAX_TRIALS + 1})

@@ -27,6 +27,7 @@ from stcmsense.experiments import (
     run_peb_map,
     run_ris_compare,
 )
+from stcmsense.io import sha256_file
 from stcmsense.validate import run_validate
 
 COARSE = {"grid_res_m": 10.0, "n_trials": 1500, "classification_snr_db": [-5.0, 40.0]}
@@ -197,6 +198,14 @@ class TestExperimentOutputs:
             conf = confusion_matrix(gain_scale, model.hypotheses, est_var,
                                     n_trials=int(r[5]), seed=int(r[6]) + 1000 * j)
             assert [float(p) for p in r[2:5]] == conf[j].tolist()
+
+    def test_classification_csv_bytes_are_pinned(self, tmp_path):
+        # any change to the draws, the decision rule or the number format
+        # shows here as a different digest
+        path = run_classification_mc(merge_config({"n_trials": 20_000, "seed": 31}),
+                                     str(tmp_path))[0]
+        assert sha256_file(path) == (
+            "8a27895fb5c5ed54f5a4b30d67f3c71bbb316f98bd2af6aa29610621cd92e0f2")
 
     def test_ris_compare_masked_everywhere(self, tmp_path):
         files = run_ris_compare(merge_config(COARSE), str(tmp_path))
@@ -458,6 +467,9 @@ class TestCli:
         ({"geometry": {"foo": 1}}, "geometry.foo"),
         # an amplitude past the +-300 dB bound (detect-map squares it)
         ({"sigma_nu": 1e300}, "sigma_nu"),
+        # more trials than MAX_TRIALS would allocate without bound
+        ({"n_trials": 10_000_001}, "n_trials"),
+        ({"n_trials": 10**12}, "n_trials"),
     ])
     def test_bad_numbers_fail_with_one_line(self, tmp_path, capsys, doc, key):
         # every verb and validate resolve the config alike, so all reject it
