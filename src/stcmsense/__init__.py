@@ -31,7 +31,6 @@ from .metasurface import (  # noqa: F401
     RisProfile,
     WavelengthMode,
     default_coding_matrix,
-    fourier_coefficient,
     fourier_coefficients,
     harmonic_pattern,
     harmonic_pattern_derivative,
@@ -58,13 +57,10 @@ from .bounds import (  # noqa: F401
     crb_ris,
     crb_xi_closed,
     crbs_from_fim,
-    efim,
     fim_db_single,
     fim_generic,
     fim_multi_target,
     fim_sb_single,
-    peb_multi,
-    peb_single,
 )
 from .detection import (  # noqa: F401
     Combiner,

@@ -36,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PilotMatrix, UlaLayout, steering_derivative, steering_vector
+from .channel import PilotMatrix, UlaLayout, steering_derivative, steering_vector, vec_outer
 from .constants import CONDITION_LIMIT
-from .errors import DimensionMismatch, SingularInformation, SingularNuisanceBlock
-from .geometry import SceneGeometry, angles_from_position, jacobian_angles_to_position
+from .errors import DimensionMismatch, SingularInformation
+from .geometry import SceneGeometry, jacobian_angles_to_position
 from .metasurface import (
     CodingMatrix,
     HarmonicSet,
@@ -190,30 +190,31 @@ def _sb_traces(alpha, ula: UlaLayout, pilots: PilotMatrix):
     return t_dd, t_ad, t_aa
 
 
-def _db_trace(alpha, ula: UlaLayout, pilots: PilotMatrix, phi_s: float = 0.0) -> np.ndarray:
-    """tr(B G B^H) per angle with B = a_r a_s^T + a_s a_r^T, a_r = a(alpha)."""
-    r, s = _rows(ula, alpha), _rows(ula, phi_s)
+def _db_trace(alpha, ula: UlaLayout, pilots: PilotMatrix) -> np.ndarray:
+    """tr(B G B^H) per angle with B = a_r a_s^T + a_s a_r^T, a_r = a(alpha)
+    and a_s = a(0), the panel on the BS boresight."""
+    r, s = _rows(ula, alpha), _rows(ula, 0.0)
     g = pilots.gram()
     return np.real(_quad(s, g, s) * _inner(r, r) + _quad(s, g, r) * _inner(s, r)
                    + _quad(r, g, s) * _inner(r, s) + _quad(r, g, r) * _inner(s, s))
 
 
 def _patterns(xi, panel: PanelLayout, code: CodingMatrix, harmonics: HarmonicSet,
-              mode: WavelengthMode, phi_s: float = 0.0):
+              mode: WavelengthMode):
     """Harmonic patterns (eta, d eta / d xi) at an array of angles, (n, K)
-    each, from one call over the distinct xi."""
+    each, from one call over the distinct xi; the BS sits at the panel's
+    angle 0."""
     xi_u, inv = np.unique(np.atleast_1d(xi), return_inverse=True)
-    eta, deta = harmonic_pattern_batch(panel, code, harmonics, xi_u, phi_s, mode)
+    eta, deta = harmonic_pattern_batch(panel, code, harmonics, xi_u, 0.0, mode)
     return eta.T[inv], deta.T[inv]
 
 
 def _db_traces(xi, alpha, ula: UlaLayout, panel: PanelLayout, code: CodingMatrix,
-               harmonics: HarmonicSet, pilots: PilotMatrix, mode: WavelengthMode,
-               phi_s: float = 0.0):
+               harmonics: HarmonicSet, pilots: PilotMatrix, mode: WavelengthMode):
     """Double-bounce analogues of :func:`_sb_traces`: the harmonic inner
     products de^H de, de^H e, e^H e per cell, each times tr(B G B^H)."""
-    eta, deta = _patterns(xi, panel, code, harmonics, mode, phi_s)
-    t_b = _db_trace(alpha, ula, pilots, phi_s)
+    eta, deta = _patterns(xi, panel, code, harmonics, mode)
+    t_b = _db_trace(alpha, ula, pilots)
     return np.real(_inner(deta, deta)) * t_b, _inner(deta, eta) * t_b, np.real(_inner(eta, eta)) * t_b
 
 
@@ -316,16 +317,6 @@ def _efims(f: np.ndarray, k: int, limit: float = CONDITION_LIMIT) -> np.ndarray:
     return out
 
 
-def efim(fim: FisherMatrix, n_angles: int = 1):
-    """Equivalent information for the leading angle block (:func:`_efims`):
-    a scalar when ``n_angles`` == 1, else the (n_angles, n_angles) block;
-    raises SingularNuisanceBlock where the gain block is masked."""
-    out = _efims(fim.entries[None], n_angles)[0]
-    if np.isnan(out).any():
-        raise SingularNuisanceBlock("gain block is singular")
-    return float(out[0, 0]) if n_angles == 1 else out
-
-
 def crbs_cells(f: np.ndarray, limit: float = CONDITION_LIMIT) -> np.ndarray:
     """Diagonals of the inverses of stacked (n, k, k) FIMs, (n, k), inverted
     on the diagonally-normalized system so mixed angle/gain units do not
@@ -368,8 +359,7 @@ def fim_multi_target(targets, kind: str, ula: UlaLayout, pilots: PilotMatrix,
                      noise_power: float, panel: PanelLayout | None = None,
                      code: CodingMatrix | None = None,
                      harmonics: HarmonicSet | None = None,
-                     mode: WavelengthMode = WavelengthMode.EXACT,
-                     phi_s: float = 0.0) -> FisherMatrix:
+                     mode: WavelengthMode = WavelengthMode.EXACT) -> FisherMatrix:
     """Full numeric FIM for R targets, kind "sb" (alpha set) or "db" (xi set).
 
     The first target takes parameter index 0 of
@@ -377,18 +367,13 @@ def fim_multi_target(targets, kind: str, ula: UlaLayout, pilots: PilotMatrix,
     closed forms at R = 1.
     """
     builder = MultiTargetFimBuilder(targets[1:], kind, ula, pilots, noise_power, panel,
-                                    code, harmonics, mode, phi_s)
+                                    code, harmonics, mode)
     return builder.fim(targets[0])
 
 
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a^H b over the last two axes."""
     return np.swapaxes(a, -1, -2).conj() @ b
-
-
-def _vec_outer(u: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """vec(u v^T X) per row of the (n, M) stacks u, v: (n, M S)."""
-    return (np.matmul(v[:, None], x)[:, 0, :, None] * u[:, None, :]).reshape(len(u), -1)
 
 
 class MultiTargetFimBuilder:
@@ -398,7 +383,7 @@ class MultiTargetFimBuilder:
     Each target has the columns d (angle), h (Re b) and 1j h (Im b); d and h
     are kron(x, w) of a harmonic factor x (the gain for the single bounce;
     gain * d eta and eta for the double bounce) and a spatial factor w of
-    length M S.  Inner products factor as (x^H y)(w^H v), so the |H| M S-long
+    length M S from :func:`.channel.vec_outer`, as in the echo.  Inner products factor as (x^H y)(w^H v), so the |H| M S-long
     columns are never formed; per cell only the moving target's factors are
     formed, against themselves and the cached fixed ones.
     """
@@ -407,10 +392,10 @@ class MultiTargetFimBuilder:
                  noise_power: float, panel: PanelLayout | None = None,
                  code: CodingMatrix | None = None,
                  harmonics: HarmonicSet | None = None,
-                 mode: WavelengthMode = WavelengthMode.EXACT, phi_s: float = 0.0):
+                 mode: WavelengthMode = WavelengthMode.EXACT):
         if kind not in ("sb", "db"):
             raise ValueError("kind must be 'sb' or 'db'")
-        self._model = (kind, ula, pilots, panel, code, harmonics, mode, phi_s)
+        self._model = (kind, ula, pilots, panel, code, harmonics, mode)
         self._c = 2.0 / noise_power
         self._fixed = None
         if fixed_targets:
@@ -430,15 +415,15 @@ class MultiTargetFimBuilder:
     def _factors(self, t: TargetState):
         """(harmonic (n, K, 2), spatial (n, M S, 2)) factors of the columns
         [d, h] of n targets."""
-        kind, ula, pilots, panel, code, harmonics, mode, phi_s = self._model
+        kind, ula, pilots, panel, code, harmonics, mode = self._model
         x, a = pilots.symbols, _rows(ula, t.alpha)
         if kind == "sb":
             da = _rows(ula, t.alpha, derivative=True)
-            w = [_vec_outer(da, a, x) + _vec_outer(a, da, x), _vec_outer(a, a, x)]
+            w = [vec_outer(da, a, x) + vec_outer(a, da, x), vec_outer(a, a, x)]
             return np.stack([t.sb_gain, np.ones_like(t.sb_gain)], -1)[:, None], np.stack(w, -1)
-        s = np.broadcast_to(_rows(ula, phi_s), a.shape)
-        v = _vec_outer(a, s, x) + _vec_outer(s, a, x)
-        eta, deta = _patterns(t.xi, panel, code, harmonics, mode, phi_s)
+        s = np.broadcast_to(_rows(ula, 0.0), a.shape)
+        v = vec_outer(a, s, x) + vec_outer(s, a, x)
+        eta, deta = _patterns(t.xi, panel, code, harmonics, mode)
         return np.stack([t.db_gain[:, None] * deta, eta], -1), np.stack([v, v], -1)
 
     def fim_cells(self, moving: TargetState) -> np.ndarray:
@@ -501,18 +486,6 @@ def peb_cells(q, state: TargetState, geom: SceneGeometry, ula: UlaLayout,
     return _position_peb(q, geom, np.stack([e_a, e_x], -1), limit)
 
 
-def peb_single(q, geom: SceneGeometry, ula: UlaLayout, panel: PanelLayout,
-               code: CodingMatrix, harmonics: HarmonicSet, pilots: PilotMatrix,
-               noise_power: float, sb_gain: complex, db_gain: complex,
-               mode: WavelengthMode = WavelengthMode.EXACT) -> float:
-    """Single-target PEB at one point (:func:`peb_cells`); raises where masked."""
-    q = np.asarray(q, dtype=float)[None]
-    ang = angles_from_position(q, geom)
-    state = TargetState(ang.alpha, ang.xi, np.array([sb_gain]), np.array([db_gain]))
-    return _one(peb_cells(q, state, geom, ula, panel, code, harmonics, pilots, noise_power,
-                          mode), "position information is rank deficient here")
-
-
 def peb_multi_cells(f_sb: np.ndarray, f_db: np.ndarray, q, geom: SceneGeometry,
                     which: int = 0, limit: float = CONDITION_LIMIT) -> np.ndarray:
     """PEB of target ``which``, at stacked points q (n, 3), from its stacked
@@ -539,34 +512,20 @@ def peb_multi_cells(f_sb: np.ndarray, f_db: np.ndarray, q, geom: SceneGeometry,
     return _position_peb(q, geom, 1.0 / _inverse(f_ang, limit)[:, idx, idx], limit)
 
 
-def peb_multi(targets, positions, geom: SceneGeometry, ula: UlaLayout,
-              panel: PanelLayout, code: CodingMatrix, harmonics: HarmonicSet,
-              pilots: PilotMatrix, noise_power: float,
-              mode: WavelengthMode = WavelengthMode.EXACT,
-              which: int = 0, limit: float = CONDITION_LIMIT) -> float:
-    """PEB of target ``which`` in an R-target scene; raises where masked."""
-    f_sb = fim_multi_target(targets, "sb", ula, pilots, noise_power)
-    f_db = fim_multi_target(targets, "db", ula, pilots, noise_power, panel, code,
-                            harmonics, mode)
-    q = np.asarray(positions[which], dtype=float)[None]
-    return _one(peb_multi_cells(f_sb.entries[None], f_db.entries[None], q, geom, which, limit),
-                "multi-target position information is masked here")
-
-
 def crb_ris_cells(xi, alpha, gain, profile: RisProfile, ris_layout: PanelLayout,
                   ula: UlaLayout, pilots: PilotMatrix, noise_power: float,
-                  phi_s: float = 0.0, limit: float = CONDITION_LIMIT):
+                  limit: float = CONDITION_LIMIT):
     """(FIMs (n, 3, 3) over (xi, Re b, Im b), CRB(xi) (n,)) of the
     fixed-profile linear-panel baseline at (n,) angle pairs and gains.
 
-    The one response g(xi) = a_R(xi)^T diag(w) a_R(phi_s) takes the place
+    The one response g(xi) = a_R(xi)^T diag(w) a_R(0) takes the place
     of the harmonic vector of :func:`_db_traces`.  The angle enters only
     through gain * g(xi), so the matrix is singular by construction while
     its gain block stays invertible.  The CRB is NaN where masked.
     """
-    g = ris_response(profile, ris_layout, np.atleast_1d(xi), phi_s)
-    dg = ris_response_derivative(profile, ris_layout, np.atleast_1d(xi), phi_s)
-    t_b = _db_trace(alpha, ula, pilots, phi_s)
+    g = ris_response(profile, ris_layout, np.atleast_1d(xi), 0.0)
+    dg = ris_response_derivative(profile, ris_layout, np.atleast_1d(xi), 0.0)
+    t_b = _db_trace(alpha, ula, pilots)
     f = _gain_fims(gain, np.abs(dg) ** 2 * t_b, np.conj(dg) * g * t_b, np.abs(g) ** 2 * t_b,
                    noise_power)
     return f, _inverse(f, limit)[:, 0, 0]
@@ -574,11 +533,10 @@ def crb_ris_cells(xi, alpha, gain, profile: RisProfile, ris_layout: PanelLayout,
 
 def crb_ris(xi: float, alpha: float, gain: complex, profile: RisProfile,
             ris_layout: PanelLayout, ula: UlaLayout, pilots: PilotMatrix,
-            noise_power: float, phi_s: float = 0.0,
-            limit: float = CONDITION_LIMIT):
+            noise_power: float, limit: float = CONDITION_LIMIT):
     """(FisherMatrix, CRB(xi)) of :func:`crb_ris_cells` at one angle pair;
     the CRB is +inf where masked, never a pseudo-inverse artifact."""
     f, crb = crb_ris_cells(xi, alpha, gain, profile, ris_layout, ula, pilots, noise_power,
-                           phi_s, limit)
+                           limit)
     return (FisherMatrix(entries=f[0], labels=("xi", "re_gain", "im_gain")),
             float(crb[0]) if np.isfinite(crb[0]) else np.inf)

@@ -8,6 +8,12 @@ The monostatic echo of one pilot block decomposes into four path families:
 * c4: BS -> target -> panel -> BS, double bounce, present in every
   analyzed harmonic through the panel pattern.
 
+The panel sits on the BS boresight axis (the config rejects any other
+placement), so the BS sees it at angle 0 and it sees the BS at angle 0.
+Every path's spatial factor is vec(u v^T X) of two steering vectors, formed
+in one function, :func:`vec_outer`, over stacks of rows: the echo, its
+stacked regressors and the FIM columns of :mod:`.bounds` all come from it.
+
 Static scene throughout: no Doppler factors anywhere.  Vectorization uses
 the column-major (Fortran) ``vec`` convention.
 """
@@ -34,6 +40,16 @@ from .rng import complex_normal
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.ravel(a, order="F")
+
+
+def vec_outer(u: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """vec(u v^T X) per row of the (n, M) stacks u, v: (n, M S).
+
+    The one spatial factor of every path: the echo's components, the
+    stacked regressors and the FIM columns are all built from it.
+    """
+    return (np.matmul(v[:, None], x)[:, 0, :, None] * u[:, None, :]).reshape(
+        len(u), u.shape[-1] * x.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -191,13 +207,24 @@ class EchoBundle:
         return self.per_harmonic[m]
 
 
-def _bs_panel_angles(geom: SceneGeometry):
-    """(angle of panel seen from BS, angle of BS seen from panel)."""
-    sx, _, sz = geom.stcm_center
-    bx, _, bz = geom.bs_center
-    phi_s = np.arctan2(sx - bx, sz - bz)
-    phi_b = np.arctan2(bx - sx, abs(bz - sz))
-    return float(phi_s), float(phi_b)
+def _scene_arrays(scene, geom: SceneGeometry, wavelength: float, fadings):
+    """(alpha, xi, single-bounce gains, double-bounce gains) of the scene's
+    targets, (n,) arrays each, in scene order.  Each target's amplitude
+    rides on its fading draw, so one stacked :func:`path_gains` call serves
+    the whole scene."""
+    q = np.reshape([point.position for point in scene], (-1, 3))
+    ang = angles_from_position(q, geom)
+    nu = np.array([point.rcs_sqrt for point in scene])
+    if fadings is not None:
+        nu = nu * np.asarray(fadings)
+    g = path_gains(ScatterPoint(position=q, rcs_sqrt=1.0), geom, fading=nu, wavelength=wavelength)
+    return ang.alpha, ang.xi, g.sb_gain, g.db_gain
+
+
+def _spatial(alpha, ula: UlaLayout):
+    """(a(alpha) rows (n, M), the panel's a(0) broadcast to the same shape)."""
+    a_r = steering_vector(ula, alpha).T
+    return a_r, np.broadcast_to(steering_vector(ula, 0.0), a_r.shape)
 
 
 def synthesize_echo(scene, geom: SceneGeometry, ula: UlaLayout, panel: PanelLayout,
@@ -208,95 +235,55 @@ def synthesize_echo(scene, geom: SceneGeometry, ula: UlaLayout, panel: PanelLayo
     """Full echo blocks Y_m for every analyzed harmonic.
 
     Components: c1 always; c2 only at m = 0; c3 and c4 for every m through
-    the panel pattern at (target angle, panel-BS angle).  ``fadings`` is an
-    optional per-target sequence of complex small-scale draws (default 1,
-    the bound-computation convention); noise is added per harmonic when a
-    generator is supplied.
+    the panel pattern at (target angle, panel-BS angle 0).  ``fadings`` is
+    an optional per-target sequence of complex small-scale draws (default 1,
+    the bound-computation convention); noise is added per harmonic, in
+    member order, when a generator is supplied.
 
     The c1 gain carries no target amplitude or fading: the panel reflection
     itself is the deterministic pattern factor.
     """
     M, S = pilots.m_antennas, pilots.n_symbols
     x = pilots.symbols
-    phi_s, phi_b = _bs_panel_angles(geom)
-    a_s = steering_vector(ula, phi_s)
-    if fadings is None:
-        fadings = [1.0] * len(scene)
-
-    angles = [angles_from_position(point.position, geom) for point in scene]
+    alpha, xi, g_sb, g_db = _scene_arrays(scene, geom, ula.wavelength, fadings)
     # one pattern call: every target angle, then the panel-BS angle (c1)
-    eta, _ = harmonic_pattern_batch(panel, code, harmonics,
-                                    [ang.xi for ang in angles] + [phi_b], phi_b, mode)
-    per_target = []
-    for j, (point, nu, ang) in enumerate(zip(scene, fadings, angles)):
-        gains = path_gains(point, geom, fading=nu, wavelength=ula.wavelength)
-        per_target.append((point, gains, steering_vector(ula, ang.alpha), eta[:, j]))
-
+    eta, _ = harmonic_pattern_batch(panel, code, harmonics, np.append(xi, 0.0), 0.0, mode)
+    a_r, a_s = _spatial(alpha, ula)
+    a_0 = steering_vector(ula, np.zeros(1)).T
     c1_gain = path_gain(2 * geom.d_s, 1.0, 1.0, 1.0, ula.wavelength)
-    eta_panel = eta[:, -1]
+    # (|M|, M S) stacks of vec(c1), vec(c3) and vec(c4); vec(c2) at m = 0 only
+    c1 = (c1_gain * eta[:, -1:]) * vec_outer(a_0, a_0, x)
+    b = eta[:, :-1] * g_db
+    c3, c4 = b @ vec_outer(a_r, a_s, x), b @ vec_outer(a_s, a_r, x)
+    c2 = g_sb @ vec_outer(a_r, a_r, x)
 
     per_harmonic = {}
     components = {} if keep_components else None
     for i, m in enumerate(harmonics.members):
-        c1 = c1_gain * eta_panel[i] * np.outer(a_s, a_s) @ x
-        c2 = np.zeros((M, S), dtype=complex)
-        c3 = np.zeros((M, S), dtype=complex)
-        c4 = np.zeros((M, S), dtype=complex)
-        for point, gains, a_r, eta in per_target:
-            if m == 0:
-                c2 += gains.sb_gain * np.outer(a_r, a_r) @ x
-            c3 += gains.db_gain * eta[i] * np.outer(a_r, a_s) @ x
-            c4 += gains.db_gain * eta[i] * np.outer(a_s, a_r) @ x
+        blocks = [v.reshape(M, S, order="F")
+                  for v in (c1[i], c2 if m == 0 else np.zeros(M * S, complex), c3[i], c4[i])]
         noise = complex_normal(rng, noise_power, (M, S)) if rng is not None else np.zeros((M, S))
-        per_harmonic[m] = c1 + c2 + c3 + c4 + noise
+        per_harmonic[m] = sum(blocks) + noise
         if keep_components:
-            components[m] = {"c1": c1, "c2": c2, "c3": c3, "c4": c4, "noise": noise}
+            components[m] = {**dict(zip(("c1", "c2", "c3", "c4"), blocks)), "noise": noise}
     return EchoBundle(per_harmonic=per_harmonic, noise_power=noise_power, components=components)
-
-
-def sb_regressor(alpha: float, ula: UlaLayout, pilots: PilotMatrix) -> np.ndarray:
-    """vec(a(alpha) a(alpha)^T X): deterministic part of the c2 signal, (MS,)."""
-    a = steering_vector(ula, alpha)
-    return vec(np.outer(a, a) @ pilots.symbols)
-
-
-def db_regressor(alpha: float, eta: np.ndarray, ula: UlaLayout,
-                 pilots: PilotMatrix, phi_s: float = 0.0) -> np.ndarray:
-    """Stacked double-bounce regressor over the harmonic set, (|M| M S,).
-
-    kron(eta(xi, phi_b), vec(a(alpha) a(phi_s)^T X))
-      + kron(eta(phi_b, xi), vec(a(phi_s) a(alpha)^T X));
-    the two pattern vectors coincide by specular swap symmetry, so one
-    ``eta`` argument serves both terms.
-    """
-    a_r = steering_vector(ula, alpha)
-    a_s = steering_vector(ula, phi_s)
-    v34 = vec(np.outer(a_r, a_s) @ pilots.symbols) + vec(np.outer(a_s, a_r) @ pilots.symbols)
-    return np.kron(eta, v34)
 
 
 def stack_sb(scene, geom: SceneGeometry, ula: UlaLayout, pilots: PilotMatrix,
              noise_power: float, rng=None, fadings=None):
     """Vectorized single-bounce observation and per-target regressors.
 
-    Returns (y, regressors, gains): y = sum_r beta_r H_r + noise, built from
-    the c2 component alone (the structural separability assumption: SB
-    processing never reads other harmonics or the panel paths).
+    Returns (y, regressors (n, M S), gains (n,)): y = sum_r beta_r H_r +
+    noise, built from the c2 component alone (the structural separability
+    assumption: SB processing never reads other harmonics or the panel
+    paths).
     """
-    if fadings is None:
-        fadings = [1.0] * len(scene)
-    M, S = pilots.m_antennas, pilots.n_symbols
-    regs, gains = [], []
-    y = np.zeros(M * S, dtype=complex)
-    for point, nu in zip(scene, fadings):
-        ang = angles_from_position(point.position, geom)
-        g = path_gains(point, geom, fading=nu, wavelength=ula.wavelength)
-        h = sb_regressor(ang.alpha, ula, pilots)
-        regs.append(h)
-        gains.append(g.sb_gain)
-        y += g.sb_gain * h
+    alpha, _, gains, _ = _scene_arrays(scene, geom, ula.wavelength, fadings)
+    a_r, _ = _spatial(alpha, ula)
+    regs = vec_outer(a_r, a_r, pilots.symbols)
+    y = gains @ regs
     if rng is not None:
-        y += complex_normal(rng, noise_power, M * S)
+        y += complex_normal(rng, noise_power, len(y))
     return y, regs, gains
 
 
@@ -306,24 +293,17 @@ def stack_db(scene, geom: SceneGeometry, ula: UlaLayout, panel: PanelLayout,
              mode: WavelengthMode = WavelengthMode.EXACT):
     """Vectorized double-bounce observation over all harmonics.
 
-    Returns (y, regressors, gains) with y of length |M| M S; per-target
-    regressors combine the c3/c4 paths and the harmonic pattern vector at
+    Returns (y, regressors (n, |M| M S), gains (n,)) with y of length
+    |M| M S; target r's regressor is kron(eta(xi_r), vec((a_r a_s^T +
+    a_s a_r^T) X)), the c3/c4 paths times the harmonic pattern vector at
     the target's panel-side angle.
     """
-    if fadings is None:
-        fadings = [1.0] * len(scene)
-    M, S = pilots.m_antennas, pilots.n_symbols
-    phi_s, phi_b = _bs_panel_angles(geom)
-    regs, gains = [], []
-    y = np.zeros(len(harmonics) * M * S, dtype=complex)
-    for point, nu in zip(scene, fadings):
-        ang = angles_from_position(point.position, geom)
-        g = path_gains(point, geom, fading=nu, wavelength=ula.wavelength)
-        eta, _ = harmonic_pattern_batch(panel, code, harmonics, ang.xi, phi_b, mode)
-        h = db_regressor(ang.alpha, eta[:, 0], ula, pilots, phi_s)
-        regs.append(h)
-        gains.append(g.db_gain)
-        y += g.db_gain * h
+    alpha, xi, _, gains = _scene_arrays(scene, geom, ula.wavelength, fadings)
+    eta, _ = harmonic_pattern_batch(panel, code, harmonics, xi, 0.0, mode)
+    a_r, a_s = _spatial(alpha, ula)
+    v = vec_outer(a_r, a_s, pilots.symbols) + vec_outer(a_s, a_r, pilots.symbols)
+    regs = (eta.T[:, :, None] * v[:, None, :]).reshape(len(v), eta.shape[0] * v.shape[1])
+    y = gains @ regs
     if rng is not None:
-        y += complex_normal(rng, noise_power, len(harmonics) * M * S)
+        y += complex_normal(rng, noise_power, len(y))
     return y, regs, gains

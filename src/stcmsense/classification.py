@@ -34,9 +34,6 @@ from .constants import SPEED_OF_LIGHT
 from .errors import NonPositiveDistance, OutOfRange
 from .rng import stream_rng
 
-_LABELS = ("absent", "human_like", "object_like")
-
-
 @dataclass(frozen=True)
 class HypothesisSet:
     """Priors and sqrt-RCS amplitudes of the three hypotheses."""
@@ -63,10 +60,6 @@ class ClassPosterior:
     map_label: int
     statistic: float
     estimator_std: float
-
-    @property
-    def label_name(self) -> str:
-        return _LABELS[self.map_label]
 
 
 def rayleigh_scale(sigma_i: float, distance, sigma_nu: float = 1.0,

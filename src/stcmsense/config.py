@@ -193,6 +193,10 @@ def _check_across(cfg: dict) -> None:
     if not np.linalg.norm(np.subtract(g["bs_center"], g["stcm_center"])) > 0:
         raise ConfigError("geometry.stcm_center must differ from geometry.bs_center, got "
                           f"{json.dumps(g['stcm_center'])}")
+    # the bounds and the echo see the panel on the BS boresight (angle 0)
+    if g["stcm_center"][0] != g["bs_center"][0]:
+        raise ConfigError("geometry.stcm_center x must equal geometry.bs_center x, got "
+                          f"{json.dumps(g['stcm_center'])} and {json.dumps(g['bs_center'])}")
     geom = SceneGeometry(bs_center=g["bs_center"], stcm_center=g["stcm_center"],
                          x_bounds=tuple(g["x_bounds"]), z_bounds=tuple(g["z_bounds"]))
     grid_points(geom, cfg["grid_res_m"])

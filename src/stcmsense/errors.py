@@ -37,9 +37,5 @@ class SingularInformation(SensingError):
     """Fisher information is numerically singular; bound is reported as masked."""
 
 
-class SingularNuisanceBlock(SensingError):
-    """Nuisance block of the FIM cannot be inverted."""
-
-
 class ConfigError(SensingError):
     """Invalid experiment configuration."""

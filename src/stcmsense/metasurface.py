@@ -159,20 +159,6 @@ def fourier_coefficients(code: CodingMatrix, m: int) -> np.ndarray:
     return (code.entries @ phase) * (_sinc(np.pi * m / L) / L)
 
 
-def fourier_coefficient(code: CodingMatrix, element, m: int, layout: PanelLayout | None = None) -> complex:
-    """Single-element order-m coefficient.
-
-    ``element`` is a flat row index, or a (p, q) grid index when ``layout``
-    is supplied.
-    """
-    if isinstance(element, tuple):
-        if layout is None:
-            raise ValueError("grid (p, q) indexing requires the panel layout")
-        p, q = element
-        element = p * layout.n_y + q
-    return complex(fourier_coefficients(code, m)[element])
-
-
 def harmonic_wavelength(layout: PanelLayout, code: CodingMatrix, m: int,
                         mode: WavelengthMode = WavelengthMode.EXACT) -> float:
     if mode is WavelengthMode.CARRIER:

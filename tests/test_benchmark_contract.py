@@ -101,8 +101,9 @@ def test_hook_argument_positions(tracer):
     assert checked >= 7
 
 
-@pytest.mark.parametrize("path", [BENCH / "oracle.py", Path(__file__).parent / "pattern_oracle.py"],
-                         ids=["benchmarks-oracle", "tests-pattern_oracle"])
+@pytest.mark.parametrize("path", [BENCH / "oracle.py", Path(__file__).parent / "pattern_oracle.py",
+                                  Path(__file__).parent / "echo_oracle.py"],
+                         ids=["benchmarks-oracle", "tests-pattern_oracle", "tests-echo_oracle"])
 def test_oracles_do_not_import_the_package(path):
     # an oracle that reused the package's code would check it against itself
     tree = ast.parse(path.read_text())

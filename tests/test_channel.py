@@ -13,11 +13,15 @@ from stcmsense.channel import (
     steering_vector,
     synthesize_echo,
     vec,
+    vec_outer,
 )
 from stcmsense.errors import NonPositiveDistance, NotPerfectSquare
 from stcmsense.geometry import ScatterPoint, TargetKind, angles_from_position, triangle_distances
 from stcmsense.metasurface import HarmonicSet, harmonic_pattern_batch
-from stcmsense.rng import stream_rng
+from stcmsense.rng import complex_normal, stream_rng
+
+from echo_oracle import db_regressor, sb_regressor
+
 NOISE_POWER = 1e-15          # -120 dBm
 PILOT_POWER = 10 ** (-1.8)   # 12 dBm
 
@@ -248,3 +252,103 @@ class TestStacking:
             for m in harmonics.members
         ]
         assert np.allclose(y, np.concatenate(blocks), rtol=1e-12, atol=1e-30)
+
+
+class TestVecOuter:
+    def test_rows_match_outer(self, ula, pilots):
+        rng = np.random.default_rng(4)
+        u = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
+        v = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
+        got = vec_outer(u, v, pilots.symbols)
+        for r in range(5):
+            assert np.allclose(got[r], vec(np.outer(u[r], v[r]) @ pilots.symbols), rtol=1e-13)
+
+    def test_empty_stack(self, pilots):
+        assert vec_outer(np.zeros((0, 16)), np.zeros((0, 16)), pilots.symbols).shape == (0, 256)
+
+    def test_empty_scene_stacks(self, geom, ula, panel, code, harmonics, pilots):
+        y, regs, gains = stack_sb([], geom, ula, pilots, 0.0)
+        assert y.shape == (256,) and regs.shape == (0, 256) and len(gains) == 0
+        assert not y.any()
+        y, regs, gains = stack_db([], geom, ula, panel, code, harmonics, pilots, 0.0)
+        assert y.shape == (len(harmonics) * 256,) and regs.shape == (0, len(harmonics) * 256)
+        assert not y.any() and len(gains) == 0
+
+
+def assert_close(got, want, rtol=1e-12):
+    """||got - want|| <= rtol ||want||: entries that cancel to rounding noise
+    in the pilot products would fail an entrywise relative test."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+class TestMultiTargetEcho:
+    """Three targets, one of them absent, with explicit fadings: every
+    component is the sum over targets of gain times the oracle regressor."""
+
+    SCENE = [
+        ScatterPoint(position=[-35.0, 0.0, 50.0], rcs_sqrt=1.2),
+        ScatterPoint(position=[10.0, 0.0, 30.0], rcs_sqrt=0.0, kind=TargetKind.ABSENT),
+        ScatterPoint(position=[45.0, 0.0, 75.0], rcs_sqrt=3.0, kind=TargetKind.HUMAN_LIKE),
+    ]
+    FADINGS = [0.8 - 0.3j, 1.7 + 0.2j, -0.4 + 1.1j]
+
+    def per_target(self, geom, ula, panel, code, harmonics):
+        """(alpha, eta over the harmonics, PathGains) of each target."""
+        out = []
+        for p, nu in zip(self.SCENE, self.FADINGS):
+            ang = angles_from_position(p.position, geom)
+            eta, _ = harmonic_pattern_batch(panel, code, harmonics, ang.xi, 0.0)
+            out.append((ang.alpha, eta[:, 0], path_gains(p, geom, fading=nu, wavelength=ula.wavelength)))
+        return out
+
+    def test_components_are_sums_over_targets(self, geom, ula, panel, code, harmonics, pilots):
+        bundle = synthesize_echo(self.SCENE, geom, ula, panel, code, harmonics, pilots, 0.0,
+                                 fadings=self.FADINGS, keep_components=True)
+        targets = self.per_target(geom, ula, panel, code, harmonics)
+        x, a0 = pilots.symbols, steering_vector(ula, 0.0)
+        assert targets[1][2].sb_gain == 0 and targets[1][2].db_gain == 0
+        for i, m in enumerate(harmonics.members):
+            comp = bundle.components[m]
+            c2 = sum(g.sb_gain * sb_regressor(alpha, ula, pilots) for alpha, _, g in targets)
+            c3 = sum(g.db_gain * eta[i] * vec(np.outer(steering_vector(ula, alpha), a0) @ x)
+                     for alpha, eta, g in targets)
+            c4 = sum(g.db_gain * eta[i] * vec(np.outer(a0, steering_vector(ula, alpha)) @ x)
+                     for alpha, eta, g in targets)
+            db = sum(g.db_gain * db_regressor(alpha, eta, ula, pilots) for alpha, eta, g in targets)
+            if m == 0:
+                assert_close(vec(comp["c2"]), c2)
+            else:
+                assert not comp["c2"].any()
+            assert_close(vec(comp["c3"]), c3)
+            assert_close(vec(comp["c4"]), c4)
+            assert_close(vec(comp["c3"] + comp["c4"]), db[i * 256:(i + 1) * 256])
+
+    def test_stacks_are_sums_over_targets(self, geom, ula, panel, code, harmonics, pilots):
+        targets = self.per_target(geom, ula, panel, code, harmonics)
+        y, regs, gains = stack_sb(self.SCENE, geom, ula, pilots, 0.0, fadings=self.FADINGS)
+        oracle = [sb_regressor(alpha, ula, pilots) for alpha, _, _ in targets]
+        for r in range(3):
+            assert_close(regs[r], oracle[r])
+        assert_close(gains, [g.sb_gain for _, _, g in targets])
+        assert_close(y, sum(g * h for g, h in zip(gains, oracle)))
+        y, regs, gains = stack_db(self.SCENE, geom, ula, panel, code, harmonics, pilots, 0.0,
+                                  fadings=self.FADINGS)
+        oracle = [db_regressor(alpha, eta, ula, pilots) for alpha, eta, _ in targets]
+        for r in range(3):
+            assert_close(regs[r], oracle[r])
+        assert_close(gains, [g.db_gain for _, _, g in targets])
+        assert_close(y, sum(g * h for g, h in zip(gains, oracle)))
+
+    def test_noise_drawn_per_harmonic_in_member_order(self, geom, ula, panel, code, harmonics,
+                                                      pilots):
+        bundle = synthesize_echo(self.SCENE, geom, ula, panel, code, harmonics, pilots,
+                                 NOISE_POWER, rng=stream_rng(9, 4), fadings=self.FADINGS,
+                                 keep_components=True)
+        rng = stream_rng(9, 4)
+        for m in harmonics.members:
+            comp = bundle.components[m]
+            assert np.array_equal(comp["noise"], complex_normal(rng, NOISE_POWER, (16, 16)))
+            signal = comp["c1"] + comp["c2"] + comp["c3"] + comp["c4"]
+            assert_close(bundle.harmonic(m), signal + comp["noise"])

@@ -12,6 +12,7 @@ which nothing checks yet.
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +156,21 @@ def test_merge_config_checks_or_rejects_every_document(doc):
         assert _typed_like(node, default), (path, node)
         assert test(node), (path, want, node)
     assert len(scene_from_config(cfg)) == len(cfg["scene"])  # every accepted entry builds
+    # the panel sits on the BS boresight axis, as the bounds and the echo assume
+    assert cfg["geometry"]["stcm_center"][0] == cfg["geometry"]["bs_center"][0]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0, -0.0, 1e-9, 30.0, -50]) | NEAR, min_size=4, max_size=4))
+def test_panel_must_sit_on_the_bs_boresight_axis(v):
+    # the bounds and the echo see the panel at angle 0 from the BS
+    bx, bz, sx, sz = v
+    doc = {"geometry": {"bs_center": [bx, 0, bz], "stcm_center": [sx, 0, sz]}}
+    if bx == sx and np.linalg.norm([bz - sz]) > 0:  # distinct centres, as the config measures them
+        assert merge_config(doc)["geometry"]["stcm_center"][0] == bx
+    else:
+        with pytest.raises(ConfigError, match=r"^geometry\.stcm_center "):
+            merge_config(doc)
 
 
 def test_every_leaf_has_a_rule():

@@ -21,11 +21,13 @@ import pytest
 
 from stcmsense import bounds
 from stcmsense.bounds import fim_generic
-from stcmsense.channel import db_regressor, sb_regressor, steering_derivative, steering_vector, vec
+from stcmsense.channel import steering_derivative, steering_vector, vec
 from stcmsense.config import build_model, fixed_scene, merge_config
 from stcmsense.errors import SensingError
 from stcmsense.experiments import run_crb_map, run_peb_map, run_ris_compare
 from stcmsense.metasurface import harmonic_pattern_batch
+
+from echo_oracle import db_regressor, sb_regressor
 
 COND_LIMIT = 1e12
 EPS = float(np.finfo(float).eps)

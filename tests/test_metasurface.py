@@ -9,7 +9,6 @@ from stcmsense.metasurface import (
     RisProfile,
     WavelengthMode,
     default_coding_matrix,
-    fourier_coefficient,
     fourier_coefficients,
     harmonic_pattern,
     harmonic_pattern_batch,
@@ -28,18 +27,18 @@ def single_row_code(row):
 class TestFourierCoefficient:
     def test_balanced_row_dc_is_zero(self):
         code = single_row_code([1, 1, 1, 1, -1, -1, -1, -1])
-        assert fourier_coefficient(code, 0, 0) == 0
+        assert fourier_coefficients(code, 0)[0] == 0
 
     def test_all_ones_row_dc_is_one(self):
         code = single_row_code([1] * 8)
-        assert fourier_coefficient(code, 0, 0) == pytest.approx(1.0, abs=1e-15)
+        assert fourier_coefficients(code, 0)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_square_row_first_harmonic_direct_sum(self):
         row = [1, 1, 1, 1, -1, -1, -1, -1]
         code = single_row_code(row)
         # oracle frozen from the direct sum: -2j/pi
-        assert fourier_coefficient(code, 0, 1) == pytest.approx(-0.6366197723675814j, abs=1e-14)
-        assert fourier_coefficient(code, 0, 1) == pytest.approx(direct_coefficient(row, 1, 8), abs=1e-14)
+        assert fourier_coefficients(code, 1)[0] == pytest.approx(-0.6366197723675814j, abs=1e-14)
+        assert fourier_coefficients(code, 1)[0] == pytest.approx(direct_coefficient(row, 1, 8), abs=1e-14)
 
     def test_against_dense_fft(self):
         # cross-check the series against an FFT of the staircase waveform;
@@ -52,7 +51,7 @@ class TestFourierCoefficient:
         wave = row[(t * 8).astype(int)]
         c = np.fft.fft(wave) / n
         for m in range(0, 6):
-            assert fourier_coefficient(code, 0, m) == pytest.approx(c[m], abs=3e-4)
+            assert fourier_coefficients(code, m)[0] == pytest.approx(c[m], abs=3e-4)
 
     def test_cyclic_shift_phase_rule(self):
         # oracle: shifting a row by s slots multiplies a^m by exp(-2j pi m s / L)
@@ -62,8 +61,8 @@ class TestFourierCoefficient:
         for s in range(8):
             shifted = single_row_code(np.roll(row, s))
             for m in (0, 1, 2, 3, 5):
-                expect = fourier_coefficient(base, 0, m) * np.exp(-2j * np.pi * m * s / 8)
-                assert fourier_coefficient(shifted, 0, m) == pytest.approx(expect, abs=1e-14)
+                expect = fourier_coefficients(base, m)[0] * np.exp(-2j * np.pi * m * s / 8)
+                assert fourier_coefficients(shifted, m)[0] == pytest.approx(expect, abs=1e-14)
 
     def test_negative_order_is_conjugate(self, code):
         for m in (1, 2, 3, 4, 5):
@@ -82,16 +81,13 @@ class TestFourierCoefficient:
             assert np.all(energies <= 1.0 + 1e-12)
         assert np.all(energies >= 0.99)
 
-    def test_grid_indexing_matches_flat(self, panel, code):
-        assert fourier_coefficient(code, (3, 2), 1, panel) == fourier_coefficient(code, 3 * 8 + 2, 1)
-
 
 class TestHarmonicPattern:
     def test_single_element_panel_is_coefficient(self):
         panel1 = PanelLayout(n_x=1, n_y=1, spacing=0.015, carrier_hz=1e10)
         code = single_row_code([1, 1, -1, 1, -1, -1, 1, -1])
         for m in (0, 1, 3):
-            a = fourier_coefficient(code, 0, m)
+            a = fourier_coefficients(code, m)[0]
             for phi_d, phi_a in ((0.0, 0.0), (0.4, -0.2), (1.1, 0.7)):
                 assert harmonic_pattern(panel1, code, m, phi_d, phi_a) == pytest.approx(a, abs=1e-14)
 
@@ -279,8 +275,8 @@ def test_am_scheme_coefficients():
     # the direct sum like any other waveform
     row = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0])
     code = CodingMatrix(entries=row[None, :], scheme=CodingScheme.AM)
-    assert fourier_coefficient(code, 0, 0) == pytest.approx(0.5, abs=1e-15)
+    assert fourier_coefficients(code, 0)[0] == pytest.approx(0.5, abs=1e-15)
     for m in (1, 2, 3):
-        assert fourier_coefficient(code, 0, m) == pytest.approx(
+        assert fourier_coefficients(code, m)[0] == pytest.approx(
             direct_coefficient(row, m, 8), abs=1e-14
         )

@@ -470,6 +470,8 @@ class TestCli:
         # more trials than MAX_TRIALS would allocate without bound
         ({"n_trials": 10_000_001}, "n_trials"),
         ({"n_trials": 10**12}, "n_trials"),
+        # a panel off the BS boresight axis, which the bounds do not model
+        ({"geometry": {"stcm_center": [30.0, 0.0, 100.0]}}, "geometry.stcm_center"),
     ])
     def test_bad_numbers_fail_with_one_line(self, tmp_path, capsys, doc, key):
         # every verb and validate resolve the config alike, so all reject it
