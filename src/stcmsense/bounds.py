@@ -28,6 +28,15 @@ factor-2 margins cover the rounding of the computed inverse, whose relative
 error grows as k eps kappa (Higham, Accuracy and Stability of Numerical
 Algorithms, 2002, ch. 14).  Only the rest take the SVD: the few matrices
 near the limit, and any member whose LU meets an exactly zero pivot.
+
+With R > 1 targets the scaled FIM is F = [[A, B], [B^T, C]] over
+[moving | fixed].  The fixed block C is the same in every cell, so Q = C^-1
+is certified once (if C fails, every F does: kappa_2(F) >= kappa_2(C) by
+Cauchy interlacing).  Per cell, P = B Q and T = (A - P B^T)^-1, the leading
+block of F^-1 (Kay, Estimation Theory, 1993, ch. 3), give kappa_F with no
+cancellation (:func:`_schur`): ||F||_F^2 = ||A||^2 + 2 ||B||^2 + ||C||^2 and
+||F^-1||_F^2 = ||T||^2 + 2 ||T P||^2 + ||Q||^2 + 2 tr(T P Q P^T)
++ tr(T P P^T T P P^T), every term non-negative.
 """
 
 from __future__ import annotations
@@ -78,45 +87,99 @@ def scale_invariant_cond(matrix: np.ndarray):
     return float(cond) if cond.ndim == 0 else cond
 
 
-# Margins of _certified_inverse: kappa_F <= PASS * limit passes a matrix,
+# Margins of _decide: kappa_F <= PASS * limit passes a matrix,
 # kappa_F > MASK * k * limit masks it, and the SVD decides the rest.
 _PASS_MARGIN = 0.5
 _MASK_MARGIN = 2.0
 
 
-def _certified_inverse(f: np.ndarray, limit: float):
-    """(ok, x) for stacked (n, k, k) FIMs: ok is ``scale_invariant_cond(f)
-    <= limit`` and x[ok] is bitwise ``np.linalg.inv(f[ok])``, as LAPACK
-    inverts each matrix of a stack on its own.  kappa_F from the one
-    inverse of the stack decides what it can (see the module docstring).
-    Members LU finds exactly singular, which ``np.linalg.inv`` refuses, are
-    named by slogdet (sign 0) and left to the SVD."""
-    k = f.shape[-1]
-    bad = _bad(f)
-    g = np.where(bad[:, None, None], np.eye(k), f)
-    singular = np.zeros_like(bad)
-    try:
-        x = np.linalg.inv(g)
-    except np.linalg.LinAlgError:
-        singular = np.linalg.slogdet(g)[0] == 0
-        try:
-            x = np.linalg.inv(np.where(singular[:, None, None], np.eye(k), g))
-        except np.linalg.LinAlgError:  # slogdet missed one: certify nothing
-            singular[:], x = True, np.full(f.shape, np.nan)
-    s = np.sqrt(np.diagonal(g, axis1=-2, axis2=-1))
-    ss = s[:, :, None] * s[:, None, :]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        kappa_f = np.linalg.norm(g / ss, axis=(-2, -1)) * np.linalg.norm(x * ss, axis=(-2, -1))
-    kappa_f[singular] = np.nan  # NaN, as from an overflowed inverse, decides nothing
+def _fro2(m: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms over the last two axes."""
+    return np.sum(m * m, axis=(-2, -1))
+
+
+def _decide(kappa_f: np.ndarray, bad: np.ndarray, k: int, limit: float, full) -> np.ndarray:
+    """ok per member of a stack of k x k FIMs from kappa_F (a NaN decides
+    nothing); ``full(rows)`` gives the undecided members for the SVD."""
     ok = ~bad & (kappa_f <= _PASS_MARGIN * limit)
     undecided = ~bad & ~ok & ~(np.isfinite(kappa_f) & (kappa_f > _MASK_MARGIN * k * limit))
     if undecided.any():
-        ok[undecided] = scale_invariant_cond(f[undecided]) <= limit
+        ok[undecided] = scale_invariant_cond(full(undecided)) <= limit
+    return ok
+
+
+def _inv(g: np.ndarray):
+    """(inverses, singular) of stacked (n, k, k) matrices.  Members LU finds
+    exactly singular, which ``np.linalg.inv`` refuses, are named by slogdet
+    (sign 0) and inverted as the identity; if slogdet misses one, all are."""
+    singular = np.zeros(len(g), dtype=bool)
+    try:
+        return np.linalg.inv(g), singular
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(g)[0] == 0
+        g = np.where(singular[:, None, None], np.eye(g.shape[-1]), g)
+        try:
+            return np.linalg.inv(g), singular
+        except np.linalg.LinAlgError:
+            return np.full(g.shape, np.nan), np.ones_like(singular)
+
+
+def _certified_inverse(blocks, limit: float):
+    """(ok, [x_i]) for stacked FIMs, block diagonal with the (n, k_i, k_i)
+    ``blocks``: ok is their ``scale_invariant_cond <= limit`` and x_i[ok] is
+    bitwise ``np.linalg.inv(blocks[i][ok])`` (LAPACK inverts each member on
+    its own).  kappa_F sums the blocks' squared norms."""
+    bad = np.any([_bad(f) for f in blocks], axis=0)
+    gs = [np.where(bad[:, None, None], np.eye(f.shape[-1]), f) for f in blocks]
+    xs, singular = zip(*map(_inv, gs))
+    singular = np.any(singular, axis=0)
+    s = [np.sqrt(np.diagonal(g, axis1=1, axis2=2)) for g in gs]
+    ss = [v[:, :, None] * v[:, None, :] for v in s]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kappa_f = (np.sqrt(sum(_fro2(g / t) for g, t in zip(gs, ss)))
+                   * np.sqrt(sum(_fro2(x * t) for x, t in zip(xs, ss))))
+    kappa_f[singular] = np.nan  # NaN, as from an overflowed inverse, decides nothing
+    k = [f.shape[-1] for f in blocks]
+    ok = _decide(kappa_f, bad, sum(k), limit, lambda rows: np.block(
+        [[f[rows] if i == j else np.zeros((rows.sum(), k[i], kj)) for j, kj in enumerate(k)]
+         for i, f in enumerate(blocks)]))
     # passed rows LU left out; inv raises on an exactly singular one, as inv(f[ok]) does
     redo = ok & singular
-    if redo.any():
+    for f, x in zip(blocks, xs if redo.any() else ()):
         x[redo] = np.linalg.inv(f[redo])
-    return ok, x
+    return ok, xs
+
+
+def _full(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Stacked [[A, B], [B^T, C]] from (n, j, j) A, (n, j, m) B and a shared C."""
+    return np.block([[a, b], [np.swapaxes(b, 1, 2), np.broadcast_to(c, (len(a),) + c.shape)]])
+
+
+def _shared_block(c: np.ndarray, limit: float):
+    """(C, Q = C^-1, ||C||_F^2, ||Q||_F^2, ok) of a scaled (m, m) block that a
+    stack shares; ok is whether C passes the limit."""
+    ok, (q,) = _certified_inverse([c[None]], limit)
+    return c, q[0], _fro2(c), _fro2(q[0]), ok[0]
+
+
+def _schur(a: np.ndarray, b: np.ndarray, shared, limit: float):
+    """(ok, T, P, kappa_F) of scaled stacks F = [[A, B], [B^T, C]] with
+    (n, j, j) A, (n, j, m) B and C from :func:`_shared_block`: P = B Q and
+    T = (A - P B^T)^-1.  ok is ``scale_invariant_cond(F) <= limit``, from the
+    block kappa_F of the module docstring; all fail where C does."""
+    c, q, c2, q2, c_ok = shared
+    bad = ~(np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2)) & c_ok)
+    p = b @ q
+    t, singular = _inv(a - p @ np.swapaxes(b, 1, 2))
+    tp = t @ p
+    tm = tp @ np.swapaxes(p, 1, 2)  # T P P^T; tr(T P Q P^T) sums (T P Q) * P
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv2 = (_fro2(t) + 2.0 * _fro2(tp) + q2 + 2.0 * np.sum((tp @ q) * p, axis=(1, 2))
+                + np.sum(tm * np.swapaxes(tm, 1, 2), axis=(1, 2)))
+        kappa_f = np.sqrt(_fro2(a) + 2.0 * _fro2(b) + c2) * np.sqrt(inv2)
+    kappa_f[singular] = np.nan
+    ok = _decide(kappa_f, bad, a.shape[-1] + len(c), limit, lambda rows: _full(a[rows], b[rows], c))
+    return ok, t, p, kappa_f
 
 
 @dataclass(frozen=True)
@@ -304,33 +367,13 @@ def crb_xi_closed(xi: float, alpha: float, gain: complex, ula: UlaLayout,
                              noise_power, mode), "xi information vanished")
 
 
-def _efims(f: np.ndarray, k: int, limit: float = CONDITION_LIMIT) -> np.ndarray:
-    """Equivalent information F_aa - F_ab F_bb^{-1} F_ab^T of the leading k
-    (angle) parameters of stacked (n, d, d) FIMs, with the gain parameters
-    as nuisance: (n, k, k), NaN where the gain block F_bb is masked."""
-    f_aa, f_ab, f_bb = f[:, :k, :k], f[:, :k, k:], f[:, k:, k:]
-    if not f_bb.size:
-        return f_aa.copy()
-    ok, _ = _certified_inverse(f_bb, limit)
-    out = np.full(f_aa.shape, np.nan)
-    out[ok] = f_aa[ok] - f_ab[ok] @ np.linalg.solve(f_bb[ok], np.swapaxes(f_ab[ok], 1, 2))
-    return out
-
-
-def crbs_cells(f: np.ndarray, limit: float = CONDITION_LIMIT) -> np.ndarray:
-    """Diagonals of the inverses of stacked (n, k, k) FIMs, (n, k), inverted
-    on the diagonally-normalized system so mixed angle/gain units do not
-    degrade them; NaN rows where masked (see :func:`_inverse`)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sqrt(np.diagonal(f, axis1=1, axis2=2))
-        normalized = f / (s[:, :, None] * s[:, None, :])
-        return np.diagonal(_inverse(normalized, limit), axis1=1, axis2=2) / s**2
-
-
 def crbs_from_fim(fim: FisherMatrix, limit: float = CONDITION_LIMIT) -> np.ndarray:
-    """Diagonal of the FIM inverse (:func:`crbs_cells`); raises instead of
+    """Diagonal of the FIM inverse, inverted on the diagonally-normalized
+    system so mixed angle/gain units do not degrade it; raises instead of
     pseudo-inverting."""
-    crbs = crbs_cells(fim.entries[None], limit)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt(np.diag(fim.entries))
+        crbs = np.diag(_inverse((fim.entries / np.outer(s, s))[None], limit)[0]) / s**2
     if np.isnan(crbs).any():
         raise SingularInformation(
             f"scaled condition number {fim.condition_number():.3e} exceeds {limit:.1e}"
@@ -376,16 +419,23 @@ def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2).conj() @ b
 
 
+# Cells per factor pass of MultiTargetFimBuilder: the moving target's
+# (n, M S, 2) spatial factors are its largest arrays, so this bounds their
+# memory; values do not depend on it.
+_FACTOR_CELLS = 64
+
+
 class MultiTargetFimBuilder:
-    """Caches the fixed targets' factors and their Gram block across a grid
-    sweep.
+    """Caches the fixed targets' factors and FIM block across a grid sweep.
 
     Each target has the columns d (angle), h (Re b) and 1j h (Im b); d and h
     are kron(x, w) of a harmonic factor x (the gain for the single bounce;
     gain * d eta and eta for the double bounce) and a spatial factor w of
-    length M S from :func:`.channel.vec_outer`, as in the echo.  Inner products factor as (x^H y)(w^H v), so the |H| M S-long
-    columns are never formed; per cell only the moving target's factors are
-    formed, against themselves and the cached fixed ones.
+    length M S from :func:`.channel.vec_outer`, as in the echo.  Inner
+    products factor as (x^H y)(w^H v), so the |H| M S-long columns are never
+    formed.  Parameters run [moving | fixed]: the moving (angle, Re b, Im b),
+    then the fixed angles and gains.  The scaled fixed block and its gain
+    block are inverted once, so a cell forms three rows (:func:`_schur`).
     """
 
     def __init__(self, fixed_targets, kind: str, ula: UlaLayout, pilots: PilotMatrix,
@@ -397,20 +447,28 @@ class MultiTargetFimBuilder:
             raise ValueError("kind must be 'sb' or 'db'")
         self._model = (kind, ula, pilots, panel, code, harmonics, mode)
         self._c = 2.0 / noise_power
-        self._fixed = None
-        if fixed_targets:
-            # fixed factors as columns [d_1, h_1, d_2, h_2, ..]
-            x, w = (np.moveaxis(a, 0, 1).reshape(a.shape[1], -1)
-                    for a in self._factors(_stacked(fixed_targets)))
-            self._fixed = (x, w, _gram(x, x) * _gram(w, w))
-        # FIM parameter p is Gram column j[p] times phase[p]: angle_t -> d_t,
-        # Re b_t -> h_t, Im b_t -> 1j h_t, in the order [angles | gains]
-        r = len(fixed_targets) + 1
-        self._j = np.concatenate([2 * np.arange(r), np.repeat(2 * np.arange(r) + 1, 2)])
-        self._phase = np.array([1.0] * r + [1.0, 1j] * r)
+        # parameter p is column j[p] of [d_0, h_0, d_1, h_1, ..] times phase[p]
+        r = self._r = len(fixed_targets) + 1
+        self._j = np.concatenate([[0, 1, 1], 2 * np.arange(1, r), np.repeat(2 * np.arange(1, r) + 1, 2)])
+        self._phase = np.array([1.0, 1.0, 1j] + [1.0] * (r - 1) + [1.0, 1j] * (r - 1))
+        # where each parameter of the public order [angles | gains] sits
+        self._order = np.concatenate([[0], 3 + np.arange(r - 1), [1, 2], 2 + r + np.arange(2 * r - 2)])
         angle = "alpha" if kind == "sb" else "xi"
         self._labels = tuple([f"{angle}_{i}" for i in range(r)]
                              + [f"{part}_gain_{i}" for i in range(r) for part in ("re", "im")])
+        self._fixed, c = None, np.zeros((0, 0))
+        if fixed_targets:
+            # fixed factors as columns [d_1, h_1, d_2, h_2, ..]
+            self._fixed = x, w = [np.moveaxis(a, 0, 1).reshape(a.shape[1], -1)
+                                  for a in self._factors(_stacked(fixed_targets))]
+            ph, j = self._phase[3:], self._j[3:] - 2
+            c = self._c * np.real(ph[:, None].conj() * ph * (_gram(x, x) * _gram(w, w))[j[:, None], j])
+            c = 0.5 * (c + c.T)
+        self._fim_c, self._s = c, np.sqrt(np.diagonal(c))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = c / np.outer(self._s, self._s)
+        self._shared = _shared_block(c, CONDITION_LIMIT)
+        self._gains = _shared_block(c[r - 1:, r - 1:], CONDITION_LIMIT)
 
     def _factors(self, t: TargetState):
         """(harmonic (n, K, 2), spatial (n, M S, 2)) factors of the columns
@@ -426,29 +484,67 @@ class MultiTargetFimBuilder:
         eta, deta = _patterns(t.xi, panel, code, harmonics, mode)
         return np.stack([t.db_gain[:, None] * deta, eta], -1), np.stack([v, v], -1)
 
-    def fim_cells(self, moving: TargetState) -> np.ndarray:
-        """(n, 3R, 3R) FIMs with the moving target, given as (n,) arrays, as
-        parameter index 0."""
+    def _gram_rows(self, moving: TargetState) -> np.ndarray:
+        """Gram rows (n, 2, 2R) of the moving columns [d_0, h_0] against all."""
         x, w = self._factors(moving)
         g = _gram(x, x) * _gram(w, w)
-        if self._fixed is not None:
-            x_f, w_f, g_f = self._fixed
-            cross = _gram(x, x_f) * _gram(w, w_f)
-            g = np.block([[g, cross],
-                          [np.swapaxes(cross, 1, 2).conj(), np.broadcast_to(g_f, (len(g),) + g_f.shape)]])
-        j, ph = self._j, self._phase
-        f = self._c * np.real(ph.conj()[:, None] * ph * g[:, j[:, None], j])
-        return 0.5 * (f + np.swapaxes(f, 1, 2))
+        if self._fixed is None:
+            return g
+        return np.concatenate([g, _gram(x, self._fixed[0]) * _gram(w, self._fixed[1])], axis=-1)
+
+    def _rows(self, moving: TargetState, scaled: bool = False):
+        """The moving target's FIM rows A (n, 3, 3), B (n, 3, 3R - 3); with
+        ``scaled``, (scale (n, 3), A, B) scaled against the fixed block."""
+        n, k = len(moving.alpha), _FACTOR_CELLS
+        chunks = (TargetState(*(v[i:i + k] for v in vars(moving).values()))
+                  for i in range(0, max(n, 1), k))
+        g = np.concatenate([self._gram_rows(t) for t in chunks])
+        ph, j = self._phase, self._j
+        f = self._c * np.real(ph[:3, None].conj() * ph * g[:, j[:3, None], j])
+        a, b = 0.5 * (f[:, :, :3] + np.swapaxes(f[:, :, :3], 1, 2)), f[:, :, 3:]
+        if not scaled:
+            return a, b
+        s = np.sqrt(np.diagonal(a, axis1=1, axis2=2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return s, a / (s[:, :, None] * s[:, None, :]), b / (s[:, :, None] * self._s)
+
+    def fim_cells(self, moving: TargetState) -> np.ndarray:
+        """(n, 3R, 3R) FIMs [[A, B], [B^T, C]] in the order [angles | gains],
+        with the moving target, given as (n,) arrays, as parameter index 0."""
+        o = self._order
+        return _full(*self._rows(moving), self._fim_c)[:, o[:, None], o]
 
     def fim(self, moving: TargetState) -> FisherMatrix:
         """FIM with the moving target as parameter index 0 (:meth:`fim_cells`)."""
         return FisherMatrix(entries=self.fim_cells(_stacked([moving]))[0], labels=self._labels)
 
+    def crbs(self, moving: TargetState) -> np.ndarray:
+        """CRBs (n,) of the moving angle, T_00 / s_0^2; NaN where masked."""
+        s, a, b = self._rows(moving, scaled=True)
+        ok, t, _, _ = _schur(a, b, self._shared, CONDITION_LIMIT)
+        return np.where(ok, t[:, 0, 0] / s[:, 0] ** 2, np.nan)
+
+    def efims(self, moving: TargetState) -> np.ndarray:
+        """Angle EFIMs (n, R, R) over [moving | fixed angles], every gain a
+        nuisance; NaN where the gain block is masked.  With T_g, P_g the
+        Schur factors of the gain block, U = [U_m | U_f] the angle-by-gain
+        block and W = U_m - U_f P_g^T: E = F_aa - U_f Q_g U_f^T - W T_g W^T."""
+        s, a, b = self._rows(moving, scaled=True)
+        n, k, c, q_g = len(a), self._r - 1, self._shared[0], self._gains[1]
+        ok, t, p, _ = _schur(a[:, 1:, 1:], b[:, 1:, k:], self._gains, CONDITION_LIMIT)
+        u_f = np.concatenate([b[:, :1, k:], np.broadcast_to(c[:k, k:], (n, k, 2 * k))], axis=1)
+        u_m = np.concatenate([a[:, :1, 1:], np.swapaxes(b[:, 1:, :k], 1, 2)], axis=1)
+        w = u_m - u_f @ np.swapaxes(p, 1, 2)
+        e = (_full(a[:, :1, :1], b[:, :1, :k], c[:k, :k]) - u_f @ q_g @ np.swapaxes(u_f, 1, 2)
+             - w @ t @ np.swapaxes(w, 1, 2))
+        s = np.concatenate([s[:, :1], np.broadcast_to(self._s[:k], (n, k))], axis=1)
+        return np.where(ok[:, None, None], e * (s[:, :, None] * s[:, None, :]), np.nan)
+
 
 def _inverse(f: np.ndarray, limit: float) -> np.ndarray:
     """Inverses of stacked (n, k, k) FIMs; NaN where the scaled condition
     number exceeds ``limit`` (never a pseudo-inverse)."""
-    ok, x = _certified_inverse(f, limit)
+    ok, (x,) = _certified_inverse([f], limit)
     return np.where(ok[:, None, None], x, np.nan)
 
 
@@ -486,30 +582,25 @@ def peb_cells(q, state: TargetState, geom: SceneGeometry, ula: UlaLayout,
     return _position_peb(q, geom, np.stack([e_a, e_x], -1), limit)
 
 
-def peb_multi_cells(f_sb: np.ndarray, f_db: np.ndarray, q, geom: SceneGeometry,
-                    which: int = 0, limit: float = CONDITION_LIMIT) -> np.ndarray:
-    """PEB of target ``which``, at stacked points q (n, 3), from its stacked
-    (n, 3R, 3R) multi-target FIMs; NaN where masked.
+def peb_multi_cells(builders, moving: TargetState, q, geom: SceneGeometry,
+                    limit: float = CONDITION_LIMIT) -> np.ndarray:
+    """PEB of the moving target (``moving`` as (n,) arrays) at stacked points
+    q (n, 3) from its (sb, db) :class:`MultiTargetFimBuilder` pair; NaN where
+    masked.
 
-    The angle EFIMs (R x R each) take every gain as nuisance and combine,
+    The R x R angle EFIMs (:meth:`MultiTargetFimBuilder.efims`) combine,
     under the independent-path assumption, into a block-diagonal information
-    matrix over all 2R angles.  Only the probed target is re-parameterized
-    to position coordinates: the equivalent information of its angle pair
-    (marginalizing every other target's angles) is pushed through its
-    Jacobian.  Nuisance targets therefore only need identifiable angles,
-    not identifiable positions -- a nuisance target sitting on the BS-panel
-    axis degrades nothing but its own (never requested) position.  Masked:
-    a singular gain block on either path, the 2R x 2R angle information or
-    the 2 x 2 position information over the condition limit.
+    matrix over all 2R angles.  Only the probed target's angle pair
+    (marginalizing every other angle) is pushed through its Jacobian, so a
+    nuisance target on the BS-panel axis degrades nothing but its own
+    position.  Masked: a singular gain block on either path, the 2R x 2R
+    angle information or the 2 x 2 position information over the limit.
     """
-    r = f_sb.shape[-1] // 3
-    f_ang = np.zeros((len(f_sb), 2 * r, 2 * r))
-    f_ang[:, :r, :r] = _efims(f_sb, r, limit)
-    f_ang[:, r:, r:] = _efims(f_db, r, limit)
+    ok, covs = _certified_inverse([b.efims(moving) for b in builders], limit)
     # the covariance is block diagonal, so the pair's equivalent information
     # is diagonal: one over each of its two variances
-    idx = [which, r + which]
-    return _position_peb(q, geom, 1.0 / _inverse(f_ang, limit)[:, idx, idx], limit)
+    info = np.stack([1.0 / x[:, 0, 0] for x in covs], -1)
+    return _position_peb(q, geom, np.where(ok[:, None], info, np.nan), limit)
 
 
 def crb_ris_cells(xi, alpha, gain, profile: RisProfile, ris_layout: PanelLayout,

@@ -10,11 +10,13 @@ blocks of consecutive cells.  A block worker drops the terminal cells and
 evaluates each quantity in one array pass over the rest.  With one target
 the passes run the closed forms (``crb_alpha_cells``, ``crb_xi_cells``,
 ``peb_cells``, ``crb_ris_cells``) over blocks of ``BLOCK_CELLS`` cells.
-With R > 1 targets, ``MultiTargetFimBuilder.fim_cells`` stacks the moving
-target's (n, 3R, 3R) FIMs against the cached fixed targets, and
-``crbs_cells`` and ``peb_multi_cells`` invert them; those matrices grow
-with R, so the blocks hold max(1, BLOCK_CELLS // R) cells (25 at R = 10).
-detect-map runs ``detection.detection_map`` on blocks of ``BLOCK_CELLS``
+With R > 1 targets, ``MultiTargetFimBuilder`` caches the fixed targets'
+FIM block and its certified inverse once per map; per cell it forms only
+the moving target's three FIM rows, and ``MultiTargetFimBuilder.crbs`` and
+``peb_multi_cells`` take the CRB and the angle EFIMs from Schur complements
+(3 x 3, 2 x 2 and R x R), so no (n, 3R, 3R) stack is formed and the blocks
+hold ``BLOCK_CELLS`` cells at any R.  detect-map runs
+``detection.detection_map`` on blocks of ``BLOCK_CELLS``
 cells (one h2 pass per combiner, one p_D pass per map).  ``threads`` > 1
 maps the blocks over up to that many worker processes, and no more than one
 per block or per CPU.  Every value is a pure function of its cell, so
@@ -44,7 +46,6 @@ from .bounds import (
     crb_alpha_cells,
     crb_ris_cells,
     crb_xi_cells,
-    crbs_cells,
     peb_cells,
     peb_multi_cells,
 )
@@ -55,8 +56,8 @@ from .detection import Combiner, despread_regressor_at_angle, detection_map
 from .geometry import ScatterPoint, angles_from_position, terminal_mask
 from .io import write_csv, write_manifest
 
-# Cells per array pass with one target (BLOCK_CELLS // R with R targets).
-# Per-cell temporaries are (BLOCK_CELLS, M) arrays, so this bounds peak
+# Cells per array pass.  Per-cell temporaries are (BLOCK_CELLS, M) arrays,
+# and (BLOCK_CELLS, 3, 3R) FIM rows with R targets, so this bounds peak
 # memory; values do not depend on it.
 BLOCK_CELLS = 256
 
@@ -102,7 +103,7 @@ def _crb_block(points, model: SystemModel, builders) -> np.ndarray:
         if builders[0] is None:
             return (crb_alpha_cells(s.alpha, s.sb_gain, model.ula, model.pilots,
                                     model.noise_power), _crb_xi(s, model))
-        return [crbs_cells(b.fim_cells(s))[:, 0] for b in builders]
+        return [b.crbs(s) for b in builders]
     out = _block(points, model, values, 2)
     out[out <= 0] = np.nan  # a non-positive numeric inverse is masked too
     return out
@@ -113,7 +114,7 @@ def _peb_block(points, model: SystemModel, builders) -> np.ndarray:
         if builders[0] is None:
             return [peb_cells(q, s, model.geom, model.ula, model.panel, model.code,
                               model.harmonics, model.pilots, model.noise_power, model.mode)]
-        return [peb_multi_cells(builders[0].fim_cells(s), builders[1].fim_cells(s), q, model.geom)]
+        return [peb_multi_cells(builders, s, q, model.geom)]
     return _block(points, model, values, 1)
 
 
@@ -125,12 +126,11 @@ def _ris_block(points, model: SystemModel) -> np.ndarray:
     return _block(points, model, values, 2)
 
 
-def _map_cells(points, worker, threads: int, n_targets: int = 1) -> np.ndarray:
-    """worker over consecutive blocks of max(1, BLOCK_CELLS // n_targets)
-    cells, joined in cell order; with threads > 1 a process pool of at most
-    one process per block and per CPU maps the blocks."""
-    size = max(1, BLOCK_CELLS // n_targets)
-    blocks = [points[i:i + size] for i in range(0, len(points), size)]
+def _map_cells(points, worker, threads: int) -> np.ndarray:
+    """worker over consecutive blocks of BLOCK_CELLS cells, joined in cell
+    order; with threads > 1 a process pool of at most one process per block
+    and per CPU maps the blocks."""
+    blocks = [points[i:i + BLOCK_CELLS] for i in range(0, len(points), BLOCK_CELLS)]
     workers = min(threads, len(blocks), os.cpu_count() or 1)
     if workers <= 1:
         return np.concatenate([worker(b) for b in blocks], axis=-1)
@@ -159,7 +159,7 @@ def run_crb_map(cfg: dict, out_dir: str) -> list[str]:
     fixed = fixed_scene(cfg, model)
     cells = _cells(model, cfg["grid_res_m"])
     worker = functools.partial(_crb_block, model=model, builders=_builders(model, fixed))
-    values = _map_cells(cells, worker, cfg["threads"], len(fixed) + 1)
+    values = _map_cells(cells, worker, cfg["threads"])
     xz, files = cells[:, ::2].T.tolist(), []
     for name, vals in zip(("crb_alpha", "crb_xi"), values):
         rows = list(zip(*xz, *_column(vals)))
@@ -176,7 +176,7 @@ def run_peb_map(cfg: dict, out_dir: str) -> list[str]:
     fixed = fixed_scene(cfg, model)
     cells = _cells(model, cfg["grid_res_m"])
     worker = functools.partial(_peb_block, model=model, builders=_builders(model, fixed))
-    values = _map_cells(cells, worker, cfg["threads"], len(fixed) + 1)[0]
+    values = _map_cells(cells, worker, cfg["threads"])[0]
     rows = list(zip(*cells[:, ::2].T.tolist(), *_column(values, db=False)))
     path = os.path.join(out_dir, "peb_map.csv")
     write_csv(path, ("x_m", "z_m", "peb_m", "masked"), rows)

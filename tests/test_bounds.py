@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy.stats import random_correlation
@@ -5,6 +7,7 @@ from scipy.stats import random_correlation
 from stcmsense import bounds
 from stcmsense.bounds import (
     FisherMatrix,
+    MultiTargetFimBuilder,
     TargetState,
     crb_alpha_closed,
     crb_ris,
@@ -18,14 +21,17 @@ from stcmsense.bounds import (
     peb_multi_cells,
 )
 from stcmsense.channel import path_gains, steering_derivative, steering_vector, vec
+from stcmsense.config import merge_config
 from stcmsense.constants import CONDITION_LIMIT
 from stcmsense.errors import DimensionMismatch, SingularInformation
+from stcmsense.experiments import run_crb_map, run_peb_map
 from stcmsense.geometry import ScatterPoint, angles_from_position
 from stcmsense.metasurface import HarmonicSet, RisProfile, harmonic_pattern_batch
 
 from echo_oracle import db_regressor, sb_regressor
 
 NOISE = 1e-15
+EPS = float(np.finfo(float).eps)
 
 
 def random_gain(rng, mag=1e-6):
@@ -237,31 +243,57 @@ class TestMultiTarget:
         assert both[1] < 2.0 * solo2
 
 
-def efim(f, n_angles=1):
-    """Equivalent information of the leading angle block of one FIM."""
-    return bounds._efims(f.entries[None], n_angles)[0]
+def oracle_fim(states, kind, ula, panel, code, harmonics, pilots):
+    """Stacked-derivative FIM over [angles | (Re b, Im b) per target]."""
+    cols = [sb_derivative_columns(t.alpha, t.sb_gain, ula, pilots) if kind == "sb" else
+            db_derivative_columns(t.xi, t.alpha, t.db_gain, ula, panel, code, harmonics, pilots)
+            for t in states]
+    return fim_generic([c[0] for c in cols] + [x for c in cols for x in c[1:]], NOISE).entries
+
+
+def builder(states, kind, ula, panel, code, harmonics, pilots):
+    """Builder around states[1:] (the fixed targets)."""
+    return MultiTargetFimBuilder(states[1:], kind, ula, pilots, NOISE, panel, code, harmonics)
+
+
+def efim(states, kind, ula, panel, code, harmonics, pilots):
+    """(angle EFIM of states[0] against the fixed states[1:], its oracle FIM)."""
+    e = builder(states, kind, ula, panel, code, harmonics, pilots).efims(bounds._stacked(states[:1]))
+    return e[0], oracle_fim(states, kind, ula, panel, code, harmonics, pilots)
+
+
+def scene(rng, geom, r):
+    """r targets at random well-separated lattice points."""
+    state = TestMultiTarget().state
+    picks = rng.choice(np.arange(-7, 8) * 10.0, size=r, replace=False)
+    return [state(np.array([x, 0.0, rng.uniform(20.0, 90.0)]), geom) for x in picks]
 
 
 class TestEfim:
-    def test_zero_cross_block(self):
-        f = FisherMatrix(entries=np.diag([4.0, 2.0, 2.0]))
-        assert efim(f)[0, 0] == pytest.approx(4.0)
+    """:meth:`MultiTargetFimBuilder.efims` against the stacked-derivative FIM."""
 
-    def test_schur_identity_against_inverse(self):
+    def test_zero_cross_block(self, geom, ula, panel, code, harmonics, pilots):
+        # on the BS boresight the single-bounce gains carry no angle
+        # information, so the EFIM is the angle's own information
+        t = TestMultiTarget().state(np.array([0.0, 0.0, 40.0]), geom)
+        e, f = efim([t], "sb", ula, panel, code, harmonics, pilots)
+        assert np.all(np.abs(f[0, 1:]) <= 1e-12 * np.sqrt(f[0, 0] * np.diag(f)[1:]))
+        assert e[0, 0] == pytest.approx(f[0, 0], rel=1e-12)
+
+    def test_schur_identity_against_inverse(self, geom, ula, panel, code, harmonics, pilots):
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            a = rng.standard_normal((3, 5))
-            f = FisherMatrix(entries=a @ a.T + 0.1 * np.eye(3))
-            e = efim(f)[0, 0]
-            assert 1.0 / e == pytest.approx(np.linalg.inv(f.entries)[0, 0], rel=1e-10)
+        for kind in ("sb", "db"):
+            for r in (1, 2, 3, 3, 4):
+                e, f = efim(scene(rng, geom, r), kind, ula, panel, code, harmonics, pilots)
+                assert np.linalg.inv(e)[0, 0] == pytest.approx(np.linalg.inv(f)[0, 0], rel=1e-10)
 
-    def test_multi_angle_block(self):
+    def test_multi_angle_block(self, geom, ula, panel, code, harmonics, pilots):
         rng = np.random.default_rng(8)
-        a = rng.standard_normal((6, 9))
-        f = FisherMatrix(entries=a @ a.T + 0.1 * np.eye(6))
-        block = efim(f, n_angles=2)
-        inv_block = np.linalg.inv(np.linalg.inv(f.entries)[:2, :2])
-        assert np.allclose(block, inv_block, rtol=1e-9)
+        for kind in ("sb", "db"):
+            e, f = efim(scene(rng, geom, 4), kind, ula, panel, code, harmonics, pilots)
+            s = np.sqrt(np.diag(f)[:4])
+            block = np.linalg.inv(np.linalg.inv(f)[:4, :4]) / np.outer(s, s)
+            np.testing.assert_allclose(e / np.outer(s, s), block, rtol=0, atol=1e-12)
 
 
 class TestPeb:
@@ -275,9 +307,8 @@ class TestPeb:
 
     def peb_multi(self, states, q, geom, ula, panel, code, harmonics, pilots):
         """peb_multi_cells of target 0 of one scene; NaN where masked."""
-        f_sb = fim_multi_target(states, "sb", ula, pilots, NOISE)
-        f_db = fim_multi_target(states, "db", ula, pilots, NOISE, panel, code, harmonics)
-        return peb_multi_cells(f_sb.entries[None], f_db.entries[None], q[None], geom)[0]
+        builders = [builder(states, kind, ula, panel, code, harmonics, pilots) for kind in ("sb", "db")]
+        return peb_multi_cells(builders, bounds._stacked(states[:1]), q[None], geom)[0]
 
     def test_noise_scaling(self, geom, ula, panel, code, harmonics, pilots):
         q = np.array([30.0, 0.0, 40.0])
@@ -385,7 +416,7 @@ class TestCertificate:
             mats.append(0.5 * (f + f.T))
         f = np.array(mats)
         cond = bounds.scale_invariant_cond(f)
-        ok, x = bounds._certified_inverse(f, CONDITION_LIMIT)
+        ok, (x,) = bounds._certified_inverse([f], CONDITION_LIMIT)
         np.testing.assert_array_equal(ok, cond <= CONDITION_LIMIT)
         assert np.linalg.inv(f[ok]).tobytes() == x[ok].tobytes()
         # the sample reaches both sides of the limit, inside and outside the band
@@ -417,7 +448,7 @@ class TestCertificate:
         assert got[ok].tobytes() == np.linalg.inv(f[ok]).tobytes()
         empty = np.empty((0, k, k))
         assert bounds._inverse(empty, CONDITION_LIMIT).shape == (0, k, k)
-        assert bounds._certified_inverse(empty, CONDITION_LIMIT)[0].shape == (0,)
+        assert bounds._certified_inverse([empty], CONDITION_LIMIT)[0].shape == (0,)
 
     def test_whole_stack_fallback(self, monkeypatch):
         # if slogdet did not name the member inv refuses, every row takes
@@ -434,3 +465,121 @@ class TestCertificate:
             svd_inverse(f)
         with pytest.raises(np.linalg.LinAlgError):
             bounds._inverse(f, CONDITION_LIMIT)
+
+
+def shared_stack(rng, k, n, kappa_shared=10.0):
+    """n PSD FIMs of size k, in mixed units, whose trailing (k - 3) block C is
+    one shared matrix (kappa_2 ``kappa_shared`` after scaling; inf is rank
+    one); the moving Schur complements have kappa_2 from 1 to 1e18, densest
+    near the limit."""
+    m = k - 3
+    d_f = 10.0 ** rng.uniform(-3.0, 3.0, m)
+    corr = (np.ones((m, m)) if np.isinf(kappa_shared) else
+            random_correlation.rvs(spectrum(m, kappa_shared, False), random_state=rng))
+    c = d_f[:, None] * corr * d_f
+    log_kappa = np.concatenate([rng.uniform(0.0, 18.0, n // 2),
+                                np.log10(CONDITION_LIMIT) + rng.uniform(-1.5, 1.5, n - n // 2)])
+    mats = []
+    for lk in log_kappa:
+        v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        s = v @ np.diag([1.0, 10.0 ** (-lk / 2), 10.0 ** -lk]) @ v.T
+        x = rng.standard_normal((3, m)) / d_f
+        b = x @ c  # B C^+ B^T = X C X^T: F is PSD with Schur complement S
+        f = np.block([[s + b @ x.T, b], [b.T, c]])
+        d = np.concatenate([10.0 ** rng.uniform(-3.0, 3.0, 3), np.ones(m)])
+        f = d[:, None] * f * d
+        mats.append(0.5 * (f + f.T))
+    f = np.array(mats)
+    f[:, 3:, 3:] = 0.5 * (c + c.T)  # bitwise one shared block
+    return f
+
+
+def block_certificate(f):
+    """(ok, CRB of parameter 0, block kappa_F) of stacked FIMs through the
+    shared-block path, scaled as the builder scales them."""
+    s = np.sqrt(np.diagonal(f, axis1=1, axis2=2))
+    ft = f / (s[:, :, None] * s[:, None, :])
+    shared = bounds._shared_block(ft[0, 3:, 3:], CONDITION_LIMIT)
+    ok, t, _, kappa = bounds._schur(ft[:, :3, :3], ft[:, :3, 3:], shared, CONDITION_LIMIT)
+    return ok, t[:, 0, 0] / s[:, 0] ** 2, kappa
+
+
+class TestBlockCertificate:
+    """The Schur-block kappa_F and CRB of _schur against the full matrices."""
+
+    @pytest.mark.parametrize("k", [6, 30])
+    def test_matches_the_full_inverse_and_the_svd_rule(self, k):
+        rng = np.random.default_rng(100 + k)
+        f = shared_stack(rng, k, 240)
+        ok, crb, kappa = block_certificate(f)
+        cond = bounds.scale_invariant_cond(f)
+        np.testing.assert_array_equal(ok, cond <= CONDITION_LIMIT)
+        assert ok.any() and not ok.all() and (cond < 1e4).any() and (cond > 1e16).any()
+        # the block kappa_F is the full one, where the full inverse is accurate
+        s = np.sqrt(np.diagonal(f, axis1=1, axis2=2))
+        ft = f / (s[:, :, None] * s[:, None, :])
+        well = cond <= 1e6
+        full = np.linalg.norm(ft[well], axis=(1, 2)) * np.linalg.norm(np.linalg.inv(ft[well]), axis=(1, 2))
+        assert well.sum() >= 25
+        np.testing.assert_allclose(kappa[well], full, rtol=1e-9)
+        ref = np.diagonal(svd_inverse(ft), axis1=1, axis2=2)[:, 0] / s[:, 0] ** 2
+        np.testing.assert_array_equal(np.isnan(ref), ~ok)
+        assert np.all(np.abs(crb[ok] - ref[ok]) <= 64 * cond[ok] * EPS * np.abs(ref[ok]))
+
+    @pytest.mark.parametrize("kappa_shared", [1e14, np.inf])
+    def test_a_failing_shared_block_masks_every_member(self, kappa_shared):
+        f = shared_stack(np.random.default_rng(3), 6, 40, kappa_shared)
+        ok, _, _ = block_certificate(f)
+        assert not ok.any()
+        assert (bounds.scale_invariant_cond(f) > CONDITION_LIMIT).all()
+
+    def test_block_diagonal_certificate_matches_the_svd_rule(self):
+        # the peb-map angle EFIM: two R x R blocks certified as one 2R x 2R matrix
+        rng = np.random.default_rng(12)
+        blocks = []
+        for _ in range(2):
+            f = []
+            for lk in rng.uniform(0.0, 16.0, 120):
+                c = random_correlation.rvs(spectrum(10, 10.0 ** lk, split=lk > 8), random_state=rng)
+                d = 10.0 ** rng.uniform(-3.0, 3.0, 10)
+                f.append(0.5 * (d[:, None] * c * d + (d[:, None] * c * d).T))
+            blocks.append(np.array(f))
+        ok, xs = bounds._certified_inverse(blocks, CONDITION_LIMIT)
+        zero = np.zeros_like(blocks[0])
+        full = np.block([[blocks[0], zero], [zero, blocks[1]]])
+        cond = bounds.scale_invariant_cond(full)
+        np.testing.assert_array_equal(ok, cond <= CONDITION_LIMIT)
+        assert ok.any() and not ok.all()
+        for f, x in zip(blocks, xs):
+            assert x[ok].tobytes() == np.linalg.inv(f[ok]).tobytes()
+
+
+class TestDegenerateFixedScene:
+    """Fixed blocks that fail the limit mask every cell, as the full FIMs do."""
+
+    @pytest.mark.parametrize("case", ["absent", "coincident"])
+    def test_every_cell_is_masked(self, geom, ula, panel, code, harmonics, pilots, case):
+        state = TestMultiTarget().state
+        fixed = [state(np.array([30.0, 0.0, 60.0]), geom), state(np.array([-40.0, 0.0, 50.0]), geom)]
+        if case == "absent":  # no reflection: its angle column, and so its diagonal, is zero
+            fixed[0] = TargetState(fixed[0].alpha, fixed[0].xi, 0.0, 0.0)
+        else:
+            fixed[1] = fixed[0]
+        x, z = np.meshgrid(np.arange(-70.0, 71.0, 20.0), np.arange(10.0, 91.0, 20.0))
+        q = np.column_stack([x.ravel(), np.zeros(x.size), z.ravel()])
+        moving = bounds._stacked([state(p, geom) for p in q])
+        builders = [MultiTargetFimBuilder(fixed, kind, ula, pilots, NOISE, panel, code, harmonics)
+                    for kind in ("sb", "db")]
+        for b in builders:
+            assert np.isnan(b.crbs(moving)).all()
+            assert np.isnan(svd_inverse(b.fim_cells(moving))).all()
+        assert np.isnan(peb_multi_cells(builders, moving, q, geom)).all()
+
+    def test_coincident_scene_masks_every_map_cell(self, tmp_path):
+        scene = [{"position": [30.0, 0.0, 60.0], "rcs_dbsm": 0.0}] * 2
+        cfg = merge_config({"grid_res_m": 20.0, "n_targets": 2, "scene": scene})
+        files = run_crb_map(cfg, str(tmp_path)) + run_peb_map(cfg, str(tmp_path))
+        for path in (f for f in files if f.endswith(".csv")):
+            with open(path) as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows and all(r["masked"] == "true" for r in rows), path

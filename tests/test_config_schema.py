@@ -81,10 +81,48 @@ def _value(path: str, lean: bool):
     return JSON  # an object path, or a key the schema does not know
 
 
+# moved centres: on one boresight axis more often than not, and now and then
+# on a terminal-prone spot (the origin, the default two-target point), so
+# that accepted documents reach the checks that depend on the centres
+CX = st.sampled_from([0.0, 60.0]) | NEAR
+CZ = st.sampled_from([0.0, 40.0, 100.0]) | NEAR
+
+
+@st.composite
+def centres(draw):
+    x = draw(CX)
+    out = {"bs_center": [x, 0, draw(CZ)], "stcm_center": [x, 0, draw(CZ)]}
+    if draw(st.integers(0, 7)) == 0:  # off the boresight axis
+        out["stcm_center"][0] = draw(CX)
+    if draw(st.integers(0, 3)) == 0:  # move one centre only
+        del out[draw(st.sampled_from(sorted(out)))]
+    return out
+
+
+@st.composite
+def moved_scenes(draw):
+    """Moved centres and the fixed points the terminal check holds against
+    them, now and then put on a centre."""
+    doc = {"geometry": draw(centres())}
+    on = st.sampled_from(list(doc["geometry"].values()))
+    spot = st.one_of(on, on, SPOT)
+    fixed = draw(st.sampled_from(["none", "two", "ten", "scene"]))
+    if fixed in ("two", "ten"):
+        doc["n_targets"] = 2 if fixed == "two" else 10
+        if fixed == "two" and draw(st.booleans()):
+            doc["fixed_targets"] = {"two": [draw(spot)]}
+    elif fixed == "scene":
+        doc["scene"] = draw(st.lists(st.fixed_dictionaries(
+            {"position": spot, "rcs_dbsm": st.floats(-300, 300), "kind": KINDS}), max_size=3))
+    return doc
+
+
 @st.composite
 def documents(draw):
     if draw(st.integers(0, 9)) == 0:
         return draw(JSON)
+    if draw(st.integers(0, 5)) == 0:
+        return draw(moved_scenes())
     lean = draw(st.booleans())
     # the keys with nested values weigh as much as all the others
     nested = st.sampled_from(["scene", "fixed_targets.two", "fixed_targets.ten", "n_targets"])

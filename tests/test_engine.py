@@ -201,18 +201,18 @@ def test_svd_runs_only_where_the_certificate_cannot_decide(tmp_path, monkeypatch
     """At most 5% of the matrices whose mask is decided reach the SVD, and
     the CSVs are byte-identical to a run where every one of them does."""
     rows = {"decided": 0, "svd": 0}
-    cond, certify = bounds.scale_invariant_cond, bounds._certified_inverse
+    cond, decide = bounds.scale_invariant_cond, bounds._decide
 
     def counting_cond(m):
         rows["svd"] += len(m)
         return cond(m)
 
-    def counting_certify(f, limit):
-        rows["decided"] += len(f)
-        return certify(f, limit)
+    def counting_decide(kappa_f, *args):
+        rows["decided"] += len(kappa_f)
+        return decide(kappa_f, *args)
 
     monkeypatch.setattr(bounds, "scale_invariant_cond", counting_cond)
-    monkeypatch.setattr(bounds, "_certified_inverse", counting_certify)
+    monkeypatch.setattr(bounds, "_decide", counting_decide)
     cfg = merge_config({"grid_res_m": 20.0, "n_targets": 10, "threads": 1})
     (tmp_path / "certified").mkdir()
     (tmp_path / "svd").mkdir()
