@@ -196,9 +196,12 @@ def confusion_row(gain_scale, hypotheses: HypothesisSet, estimator_var: float,
     draws = rng.standard_normal((4, n_trials))
     draws[2:] *= math.sqrt(estimator_var / 2.0)
     u_re, u_im, n_re, n_im = draws
-    rows = np.array([_decision_frequencies((tau * u_re + n_re) ** 2 + (tau * u_im + n_im) ** 2,
-                                           *e)
-                     for tau, e in zip(taus, edges)])
+    x2, im, rows = np.empty(n_trials), np.empty(n_trials), np.empty((len(taus), 3))
+    for k, (tau, e) in enumerate(zip(taus, edges)):
+        # (tau u_re + n_re)^2 + (tau u_im + n_im)^2 in the two reused buffers
+        np.square(np.add(np.multiply(tau, u_re, out=x2), n_re, out=x2), out=x2)
+        x2 += np.square(np.add(np.multiply(tau, u_im, out=im), n_im, out=im), out=im)
+        rows[k] = _decision_frequencies(x2, *e)
     return rows if np.ndim(gain_scale) else rows[0]
 
 

@@ -21,12 +21,12 @@ cells (one h2 pass per combiner, one p_D pass per map).  ``threads`` > 1
 maps the blocks over up to that many worker processes, and no more than one
 per block or per CPU.  Every value is a pure function of its cell, so
 neither the block size nor ``threads`` changes a byte: blocks are joined in
-cell order, independent of completion order.  Map rows are built per
-column (one conversion and one NaN mask per value column) and zipped into a
-list.  classify-mc simulates only the confusion row it reports, draws each
-class's trials once for all of its SNR rows, and labels each trial by
-comparing its |beta_hat|^2 with the squared MAP region edges, without
-evaluating a density.
+cell order, independent of completion order.  Map CSVs are columns of
+ready strings (``io._fields``): coordinates once per map, each value column
+and its mask flags in one pass each, constant columns as strings.
+classify-mc simulates only the confusion row it reports, draws each class's
+trials once for all of its SNR rows, and labels each trial by comparing its
+|beta_hat|^2 with the squared MAP region edges, without evaluating a density.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from .channel import path_gains
 from .classification import confusion_row, rayleigh_scale
 from .config import SystemModel, build_model, config_hash, fixed_scene, grid_points
 from .detection import Combiner, despread_regressor_at_angle, detection_map
-from .geometry import ScatterPoint, angles_from_position, terminal_mask
-from .io import write_csv, write_manifest
+from .geometry import ScatterPoint, TargetKind, angles_from_position, terminal_mask
+from .io import _fields, write_csv, write_manifest
 
 # Cells per array pass.  Per-cell temporaries are (BLOCK_CELLS, M) arrays,
 # and (BLOCK_CELLS, 3, 3R) FIM rows with R targets, so this bounds peak
@@ -62,20 +62,22 @@ from .io import write_csv, write_manifest
 BLOCK_CELLS = 256
 
 
-def _target_state(q, model: SystemModel) -> TargetState:
-    """Angles and unit-RCS, unit-fading bounce gains at a point (3,), or as
-    (n,) arrays at stacked points (n, 3)."""
+def _target_state(q, model: SystemModel, rcs_sqrt: float = 1.0) -> TargetState:
+    """Angles and unit-fading bounce gains (unit RCS unless given) at a
+    point (3,), or as (n,) arrays at stacked points (n, 3)."""
     ang = angles_from_position(q, model.geom)
-    g = path_gains(ScatterPoint(position=q, rcs_sqrt=1.0), model.geom, fading=1.0,
+    g = path_gains(ScatterPoint(position=q, rcs_sqrt=rcs_sqrt), model.geom, fading=1.0,
                    wavelength=model.wavelength, iota=model.iota)
     return TargetState(alpha=ang.alpha, xi=ang.xi, sb_gain=g.sb_gain, db_gain=g.db_gain)
 
 
 def _builders(model: SystemModel, fixed):
-    """(sb, db) FIM builders around the fixed scatter points; None without any."""
-    if not fixed:
+    """(sb, db) FIM builders around the fixed scatter points, each with its
+    own RCS; absent points carry no echo and are left out.  None without any."""
+    states = [_target_state(p.position, model, p.rcs_sqrt) for p in fixed
+              if p.kind is not TargetKind.ABSENT]
+    if not states:
         return None, None
-    states = [_target_state(p.position, model) for p in fixed]
     sb = MultiTargetFimBuilder(states, "sb", model.ula, model.pilots, model.noise_power)
     db = MultiTargetFimBuilder(states, "db", model.ula, model.pilots, model.noise_power,
                                model.panel, model.code, model.harmonics, model.mode)
@@ -126,62 +128,62 @@ def _ris_block(points, model: SystemModel) -> np.ndarray:
     return _block(points, model, values, 2)
 
 
-def _map_cells(points, worker, threads: int) -> np.ndarray:
-    """worker over consecutive blocks of BLOCK_CELLS cells, joined in cell
-    order; with threads > 1 a process pool of at most one process per block
-    and per CPU maps the blocks."""
-    blocks = [points[i:i + BLOCK_CELLS] for i in range(0, len(points), BLOCK_CELLS)]
-    workers = min(threads, len(blocks), os.cpu_count() or 1)
-    if workers <= 1:
-        return np.concatenate([worker(b) for b in blocks], axis=-1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(worker, blocks)), axis=-1)
-
-
-def _cells(model: SystemModel, res: float) -> np.ndarray:
-    """(n, 3) lattice points, x fastest; ``[:, ::2]`` holds the CSV's x and z."""
-    xs, zs = grid_points(model.geom, res)
+def _map_cells(cfg: dict, model: SystemModel, block, **kwargs) -> tuple[np.ndarray, list[str]]:
+    """``block(points, model=model, **kwargs)`` over consecutive blocks of
+    BLOCK_CELLS lattice cells (x fastest), joined in cell order, and each
+    cell's ``"x,z"`` CSV fields, formatting each distinct coordinate once.
+    With threads > 1 a process pool of at most one process per block and per
+    CPU maps the blocks."""
+    xs, zs = grid_points(model.geom, cfg["grid_res_m"])
     x, z = np.meshgrid(xs, zs)
-    return np.column_stack([x.ravel(), np.zeros(x.size), z.ravel()])
+    points = np.column_stack([x.ravel(), np.zeros(x.size), z.ravel()])
+    blocks = [points[i:i + BLOCK_CELLS] for i in range(0, len(points), BLOCK_CELLS)]
+    worker = functools.partial(block, model=model, **kwargs)
+    workers = min(cfg["threads"], len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
+        values = [worker(b) for b in blocks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            values = list(pool.map(worker, blocks))
+    x_csv, z_csv = _fields(xs.tolist()), _fields(zs.tolist())
+    return np.concatenate(values, axis=-1), [f"{a},{b}" for b in z_csv for a in x_csv]
 
 
-def _column(vals: np.ndarray, db: bool = True) -> tuple[list, list]:
-    """(CSV values, masked flags) of one map column; variances in dB by
-    ``math.log10`` (``np.log10`` differs in the last ulp on some doubles)."""
+def _column(vals: np.ndarray, db: bool = True) -> tuple[list[str], list[str]]:
+    """(CSV values, masked flags) of one map column, empty where NaN;
+    variances in dB by ``math.log10`` (``np.log10`` differs in the last ulp
+    on some doubles; NaN passes through it)."""
     masked = np.isnan(vals).tolist()
-    to_csv = (lambda v: 10.0 * math.log10(v)) if db else float
-    return [None if m else to_csv(v) for v, m in zip(vals.tolist(), masked)], masked
+    vals = [10.0 * math.log10(v) for v in vals.tolist()] if db else vals.tolist()
+    return _fields(vals, masked), _fields(masked)
+
+
+def _write(out_dir: str, experiment: str, cfg: dict, tables) -> list[str]:
+    """Each (file name, header, field columns) of ``tables`` as a CSV, then the manifest."""
+    files = []
+    for name, header, columns in tables:
+        files.append(os.path.join(out_dir, name))
+        write_csv(files[-1], header, list(zip(*columns)))
+    return files + [write_manifest(out_dir, experiment, config_hash(cfg), __version__, files)]
 
 
 def run_crb_map(cfg: dict, out_dir: str) -> list[str]:
     """Angle-CRB maps over the scene for the configured target count."""
     model = build_model(cfg)
-    fixed = fixed_scene(cfg, model)
-    cells = _cells(model, cfg["grid_res_m"])
-    worker = functools.partial(_crb_block, model=model, builders=_builders(model, fixed))
-    values = _map_cells(cells, worker, cfg["threads"])
-    xz, files = cells[:, ::2].T.tolist(), []
-    for name, vals in zip(("crb_alpha", "crb_xi"), values):
-        rows = list(zip(*xz, *_column(vals)))
-        path = os.path.join(out_dir, f"{name}_map.csv")
-        write_csv(path, ("x_m", "z_m", "crb_db", "masked"), rows)
-        files.append(path)
-    files.append(write_manifest(out_dir, "crb_map", config_hash(cfg), __version__, files))
-    return files
+    values, xz = _map_cells(cfg, model, _crb_block,
+                            builders=_builders(model, fixed_scene(cfg, model)))
+    return _write(out_dir, "crb_map", cfg, (
+        (f"{name}_map.csv", ("x_m", "z_m", "crb_db", "masked"), (xz, *_column(vals)))
+        for name, vals in zip(("crb_alpha", "crb_xi"), values)))
 
 
 def run_peb_map(cfg: dict, out_dir: str) -> list[str]:
     """Position-error-bound map (meters) for the moving target."""
     model = build_model(cfg)
-    fixed = fixed_scene(cfg, model)
-    cells = _cells(model, cfg["grid_res_m"])
-    worker = functools.partial(_peb_block, model=model, builders=_builders(model, fixed))
-    values = _map_cells(cells, worker, cfg["threads"])[0]
-    rows = list(zip(*cells[:, ::2].T.tolist(), *_column(values, db=False)))
-    path = os.path.join(out_dir, "peb_map.csv")
-    write_csv(path, ("x_m", "z_m", "peb_m", "masked"), rows)
-    manifest = write_manifest(out_dir, "peb_map", config_hash(cfg), __version__, [path])
-    return [path, manifest]
+    (values,), xz = _map_cells(cfg, model, _peb_block,
+                               builders=_builders(model, fixed_scene(cfg, model)))
+    return _write(out_dir, "peb_map", cfg, [
+        ("peb_map.csv", ("x_m", "z_m", "peb_m", "masked"), (xz, *_column(values, db=False)))])
 
 
 def _detect_block(points, model: SystemModel, scales: dict) -> np.ndarray:
@@ -194,24 +196,18 @@ def _detect_block(points, model: SystemModel, scales: dict) -> np.ndarray:
 def run_detection_map(cfg: dict, out_dir: str) -> list[str]:
     """Marginal detection probability maps: 2 target types x 2 combiners."""
     model = build_model(cfg)
-    cells = _cells(model, cfg["grid_res_m"])
     scales = {label: functools.partial(rayleigh_scale, sigma, sigma_nu=model.sigma_nu,
                                        wavelength=model.wavelength, iota=model.iota)
               for label, sigma in (("human_like", model.hypotheses.rcs_sqrts[1]),
                                    ("object_like", model.hypotheses.rcs_sqrts[2]))}
-    worker = functools.partial(_detect_block, model=model, scales=scales)
-    values = _map_cells(cells, worker, cfg["threads"])
-    xs, zs = cells[:, ::2].T.tolist()
-    files = []
-    for (label, combiner), pd in zip([(label, c.value) for c in Combiner for label in scales],
-                                     values):
-        p_d, masked = _column(pd, db=False)
-        rows = list(zip(xs, zs, p_d, itertools.repeat(label), itertools.repeat(combiner), masked))
-        path = os.path.join(out_dir, f"detect_map_{label}_{combiner}.csv")
-        write_csv(path, ("x_m", "z_m", "p_d", "sp_type", "combiner", "masked"), rows)
-        files.append(path)
-    files.append(write_manifest(out_dir, "detect_map", config_hash(cfg), __version__, files))
-    return files
+    values, xz = _map_cells(cfg, model, _detect_block, scales=scales)
+    kinds = [(label, c.value) for c in Combiner for label in scales]
+    columns = (_column(pd, db=False) for pd in values)
+    return _write(out_dir, "detect_map", cfg, (
+        (f"detect_map_{label}_{combiner}.csv",
+         ("x_m", "z_m", "p_d", "sp_type", "combiner", "masked"),
+         (xz, p_d, itertools.repeat(f"{label},{combiner}"), masked))
+        for (label, combiner), (p_d, masked) in zip(kinds, columns)))
 
 
 def classification_operating_point(model: SystemModel, snr_db: float, true_index: int):
@@ -249,21 +245,15 @@ def run_classification_mc(cfg: dict, out_dir: str) -> list[str]:
                              n_trials=n_trials, seed=seed + 1000 * j)
     rows = [(snr_db, label, *p[j][k].tolist(), n_trials, seed)
             for k, snr_db in enumerate(snrs) for j, label in labels.items()]
-    path = os.path.join(out_dir, "classification_mc.csv")
-    write_csv(path, ("snr_db", "true_class", "p_h0", "p_h1", "p_h2", "n_trials", "seed"), rows)
-    manifest = write_manifest(out_dir, "classification_mc", config_hash(cfg), __version__, [path])
-    return [path, manifest]
+    header = ("snr_db", "true_class", "p_h0", "p_h1", "p_h2", "n_trials", "seed")
+    return _write(out_dir, "classification_mc", cfg,
+                  [("classification_mc.csv", header, map(_fields, zip(*rows)))])
 
 
 def run_ris_compare(cfg: dict, out_dir: str) -> list[str]:
     """Fixed-profile linear-panel baseline CRB(xi) next to the switching panel."""
     model = build_model(cfg)
-    cells = _cells(model, cfg["grid_res_m"])
-    worker = functools.partial(_ris_block, model=model)
-    ris, stcm = _map_cells(cells, worker, cfg["threads"])
-    rows = list(zip(*cells[:, ::2].T.tolist(), *_column(ris), *_column(stcm)))
-    path = os.path.join(out_dir, "ris_compare.csv")
-    write_csv(path, ("x_m", "z_m", "ris_crb_xi_db", "ris_masked",
-                     "stcm_crb_xi_db", "stcm_masked"), rows)
-    manifest = write_manifest(out_dir, "ris_compare", config_hash(cfg), __version__, [path])
-    return [path, manifest]
+    (ris, stcm), xz = _map_cells(cfg, model, _ris_block)
+    header = ("x_m", "z_m", "ris_crb_xi_db", "ris_masked", "stcm_crb_xi_db", "stcm_masked")
+    return _write(out_dir, "ris_compare", cfg,
+                  [("ris_compare.csv", header, (xz, *_column(ris), *_column(stcm)))])

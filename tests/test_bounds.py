@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -583,3 +584,15 @@ class TestDegenerateFixedScene:
             with open(path) as fh:
                 rows = list(csv.DictReader(fh))
             assert rows and all(r["masked"] == "true" for r in rows), path
+
+    def test_absent_points_carry_no_echo(self, tmp_path):
+        # the echo gives an absent point zero gain, so the bounds leave it out
+        obj = {"position": [30.0, 0.0, 60.0], "rcs_dbsm": 0.0}
+        absent = {"position": [-40.0, 0.0, 50.0], "kind": "absent"}
+        csvs = []
+        for k, scene in enumerate(([absent, obj], [obj])):
+            cfg = merge_config({"grid_res_m": 20.0, "n_targets": 2, "scene": scene})
+            (tmp_path / str(k)).mkdir()
+            files = run_crb_map(cfg, str(tmp_path / str(k))) + run_peb_map(cfg, str(tmp_path / str(k)))
+            csvs.append([Path(f).read_bytes() for f in files if f.endswith(".csv")])
+        assert csvs[0] == csvs[1]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import warnings
@@ -134,8 +135,6 @@ class TestExperimentOutputs:
     def test_manifest_checksums(self, tmp_path):
         files = run_peb_map(merge_config(COARSE), str(tmp_path))
         manifest = json.loads(Path(files[-1]).read_text())
-        import hashlib
-
         for name, digest in manifest["outputs"].items():
             p = os.path.join(tmp_path, name)
             assert hashlib.sha256(Path(p).read_bytes()).hexdigest() == digest
@@ -206,6 +205,43 @@ class TestExperimentOutputs:
                                      str(tmp_path))[0]
         assert sha256_file(path) == (
             "8a27895fb5c5ed54f5a4b30d67f3c71bbb316f98bd2af6aa29610621cd92e0f2")
+
+    # sha256 of every map CSV at 10 m and seed 31, taken before the writer
+    # formatted by column; keyed by (verb, n_targets)
+    MAP_DIGESTS = {
+        ("crb-map", 1): {
+            "crb_alpha_map.csv": "f87f0f2bb2ee1d4b1bec362adffb7c2acfb9fc009b64b362bac2ff3aec01b809",
+            "crb_xi_map.csv": "bfef4915e0564f58fca62b58376195ef1667638c71a4d5cb6bc350d8f83bf191"},
+        ("crb-map", 10): {
+            "crb_alpha_map.csv": "c5faabba158ac3899359bbd1bc8b488c3b483fbe396851affd14e241e99d10cf",
+            "crb_xi_map.csv": "da78815fbb8ff3765024a25ef74ebbd383adbf15435a9cfa2c40c84ae556d5fa"},
+        ("peb-map", 1): {
+            "peb_map.csv": "7ae39cffbf10be288453d36d020e733dd0893e849bc86661390bcfa0d79bb95e"},
+        ("peb-map", 10): {
+            "peb_map.csv": "88000dfcf9b64578491255185767dfd2ad9cdca0402d924dc411c6418c38270c"},
+        ("ris-compare", 1): {
+            "ris_compare.csv": "aacd45a680c1df1bdeddbd9bceac01001bb4ebfa6c017bea53399feacf66cddb"},
+        ("detect-map", 1): {
+            "detect_map_human_like_all_ones.csv":
+                "cbc776a4dfa4229a8ba33edaf56571b7339d61543086027f8795609cdc8ec32f",
+            "detect_map_human_like_matched.csv":
+                "d987339f7988fe3aa9a84202af8885e82f5f15658d9eb9af3241ad44d952db3d",
+            "detect_map_object_like_all_ones.csv":
+                "d9121d85527c78ce5f3c842336727a630ae13cd6ef1baae0e6f3e215b73fea17",
+            "detect_map_object_like_matched.csv":
+                "00f49af9920f555da889f1faf7ce888eb00ccebb7ea5a0650f61178b701d21a1"},
+    }
+    MAP_RUNNERS = {"crb-map": run_crb_map, "peb-map": run_peb_map,
+                   "ris-compare": run_ris_compare, "detect-map": run_detection_map}
+
+    @pytest.mark.parametrize("verb,n_targets", sorted(MAP_DIGESTS))
+    def test_map_csv_bytes_are_pinned(self, tmp_path, verb, n_targets):
+        # any change to a value, a mask, a coordinate or the number format
+        # of any map shows here as a different digest
+        cfg = merge_config({"grid_res_m": 10.0, "n_targets": n_targets, "seed": 31})
+        out = csv_bytes(self.MAP_RUNNERS[verb], cfg, tmp_path / "out")
+        assert {name: hashlib.sha256(b).hexdigest() for name, b in out.items()} == (
+            self.MAP_DIGESTS[verb, n_targets])
 
     def test_ris_compare_masked_everywhere(self, tmp_path):
         files = run_ris_compare(merge_config(COARSE), str(tmp_path))
