@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PilotMatrix, UlaLayout, steering_derivative, steering_vector, vec_outer
+from .channel import PilotMatrix, UlaLayout, steering_derivative, steering_vector
 from .constants import CONDITION_LIMIT
 from .errors import DimensionMismatch, SingularInformation
 from .geometry import SceneGeometry, jacobian_angles_to_position
@@ -55,9 +55,8 @@ from .metasurface import (
     PanelLayout,
     RisProfile,
     WavelengthMode,
+    _ris_terms,
     harmonic_pattern_batch,
-    ris_response,
-    ris_response_derivative,
 )
 
 
@@ -235,9 +234,10 @@ def _inner(u2: np.ndarray, u1: np.ndarray) -> np.ndarray:
     return np.sum(u2.conj() * u1, axis=-1)
 
 
-# Every trace below is a sum of rank-one terms
-#     tr((u1 v1^T) G (u2 v2^T)^H) = (v1^T G conj(v2)) (u2^H u1),
-# so per cell only length-M vectors are formed, never an M x M product.
+# Every spatial inner product (the traces below, MultiTargetFimBuilder) sums
+#     vec(u2 v2^T X)^H vec(u1 v1^T X) = (v1^T G conj(v2)) (u2^H u1),
+# the trace tr((u1 v1^T) G (u2 v2^T)^H), so per cell only length-M vectors
+# are formed, never an M S-long vector or an M x M product.
 
 def _sb_traces(alpha, ula: UlaLayout, pilots: PilotMatrix):
     """(t_dd, t_ad, t_aa) per angle: tr(dA G dA^H), tr(A G dA^H), tr(A G A^H)
@@ -409,20 +409,17 @@ def fim_multi_target(targets, kind: str, ula: UlaLayout, pilots: PilotMatrix,
     :meth:`MultiTargetFimBuilder.fim`; reduces exactly to the single-target
     closed forms at R = 1.
     """
-    builder = MultiTargetFimBuilder(targets[1:], kind, ula, pilots, noise_power, panel,
-                                    code, harmonics, mode)
-    return builder.fim(targets[0])
+    return MultiTargetFimBuilder(targets[1:], kind, ula, pilots, noise_power, panel, code,
+                                 harmonics, mode).fim(targets[0])
 
 
-def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^H b over the last two axes."""
-    return np.swapaxes(a, -1, -2).conj() @ b
-
-
-# Cells per factor pass of MultiTargetFimBuilder: the moving target's
-# (n, M S, 2) spatial factors are its largest arrays, so this bounds their
-# memory; values do not depend on it.
-_FACTOR_CELLS = 64
+def _spatial(nq: np.ndarray, left, right) -> np.ndarray:
+    """Gram (.., c, c') of spatial factors that sum terms (u, v) of two bases b, b'
+    by the identity above: n[u, u'] q[v, v'] from nq = [b^H b' | b'^T G conj(b)],
+    summed into columns by each side's e (c, terms)."""
+    (u1, v1, e1), (u2, v2, e2) = left, right
+    p = nq[..., u1[:, None], u2] * nq[..., v1[:, None], v2 + nq.shape[-1] // 2]
+    return np.moveaxis(np.tensordot(e1, np.tensordot(p, e2, (-1, 1)), (1, -2)), 0, -2)
 
 
 class MultiTargetFimBuilder:
@@ -430,9 +427,11 @@ class MultiTargetFimBuilder:
 
     Each target has the columns d (angle), h (Re b) and 1j h (Im b); d and h
     are kron(x, w) of a harmonic factor x (the gain for the single bounce;
-    gain * d eta and eta for the double bounce) and a spatial factor w of
-    length M S from :func:`.channel.vec_outer`, as in the echo.  Inner
-    products factor as (x^H y)(w^H v), so the |H| M S-long columns are never
+    gain * d eta and eta for the double bounce) and a spatial factor w, a sum
+    of terms (u, v) = vec(u v^T X) (:func:`.channel.vec_outer`): d = (da, a) +
+    (a, da) and h = (a, a) for the single bounce, d = h = (a, a_s) + (a_s, a)
+    for the double.  Inner products factor as (x^H y)(w^H v), and w^H v by the
+    Gram identity above (:func:`_spatial`), so only length-M vectors are
     formed.  Parameters run [moving | fixed]: the moving (angle, Re b, Im b),
     then the fixed angles and gains.  The scaled fixed block and its gain
     block are inverted once, so a cell forms three rows (:func:`_schur`).
@@ -445,12 +444,17 @@ class MultiTargetFimBuilder:
                  mode: WavelengthMode = WavelengthMode.EXACT):
         if kind not in ("sb", "db"):
             raise ValueError("kind must be 'sb' or 'db'")
-        self._model = (kind, ula, pilots, panel, code, harmonics, mode)
-        self._c = 2.0 / noise_power
-        # parameter p is column j[p] of [d_0, h_0, d_1, h_1, ..] times phase[p]
+        self._model, self._g = (kind, ula, panel, code, harmonics, mode), pilots.gram()
+        # terms (u, v) as rows (u, v, in d, in h) over the basis of _factors
+        t = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]] if kind == "sb"
+                     else [[0, 1, 1, 1], [1, 0, 1, 1]])
+        self._terms = u, v, e = t[:, 0], t[:, 1], t[:, 2:].T
+        # parameter p is column j[p] of [d_0, h_0, d_1, h_1, ..] times phase[p], so
+        # a FIM row is +-Re or +-Im of Gram entries: _pick = (real-view index, sign)
         r = self._r = len(fixed_targets) + 1
-        self._j = np.concatenate([[0, 1, 1], 2 * np.arange(1, r), np.repeat(2 * np.arange(1, r) + 1, 2)])
-        self._phase = np.array([1.0, 1.0, 1j] + [1.0] * (r - 1) + [1.0, 1j] * (r - 1))
+        j = np.concatenate([[0, 1, 1], 2 * np.arange(1, r), np.repeat(2 * np.arange(1, r) + 1, 2)])
+        ph = np.outer(np.conj([1, 1, 1j]), [1.0, 1.0, 1j] + [1.0] * (r - 1) + [1.0, 1j] * (r - 1))
+        self._pick = 4 * r * j[:3, None] + 2 * j + (ph.real == 0), (ph.real - ph.imag) * 2 / noise_power
         # where each parameter of the public order [angles | gains] sits
         self._order = np.concatenate([[0], 3 + np.arange(r - 1), [1, 2], 2 + r + np.arange(2 * r - 2)])
         angle = "alpha" if kind == "sb" else "xi"
@@ -458,11 +462,15 @@ class MultiTargetFimBuilder:
                              + [f"{part}_gain_{i}" for i in range(r) for part in ("re", "im")])
         self._fixed, c = None, np.zeros((0, 0))
         if fixed_targets:
-            # fixed factors as columns [d_1, h_1, d_2, h_2, ..]
-            self._fixed = x, w = [np.moveaxis(a, 0, 1).reshape(a.shape[1], -1)
-                                  for a in self._factors(_stacked(fixed_targets))]
-            ph, j = self._phase[3:], self._j[3:] - 2
-            c = self._c * np.real(ph[:, None].conj() * ph * (_gram(x, x) * _gram(w, w))[j[:, None], j])
+            # harmonic columns [d_1, h_1, d_2, ..], [b | b G]^T of the stacked
+            # bases b and their terms; C is the fixed targets' own rows against them
+            x, b = self._factors(fixed := _stacked(fixed_targets))
+            b, o = b.reshape(-1, b.shape[-1]), 2 * np.arange(r - 1)[:, None]
+            self._fixed = (np.moveaxis(x, 0, 1).reshape(x.shape[1], -1),
+                           np.concatenate([b, b @ self._g]).T,
+                           ((o + u).ravel(), (o + v).ravel(), np.kron(np.eye(r - 1, dtype=int), e)))
+            b = self._rows(fixed)[1]
+            c = np.concatenate([b[:, 0], b[:, 1:].reshape(-1, b.shape[-1])])
             c = 0.5 * (c + c.T)
         self._fim_c, self._s = c, np.sqrt(np.diagonal(c))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -471,36 +479,29 @@ class MultiTargetFimBuilder:
         self._gains = _shared_block(c[r - 1:, r - 1:], CONDITION_LIMIT)
 
     def _factors(self, t: TargetState):
-        """(harmonic (n, K, 2), spatial (n, M S, 2)) factors of the columns
-        [d, h] of n targets."""
-        kind, ula, pilots, panel, code, harmonics, mode = self._model
-        x, a = pilots.symbols, _rows(ula, t.alpha)
+        """(harmonic (n, K, 2), basis (n, 2, M)) factors of the columns [d, h]
+        of n targets: the basis is [a, da] (sb) or [a, a_s] (db)."""
+        kind, ula, panel, code, harmonics, mode = self._model
+        a = _rows(ula, t.alpha)
         if kind == "sb":
-            da = _rows(ula, t.alpha, derivative=True)
-            w = [vec_outer(da, a, x) + vec_outer(a, da, x), vec_outer(a, a, x)]
-            return np.stack([t.sb_gain, np.ones_like(t.sb_gain)], -1)[:, None], np.stack(w, -1)
-        s = np.broadcast_to(_rows(ula, 0.0), a.shape)
-        v = vec_outer(a, s, x) + vec_outer(s, a, x)
+            return (np.stack([t.sb_gain, np.ones_like(t.sb_gain)], -1)[:, None],
+                    np.stack([a, _rows(ula, t.alpha, derivative=True)], 1))
         eta, deta = _patterns(t.xi, panel, code, harmonics, mode)
-        return np.stack([t.db_gain[:, None] * deta, eta], -1), np.stack([v, v], -1)
-
-    def _gram_rows(self, moving: TargetState) -> np.ndarray:
-        """Gram rows (n, 2, 2R) of the moving columns [d_0, h_0] against all."""
-        x, w = self._factors(moving)
-        g = _gram(x, x) * _gram(w, w)
-        if self._fixed is None:
-            return g
-        return np.concatenate([g, _gram(x, self._fixed[0]) * _gram(w, self._fixed[1])], axis=-1)
+        return (np.stack([t.db_gain[:, None] * deta, eta], -1),
+                np.stack([a, np.broadcast_to(_rows(ula, 0.0), a.shape)], 1))
 
     def _rows(self, moving: TargetState, scaled: bool = False):
         """The moving target's FIM rows A (n, 3, 3), B (n, 3, 3R - 3); with
         ``scaled``, (scale (n, 3), A, B) scaled against the fixed block."""
-        n, k = len(moving.alpha), _FACTOR_CELLS
-        chunks = (TargetState(*(v[i:i + k] for v in vars(moving).values()))
-                  for i in range(0, max(n, 1), k))
-        g = np.concatenate([self._gram_rows(t) for t in chunks])
-        ph, j = self._phase, self._j
-        f = self._c * np.real(ph[:3, None].conj() * ph * g[:, j[:3, None], j])
+        x, b = self._factors(moving)
+        xh, bc, t = np.swapaxes(x, 1, 2).conj(), b.conj(), self._terms
+        nq = np.concatenate([b, (b.reshape(-1, b.shape[-1]) @ self._g).reshape(b.shape)], 1)
+        g = (xh @ x) * _spatial(bc @ np.swapaxes(nq, 1, 2), t, t)
+        if self._fixed is not None:
+            x_f, nq_f, t_f = self._fixed
+            nq = (bc.reshape(-1, b.shape[-1]) @ nq_f).reshape(len(b), 2, -1)
+            g = np.concatenate([g, (xh @ x_f) * _spatial(nq, t, t_f)], axis=-1)
+        f = self._pick[1] * g.reshape(len(g), -1).view(float)[:, self._pick[0]]
         a, b = 0.5 * (f[:, :, :3] + np.swapaxes(f[:, :, :3], 1, 2)), f[:, :, 3:]
         if not scaled:
             return a, b
@@ -614,8 +615,7 @@ def crb_ris_cells(xi, alpha, gain, profile: RisProfile, ris_layout: PanelLayout,
     through gain * g(xi), so the matrix is singular by construction while
     its gain block stays invertible.  The CRB is NaN where masked.
     """
-    g = ris_response(profile, ris_layout, np.atleast_1d(xi), 0.0)
-    dg = ris_response_derivative(profile, ris_layout, np.atleast_1d(xi), 0.0)
+    g, dg = _ris_terms(profile, ris_layout, np.atleast_1d(xi), 0.0)
     t_b = _db_trace(alpha, ula, pilots)
     f = _gain_fims(gain, np.abs(dg) ** 2 * t_b, np.conj(dg) * g * t_b, np.abs(g) ** 2 * t_b,
                    noise_power)

@@ -11,8 +11,9 @@ The monostatic echo of one pilot block decomposes into four path families:
 The panel sits on the BS boresight axis (the config rejects any other
 placement), so the BS sees it at angle 0 and it sees the BS at angle 0.
 Every path's spatial factor is vec(u v^T X) of two steering vectors, formed
-in one function, :func:`vec_outer`, over stacks of rows: the echo, its
-stacked regressors and the FIM columns of :mod:`.bounds` all come from it.
+in one function, :func:`vec_outer`, over stacks of rows: the echo and its
+stacked regressors come from it.  The FIMs of :mod:`.bounds` take their
+inner products from its Gram identity instead, with no M S-long column.
 
 Static scene throughout: no Doppler factors anywhere.  Vectorization uses
 the column-major (Fortran) ``vec`` convention.
@@ -45,8 +46,8 @@ def vec(a: np.ndarray) -> np.ndarray:
 def vec_outer(u: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """vec(u v^T X) per row of the (n, M) stacks u, v: (n, M S).
 
-    The one spatial factor of every path: the echo's components, the
-    stacked regressors and the FIM columns are all built from it.
+    The one spatial factor of every path: the echo's components and the
+    stacked regressors are built from it.
     """
     return (np.matmul(v[:, None], x)[:, 0, :, None] * u[:, None, :]).reshape(
         len(u), u.shape[-1] * x.shape[-1])

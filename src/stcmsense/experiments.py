@@ -56,9 +56,9 @@ from .detection import Combiner, despread_regressor_at_angle, detection_map
 from .geometry import ScatterPoint, TargetKind, angles_from_position, terminal_mask
 from .io import _fields, write_csv, write_manifest
 
-# Cells per array pass.  Per-cell temporaries are (BLOCK_CELLS, M) arrays,
-# and (BLOCK_CELLS, 3, 3R) FIM rows with R targets, so this bounds peak
-# memory; values do not depend on it.
+# Cells per array pass.  Per-cell temporaries are (BLOCK_CELLS, M) steering
+# vectors and (BLOCK_CELLS, 3, 3R) FIM rows with R targets (no M S-long FIM
+# factor), so this bounds peak memory; values do not depend on it.
 BLOCK_CELLS = 256
 
 

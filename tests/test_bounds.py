@@ -1,4 +1,5 @@
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,24 @@ def scene(rng, geom, r):
     return [state(np.array([x, 0.0, rng.uniform(20.0, 90.0)]), geom) for x in picks]
 
 
+class TestBuilderGram:
+    """:meth:`MultiTargetFimBuilder.fim_cells`, formed by the Gram identity,
+    against the FIM of the explicit M S-long derivative columns."""
+
+    @pytest.mark.parametrize("kind", ["sb", "db"])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_matches_the_stacked_columns(self, geom, ula, panel, code, harmonics, pilots, kind, r):
+        rng = np.random.default_rng(20 + r)
+        # the moving target also on the BS-panel axis, where a = a_s
+        axis = TestMultiTarget().state(np.array([0.0, 0.0, 50.0]), geom)
+        for states in (scene(rng, geom, r), [axis] + scene(rng, geom, r)[1:]):
+            f = builder(states, kind, ula, panel, code, harmonics, pilots).fim_cells(
+                bounds._stacked(states[:1]))[0]
+            ref = oracle_fim(states, kind, ula, panel, code, harmonics, pilots)
+            d = np.sqrt(np.diag(ref))
+            np.testing.assert_allclose(f / np.outer(d, d), ref / np.outer(d, d), rtol=0, atol=1e-12)
+
+
 class TestEfim:
     """:meth:`MultiTargetFimBuilder.efims` against the stacked-derivative FIM."""
 
@@ -337,6 +356,16 @@ class TestPeb:
         fpos = t.T @ np.diag([ea, ex]) @ t
         eigs = np.linalg.eigvalsh(fpos)
         assert got == pytest.approx(np.sqrt(np.sum(1.0 / eigs)), rel=1e-9)
+
+    def test_negative_angle_information_is_masked(self, geom):
+        # an indefinite angle EFIM shows as a negative pair information: the
+        # negative_info mask, before any invalid sqrt
+        q = np.array([[30.0, 0.0, 60.0], [30.0, 0.0, 60.0], [-20.0, 0.0, 40.0]])
+        e = np.array([[1e6, -1e3], [-1.0, 1e6], [1e6, 1e6]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            peb = bounds._position_peb(q, geom, e, CONDITION_LIMIT)
+        assert np.isnan(peb[:2]).all() and np.isfinite(peb[2])
 
     def test_multi_equal_angle_masked(self, geom, ula, panel, code, harmonics, pilots):
         q1, q2 = np.array([20.0, 0.0, 20.0]), np.array([40.0, 0.0, 40.0])
