@@ -34,7 +34,6 @@ from .metasurface import (  # noqa: F401
     fourier_coefficients,
     harmonic_pattern,
     harmonic_pattern_derivative,
-    ris_response,
 )
 from .channel import (  # noqa: F401
     EchoBundle,

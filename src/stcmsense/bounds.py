@@ -29,14 +29,16 @@ error grows as k eps kappa (Higham, Accuracy and Stability of Numerical
 Algorithms, 2002, ch. 14).  Only the rest take the SVD: the few matrices
 near the limit, and any member whose LU meets an exactly zero pivot.
 
-With R > 1 targets the scaled FIM is F = [[A, B], [B^T, C]] over
-[moving | fixed].  The fixed block C is the same in every cell, so Q = C^-1
-is certified once (if C fails, every F does: kappa_2(F) >= kappa_2(C) by
-Cauchy interlacing).  Per cell, P = B Q and T = (A - P B^T)^-1, the leading
-block of F^-1 (Kay, Estimation Theory, 1993, ch. 3), give kappa_F with no
-cancellation (:func:`_schur`): ||F||_F^2 = ||A||^2 + 2 ||B||^2 + ||C||^2 and
-||F^-1||_F^2 = ||T||^2 + 2 ||T P||^2 + ||Q||^2 + 2 tr(T P Q P^T)
-+ tr(T P P^T T P P^T), every term non-negative.
+Every map runs through :class:`MultiTargetFimBuilder` at any target count
+R, which at R = 1 takes the closed forms.  With R > 1 targets the scaled
+FIM is F = [[A, B], [B^T, C]] over [moving | fixed].  The fixed block C is
+the same in every cell, so Q = C^-1 is certified once (if C fails, every F
+does: kappa_2(F) >= kappa_2(C) by Cauchy interlacing).  Per cell, P = B Q
+and T = (A - P B^T)^-1, the leading block of F^-1 (Kay, Estimation Theory,
+1993, ch. 3), give kappa_F with no cancellation (:func:`_schur`):
+||F||_F^2 = ||A||^2 + 2 ||B||^2 + ||C||^2 and ||F^-1||_F^2 = ||T||^2
++ 2 ||T P||^2 + ||Q||^2 + 2 tr(T P Q P^T) + tr(T P P^T T P P^T), every term
+non-negative.
 """
 
 from __future__ import annotations
@@ -311,21 +313,15 @@ def fim_sb_single(alpha: float, gain: complex, ula: UlaLayout, pilots: PilotMatr
     return FisherMatrix(entries=f, labels=("alpha", "re_gain", "im_gain"))
 
 
-def crb_alpha_cells(alpha, gain, ula: UlaLayout, pilots: PilotMatrix,
-                    noise_power: float) -> np.ndarray:
-    """Closed-form CRB(alpha) at (n,) angles and gains; NaN where masked.
+def crb_alpha_closed(alpha: float, gain: complex, ula: UlaLayout, pilots: PilotMatrix,
+                     noise_power: float) -> float:
+    """Closed-form CRB(alpha) at one angle; raises where masked.
 
     sigma_n^2 / (2 |b|^2 (tr(dA G dA^H) - |tr(A G dA^H)|^2 / tr(A G A^H))):
     the Schur complement of the gain nuisance.  Masked where tr(A G A^H) <= 0
     or the denominator is not positive and finite.
     """
-    return _crb(_angle_efim(gain, *_sb_traces(alpha, ula, pilots), noise_power))
-
-
-def crb_alpha_closed(alpha: float, gain: complex, ula: UlaLayout, pilots: PilotMatrix,
-                     noise_power: float) -> float:
-    """Closed-form CRB(alpha) at one angle (:func:`crb_alpha_cells`); raises where masked."""
-    return _one(crb_alpha_cells(alpha, gain, ula, pilots, noise_power),
+    return _one(_crb(_angle_efim(gain, *_sb_traces(alpha, ula, pilots), noise_power)),
                 "angle information vanished or fully absorbed by the gain nuisance")
 
 
@@ -343,10 +339,11 @@ def fim_db_single(xi: float, alpha: float, gain: complex, ula: UlaLayout,
     return FisherMatrix(entries=f, labels=("xi", "re_gain", "im_gain"))
 
 
-def crb_xi_cells(xi, alpha, gain, ula: UlaLayout, panel: PanelLayout, code: CodingMatrix,
-                 harmonics: HarmonicSet, pilots: PilotMatrix, noise_power: float,
-                 mode: WavelengthMode = WavelengthMode.EXACT) -> np.ndarray:
-    """Closed-form CRB(xi) at (n,) angle pairs and gains; NaN where masked.
+def crb_xi_closed(xi: float, alpha: float, gain: complex, ula: UlaLayout,
+                  panel: PanelLayout, code: CodingMatrix, harmonics: HarmonicSet,
+                  pilots: PilotMatrix, noise_power: float,
+                  mode: WavelengthMode = WavelengthMode.EXACT) -> float:
+    """Closed-form CRB(xi) at one angle pair; raises where masked.
 
     sigma_n^2 / (2 |b|^2 tr(B G B^H) (de^H de - |de^H e|^2 / e^H e)); the
     harmonic Schur term multiplies the spatial trace.  Certified against
@@ -355,16 +352,7 @@ def crb_xi_cells(xi, alpha, gain, ula: UlaLayout, panel: PanelLayout, code: Codi
     construction) or the denominator is not positive and finite.
     """
     traces = _db_traces(xi, alpha, ula, panel, code, harmonics, pilots, mode)
-    return _crb(_angle_efim(gain, *traces, noise_power))
-
-
-def crb_xi_closed(xi: float, alpha: float, gain: complex, ula: UlaLayout,
-                  panel: PanelLayout, code: CodingMatrix, harmonics: HarmonicSet,
-                  pilots: PilotMatrix, noise_power: float,
-                  mode: WavelengthMode = WavelengthMode.EXACT) -> float:
-    """Closed-form CRB(xi) at one angle pair (:func:`crb_xi_cells`); raises where masked."""
-    return _one(crb_xi_cells(xi, alpha, gain, ula, panel, code, harmonics, pilots,
-                             noise_power, mode), "xi information vanished")
+    return _one(_crb(_angle_efim(gain, *traces, noise_power)), "xi information vanished")
 
 
 def crbs_from_fim(fim: FisherMatrix, limit: float = CONDITION_LIMIT) -> np.ndarray:
@@ -406,8 +394,8 @@ def fim_multi_target(targets, kind: str, ula: UlaLayout, pilots: PilotMatrix,
     """Full numeric FIM for R targets, kind "sb" (alpha set) or "db" (xi set).
 
     The first target takes parameter index 0 of
-    :meth:`MultiTargetFimBuilder.fim`; reduces exactly to the single-target
-    closed forms at R = 1.
+    :meth:`MultiTargetFimBuilder.fim`, the term-table FIM at every R; at
+    R = 1 it equals :func:`fim_sb_single` or :func:`fim_db_single` to rounding.
     """
     return MultiTargetFimBuilder(targets[1:], kind, ula, pilots, noise_power, panel, code,
                                  harmonics, mode).fim(targets[0])
@@ -435,6 +423,10 @@ class MultiTargetFimBuilder:
     formed.  Parameters run [moving | fixed]: the moving (angle, Re b, Im b),
     then the fixed angles and gains.  The scaled fixed block and its gain
     block are inverted once, so a cell forms three rows (:func:`_schur`).
+
+    It serves every R >= 1; the benchmark tracer wraps :meth:`fim` by this
+    name.  With no fixed target :meth:`crbs` and :meth:`efims` take the
+    closed-form gain Schur complement (:meth:`_closed`), not the term table.
     """
 
     def __init__(self, fixed_targets, kind: str, ula: UlaLayout, pilots: PilotMatrix,
@@ -444,7 +436,8 @@ class MultiTargetFimBuilder:
                  mode: WavelengthMode = WavelengthMode.EXACT):
         if kind not in ("sb", "db"):
             raise ValueError("kind must be 'sb' or 'db'")
-        self._model, self._g = (kind, ula, panel, code, harmonics, mode), pilots.gram()
+        self._model = (kind, ula, panel, code, harmonics, mode, pilots, noise_power)
+        self._g = pilots.gram()
         # terms (u, v) as rows (u, v, in d, in h) over the basis of _factors
         t = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]] if kind == "sb"
                      else [[0, 1, 1, 1], [1, 0, 1, 1]])
@@ -460,7 +453,7 @@ class MultiTargetFimBuilder:
         angle = "alpha" if kind == "sb" else "xi"
         self._labels = tuple([f"{angle}_{i}" for i in range(r)]
                              + [f"{part}_gain_{i}" for i in range(r) for part in ("re", "im")])
-        self._fixed, c = None, np.zeros((0, 0))
+        self._fixed, self._fim_c = None, np.zeros((0, 0))
         if fixed_targets:
             # harmonic columns [d_1, h_1, d_2, ..], [b | b G]^T of the stacked
             # bases b and their terms; C is the fixed targets' own rows against them
@@ -472,16 +465,16 @@ class MultiTargetFimBuilder:
             b = self._rows(fixed)[1]
             c = np.concatenate([b[:, 0], b[:, 1:].reshape(-1, b.shape[-1])])
             c = 0.5 * (c + c.T)
-        self._fim_c, self._s = c, np.sqrt(np.diagonal(c))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = c / np.outer(self._s, self._s)
-        self._shared = _shared_block(c, CONDITION_LIMIT)
-        self._gains = _shared_block(c[r - 1:, r - 1:], CONDITION_LIMIT)
+            self._fim_c, self._s = c, np.sqrt(np.diagonal(c))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                c = c / np.outer(self._s, self._s)
+            self._shared = _shared_block(c, CONDITION_LIMIT)
+            self._gains = _shared_block(c[r - 1:, r - 1:], CONDITION_LIMIT)
 
     def _factors(self, t: TargetState):
         """(harmonic (n, K, 2), basis (n, 2, M)) factors of the columns [d, h]
         of n targets: the basis is [a, da] (sb) or [a, a_s] (db)."""
-        kind, ula, panel, code, harmonics, mode = self._model
+        kind, ula, panel, code, harmonics, mode = self._model[:6]
         a = _rows(ula, t.alpha)
         if kind == "sb":
             return (np.stack([t.sb_gain, np.ones_like(t.sb_gain)], -1)[:, None],
@@ -519,8 +512,18 @@ class MultiTargetFimBuilder:
         """FIM with the moving target as parameter index 0 (:meth:`fim_cells`)."""
         return FisherMatrix(entries=self.fim_cells(_stacked([moving]))[0], labels=self._labels)
 
+    def _closed(self, moving: TargetState) -> np.ndarray:
+        """Angle EFIMs (n,) with no fixed target (:func:`_angle_efim`)."""
+        kind, ula, panel, code, harmonics, mode, pilots, noise_power = self._model
+        if kind == "sb":
+            return _angle_efim(moving.sb_gain, *_sb_traces(moving.alpha, ula, pilots), noise_power)
+        return _angle_efim(moving.db_gain, *_db_traces(moving.xi, moving.alpha, ula, panel, code,
+                                                       harmonics, pilots, mode), noise_power)
+
     def crbs(self, moving: TargetState) -> np.ndarray:
-        """CRBs (n,) of the moving angle, T_00 / s_0^2; NaN where masked."""
+        """CRBs (n,) of the moving angle, 1 / EFIM or T_00 / s_0^2; NaN where masked."""
+        if self._fixed is None:
+            return _crb(self._closed(moving))
         s, a, b = self._rows(moving, scaled=True)
         ok, t, _, _ = _schur(a, b, self._shared, CONDITION_LIMIT)
         return np.where(ok, t[:, 0, 0] / s[:, 0] ** 2, np.nan)
@@ -530,6 +533,8 @@ class MultiTargetFimBuilder:
         nuisance; NaN where the gain block is masked.  With T_g, P_g the
         Schur factors of the gain block, U = [U_m | U_f] the angle-by-gain
         block and W = U_m - U_f P_g^T: E = F_aa - U_f Q_g U_f^T - W T_g W^T."""
+        if self._fixed is None:
+            return self._closed(moving)[:, None, None]
         s, a, b = self._rows(moving, scaled=True)
         n, k, c, q_g = len(a), self._r - 1, self._shared[0], self._gains[1]
         ok, t, p, _ = _schur(a[:, 1:, 1:], b[:, 1:, k:], self._gains, CONDITION_LIMIT)
@@ -564,37 +569,19 @@ def _position_peb(q, geom: SceneGeometry, e: np.ndarray, limit: float) -> np.nda
     return np.sqrt(np.trace(_inverse(f, limit), axis1=-2, axis2=-1))
 
 
-def peb_cells(q, state: TargetState, geom: SceneGeometry, ula: UlaLayout,
-              panel: PanelLayout, code: CodingMatrix, harmonics: HarmonicSet,
-              pilots: PilotMatrix, noise_power: float,
-              mode: WavelengthMode = WavelengthMode.EXACT,
+def peb_cells(builders, moving: TargetState, q, geom: SceneGeometry,
               limit: float = CONDITION_LIMIT) -> np.ndarray:
-    """Single-target PEB at stacked points q (n, 3), whose angles and gains
-    ``state`` holds as (n,) arrays.
-
-    The position information is T^T diag(EFIM_alpha, EFIM_xi) T.  It is
-    degenerate on the BS-panel axis, where both angle gradients align and
-    the position information is rank one.  NaN where masked: a singular
-    gain block (see :func:`_angle_efim`) or the condition limit.
-    """
-    e_a = _angle_efim(state.sb_gain, *_sb_traces(state.alpha, ula, pilots), noise_power)
-    e_x = _angle_efim(state.db_gain, *_db_traces(state.xi, state.alpha, ula, panel, code,
-                                                 harmonics, pilots, mode), noise_power)
-    return _position_peb(q, geom, np.stack([e_a, e_x], -1), limit)
-
-
-def peb_multi_cells(builders, moving: TargetState, q, geom: SceneGeometry,
-                    limit: float = CONDITION_LIMIT) -> np.ndarray:
     """PEB of the moving target (``moving`` as (n,) arrays) at stacked points
-    q (n, 3) from its (sb, db) :class:`MultiTargetFimBuilder` pair; NaN where
-    masked.
+    q (n, 3) from its (sb, db) :class:`MultiTargetFimBuilder` pair, at any R;
+    NaN where masked.
 
     The R x R angle EFIMs (:meth:`MultiTargetFimBuilder.efims`) combine,
     under the independent-path assumption, into a block-diagonal information
     matrix over all 2R angles.  Only the probed target's angle pair
     (marginalizing every other angle) is pushed through its Jacobian, so a
     nuisance target on the BS-panel axis degrades nothing but its own
-    position.  Masked: a singular gain block on either path, the 2R x 2R
+    position.  The moving target's own position information is rank one on
+    that axis.  Masked: a singular gain block on either path, the 2R x 2R
     angle information or the 2 x 2 position information over the limit.
     """
     ok, covs = _certified_inverse([b.efims(moving) for b in builders], limit)

@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -267,7 +267,7 @@ class SystemModel:
     p_fa: float
     mode: WavelengthMode
     hypotheses: HypothesisSet
-    ris_profile: RisProfile = field(default_factory=RisProfile)
+    ris_profile: RisProfile
 
     @property
     def wavelength(self) -> float:

@@ -6,24 +6,23 @@ wrote.  Variances are reported as 10 log10(rad^2); masked grid cells carry
 an explicit boolean column.
 
 The maps (crb-map, peb-map, ris-compare, detect-map) split the grid into
-blocks of consecutive cells.  A block worker drops the terminal cells and
-evaluates each quantity in one array pass over the rest.  With one target
-the passes run the closed forms (``crb_alpha_cells``, ``crb_xi_cells``,
-``peb_cells``, ``crb_ris_cells``) over blocks of ``BLOCK_CELLS`` cells.
-With R > 1 targets, ``MultiTargetFimBuilder`` caches the fixed targets'
-FIM block and its certified inverse once per map; per cell it forms only
-the moving target's three FIM rows, and ``MultiTargetFimBuilder.crbs`` and
-``peb_multi_cells`` take the CRB and the angle EFIMs from Schur complements
-(3 x 3, 2 x 2 and R x R), so no (n, 3R, 3R) stack is formed and the blocks
-hold ``BLOCK_CELLS`` cells at any R.  detect-map runs
-``detection.detection_map`` on blocks of ``BLOCK_CELLS``
-cells (one h2 pass per combiner, one p_D pass per map).  ``threads`` > 1
-maps the blocks over up to that many worker processes, and no more than one
-per block or per CPU.  Every value is a pure function of its cell, so
-neither the block size nor ``threads`` changes a byte: blocks are joined in
-cell order, independent of completion order.  Map CSVs are columns of
-ready strings (``io._fields``): coordinates once per map, each value column
-and its mask flags in one pass each, constant columns as strings.
+blocks of ``BLOCK_CELLS`` consecutive cells.  A block worker drops the
+terminal cells and evaluates each quantity in one array pass over the rest.
+crb-map, peb-map and the switching-panel column of ris-compare take the CRB
+and the angle EFIMs from the (sb, db) ``MultiTargetFimBuilder`` pair around
+the fixed targets (``MultiTargetFimBuilder.crbs``, ``peb_cells``) at every
+target count R.  The builder inverts the fixed targets' FIM block once per
+map and forms only the moving target's three FIM rows per cell, so blocks
+hold ``BLOCK_CELLS`` cells at any R; with no fixed target it takes its
+closed forms.  ris-compare's baseline column is ``crb_ris_cells``.
+detect-map runs ``detection.detection_map`` on the same blocks (one h2
+pass per combiner, one p_D pass per map).  ``threads`` > 1 maps the blocks
+over up to that many worker processes, and no more than one per block or
+per CPU.  Every value is a pure function of its cell, so neither the block
+size nor ``threads`` changes a byte: blocks are joined in cell order,
+independent of completion order.  Map CSVs are columns of ready strings
+(``io._fields``): coordinates once per map, each value column and its mask
+flags in one pass each, constant columns as strings.
 classify-mc simulates only the confusion row it reports, draws each class's
 trials once for all of its SNR rows, and labels each trial by comparing its
 |beta_hat|^2 with the squared MAP region edges, without evaluating a density.
@@ -40,15 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    MultiTargetFimBuilder,
-    TargetState,
-    crb_alpha_cells,
-    crb_ris_cells,
-    crb_xi_cells,
-    peb_cells,
-    peb_multi_cells,
-)
+from .bounds import MultiTargetFimBuilder, TargetState, crb_ris_cells, peb_cells
 from .channel import path_gains
 from .classification import confusion_row, rayleigh_scale
 from .config import SystemModel, build_model, config_hash, fixed_scene, grid_points
@@ -73,11 +64,9 @@ def _target_state(q, model: SystemModel, rcs_sqrt: float = 1.0) -> TargetState:
 
 def _builders(model: SystemModel, fixed):
     """(sb, db) FIM builders around the fixed scatter points, each with its
-    own RCS; absent points carry no echo and are left out.  None without any."""
+    own RCS; absent points carry no echo and are left out."""
     states = [_target_state(p.position, model, p.rcs_sqrt) for p in fixed
               if p.kind is not TargetKind.ABSENT]
-    if not states:
-        return None, None
     sb = MultiTargetFimBuilder(states, "sb", model.ula, model.pilots, model.noise_power)
     db = MultiTargetFimBuilder(states, "db", model.ula, model.pilots, model.noise_power,
                                model.panel, model.code, model.harmonics, model.mode)
@@ -94,37 +83,22 @@ def _block(points, model: SystemModel, values, k: int) -> np.ndarray:
     return out
 
 
-def _crb_xi(s: TargetState, model: SystemModel):
-    return crb_xi_cells(s.xi, s.alpha, s.db_gain, model.ula, model.panel, model.code,
-                        model.harmonics, model.pilots, model.noise_power, model.mode)
-
-
 def _crb_block(points, model: SystemModel, builders) -> np.ndarray:
     """(crb_alpha, crb_xi) rows for a block of cells; NaN marks a masked value."""
-    def values(q, s):
-        if builders[0] is None:
-            return (crb_alpha_cells(s.alpha, s.sb_gain, model.ula, model.pilots,
-                                    model.noise_power), _crb_xi(s, model))
-        return [b.crbs(s) for b in builders]
-    out = _block(points, model, values, 2)
+    out = _block(points, model, lambda q, s: [b.crbs(s) for b in builders], 2)
     out[out <= 0] = np.nan  # a non-positive numeric inverse is masked too
     return out
 
 
 def _peb_block(points, model: SystemModel, builders) -> np.ndarray:
-    def values(q, s):
-        if builders[0] is None:
-            return [peb_cells(q, s, model.geom, model.ula, model.panel, model.code,
-                              model.harmonics, model.pilots, model.noise_power, model.mode)]
-        return [peb_multi_cells(builders, s, q, model.geom)]
-    return _block(points, model, values, 1)
+    return _block(points, model, lambda q, s: [peb_cells(builders, s, q, model.geom)], 1)
 
 
-def _ris_block(points, model: SystemModel) -> np.ndarray:
+def _ris_block(points, model: SystemModel, builders) -> np.ndarray:
     def values(q, s):
         _, ris = crb_ris_cells(s.xi, s.alpha, s.db_gain, model.ris_profile, model.panel,
                                model.ula, model.pilots, model.noise_power)
-        return ris, _crb_xi(s, model)
+        return ris, builders[1].crbs(s)
     return _block(points, model, values, 2)
 
 
@@ -253,7 +227,7 @@ def run_classification_mc(cfg: dict, out_dir: str) -> list[str]:
 def run_ris_compare(cfg: dict, out_dir: str) -> list[str]:
     """Fixed-profile linear-panel baseline CRB(xi) next to the switching panel."""
     model = build_model(cfg)
-    (ris, stcm), xz = _map_cells(cfg, model, _ris_block)
+    (ris, stcm), xz = _map_cells(cfg, model, _ris_block, builders=_builders(model, ()))
     header = ("x_m", "z_m", "ris_crb_xi_db", "ris_masked", "stcm_crb_xi_db", "stcm_masked")
     return _write(out_dir, "ris_compare", cfg,
                   [("ris_compare.csv", header, (xz, *_column(ris), *_column(stcm)))])

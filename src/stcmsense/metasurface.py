@@ -23,7 +23,7 @@ Conventions:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,7 +130,7 @@ class HarmonicSet:
 class RisProfile:
     """Fixed unit-modulus phase profile of a linear (non-switching) panel."""
 
-    phases: np.ndarray = field(default_factory=lambda: np.ones(64, dtype=complex))
+    phases: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.phases, dtype=complex)
@@ -265,23 +265,11 @@ def default_coding_matrix(layout: PanelLayout, code_length: int = 8,
 
 # --- linear-RIS baseline ---------------------------------------------------
 
-def ris_response(profile: RisProfile, layout: PanelLayout, phi_d, phi_a: float):
-    """a_R(phi_d)^T diag(w) a_R(phi_a) for a fixed phase profile: the pattern
-    of :func:`_pattern_terms` with coefficients w at the carrier wavelength.
-    An array ``phi_d`` gives one response per angle."""
-    return _ris_terms(profile, layout, phi_d, phi_a)[0]
-
-
-def ris_response_derivative(profile: RisProfile, layout: PanelLayout, xi,
-                            phi_fixed: float = 0.0):
-    """d/dxi of :func:`ris_response` with the second angle held fixed."""
-    return _ris_terms(profile, layout, xi, phi_fixed)[1]
-
-
 def _ris_terms(profile: RisProfile, layout: PanelLayout, xi, phi_fixed: float):
-    """:func:`_pattern_terms` of the profile, as complex numbers at a scalar xi."""
+    """(g, dg / dxi), each (len(xi),), of g = a_R(xi)^T diag(w) a_R(phi_fixed)
+    for a fixed phase profile w: :func:`_pattern_terms` with coefficients w at
+    the carrier wavelength."""
     if profile.phases.shape[0] != layout.n_elements:
         raise ValueError("profile length must match the panel")
-    (eta,), (deta,) = _pattern_terms(profile.phases[None], [layout.wavelength], xi, phi_fixed,
-                                     layout)
-    return (eta, deta) if np.ndim(xi) else (complex(eta[0]), complex(deta[0]))
+    eta, deta = _pattern_terms(profile.phases[None], [layout.wavelength], xi, phi_fixed, layout)
+    return eta[0], deta[0]

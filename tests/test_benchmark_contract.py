@@ -117,6 +117,7 @@ MAP_RUNNERS = {"crb-map": experiments.run_crb_map, "peb-map": experiments.run_pe
 
 
 @pytest.mark.parametrize("verb,n_targets", [("crb-map", 1), ("peb-map", 1), ("ris-compare", 1),
+                                            ("crb-map", 2), ("peb-map", 2),
                                             ("crb-map", 10), ("peb-map", 10)])
 def test_every_map_cell_matches_the_oracle(check, tmp_path, verb, n_targets):
     # the benchmark samples 16 rows and 8 masked rows per file; a last-ulp

@@ -20,13 +20,12 @@ from stcmsense.bounds import (
     fim_multi_target,
     fim_sb_single,
     peb_cells,
-    peb_multi_cells,
 )
 from stcmsense.channel import path_gains, steering_derivative, steering_vector, vec
 from stcmsense.config import merge_config
 from stcmsense.constants import CONDITION_LIMIT
 from stcmsense.errors import DimensionMismatch, SingularInformation
-from stcmsense.experiments import run_crb_map, run_peb_map
+from stcmsense.experiments import run_crb_map, run_peb_map, run_ris_compare
 from stcmsense.geometry import ScatterPoint, angles_from_position
 from stcmsense.metasurface import HarmonicSet, RisProfile, harmonic_pattern_batch
 
@@ -307,6 +306,23 @@ class TestEfim:
                 e, f = efim(scene(rng, geom, r), kind, ula, panel, code, harmonics, pilots)
                 assert np.linalg.inv(e)[0, 0] == pytest.approx(np.linalg.inv(f)[0, 0], rel=1e-10)
 
+    @pytest.mark.parametrize("kind", ["sb", "db"])
+    def test_closed_forms_without_fixed_targets_match_the_stacked_columns(
+            self, geom, ula, panel, code, harmonics, pilots, kind):
+        # R = 1 takes the closed forms, not the term table: check them against
+        # the inverse of the explicit M S-long columns' FIM, on the BS-panel
+        # axis (0, 0, 50) too
+        q = [[0.0, 0.0, 50.0], [30.0, 0.0, 40.0], [-40.0, 0.0, 60.0], [60.0, 0.0, 20.0],
+             [-65.0, 0.0, 85.0], [10.0, 0.0, 95.0]]
+        states = [TestMultiTarget().state(np.array(p), geom) for p in q]
+        b = MultiTargetFimBuilder([], kind, ula, pilots, NOISE, panel, code, harmonics)
+        crbs, efims = b.crbs(bounds._stacked(states)), b.efims(bounds._stacked(states))
+        assert efims.shape == (len(q), 1, 1)
+        for t, crb, e in zip(states, crbs, efims[:, 0, 0]):
+            ref = np.linalg.inv(oracle_fim([t], kind, ula, panel, code, harmonics, pilots))[0, 0]
+            assert crb == pytest.approx(ref, rel=1e-12)
+            assert e == pytest.approx(1.0 / ref, rel=1e-12)
+
     def test_multi_angle_block(self, geom, ula, panel, code, harmonics, pilots):
         rng = np.random.default_rng(8)
         for kind in ("sb", "db"):
@@ -318,17 +334,16 @@ class TestEfim:
 
 class TestPeb:
     def peb(self, q, geom, ula, panel, code, harmonics, pilots, noise):
-        """peb_cells at one point, unit-RCS gains; NaN where masked."""
-        q = q[None]
-        ang = angles_from_position(q, geom)
-        g = path_gains(ScatterPoint(position=q, rcs_sqrt=1.0), geom)
-        state = TargetState(ang.alpha, ang.xi, g.sb_gain, g.db_gain)
-        return peb_cells(q, state, geom, ula, panel, code, harmonics, pilots, noise)[0]
+        """peb_cells at one point over builders with no fixed target, unit-RCS
+        gains; NaN where masked."""
+        state = TestMultiTarget().state(q, geom)
+        return self.peb_multi([state], q, geom, ula, panel, code, harmonics, pilots, noise)
 
-    def peb_multi(self, states, q, geom, ula, panel, code, harmonics, pilots):
-        """peb_multi_cells of target 0 of one scene; NaN where masked."""
-        builders = [builder(states, kind, ula, panel, code, harmonics, pilots) for kind in ("sb", "db")]
-        return peb_multi_cells(builders, bounds._stacked(states[:1]), q[None], geom)[0]
+    def peb_multi(self, states, q, geom, ula, panel, code, harmonics, pilots, noise=NOISE):
+        """peb_cells of target 0 of one scene, fixed states[1:]; NaN where masked."""
+        builders = [MultiTargetFimBuilder(states[1:], kind, ula, pilots, noise, panel, code,
+                                          harmonics) for kind in ("sb", "db")]
+        return peb_cells(builders, bounds._stacked(states[:1]), q[None], geom)[0]
 
     def test_noise_scaling(self, geom, ula, panel, code, harmonics, pilots):
         q = np.array([30.0, 0.0, 40.0])
@@ -372,13 +387,6 @@ class TestPeb:
         s = TestMultiTarget().state
         assert np.isnan(self.peb_multi([s(q1, geom), s(q2, geom)], q1, geom,
                                        ula, panel, code, harmonics, pilots))
-
-    def test_multi_reduces_to_single(self, geom, ula, panel, code, harmonics, pilots):
-        q = np.array([30.0, 0.0, 40.0])
-        t = TestMultiTarget().state(q, geom)
-        single = self.peb(q, geom, ula, panel, code, harmonics, pilots, NOISE)
-        multi = self.peb_multi([t], q, geom, ula, panel, code, harmonics, pilots)
-        assert multi == pytest.approx(single, rel=1e-10)
 
 
 class TestRisBaseline:
@@ -603,7 +611,7 @@ class TestDegenerateFixedScene:
         for b in builders:
             assert np.isnan(b.crbs(moving)).all()
             assert np.isnan(svd_inverse(b.fim_cells(moving))).all()
-        assert np.isnan(peb_multi_cells(builders, moving, q, geom)).all()
+        assert np.isnan(peb_cells(builders, moving, q, geom)).all()
 
     def test_coincident_scene_masks_every_map_cell(self, tmp_path):
         scene = [{"position": [30.0, 0.0, 60.0], "rcs_dbsm": 0.0}] * 2
@@ -625,3 +633,35 @@ class TestDegenerateFixedScene:
             files = run_crb_map(cfg, str(tmp_path / str(k))) + run_peb_map(cfg, str(tmp_path / str(k)))
             csvs.append([Path(f).read_bytes() for f in files if f.endswith(".csv")])
         assert csvs[0] == csvs[1]
+
+
+class TestOneMapPath:
+    """Every bound map runs through the (sb, db) builder pair; R = 1 is the
+    pair with no fixed target."""
+
+    def test_single_target_maps_call_the_builder(self, tmp_path, monkeypatch):
+        calls = set()
+        for name in ("crbs", "efims"):
+            def counted(self, moving, _name=name, _method=getattr(MultiTargetFimBuilder, name)):
+                calls.add((self._model[0], _name, self._r))
+                return _method(self, moving)
+            monkeypatch.setattr(MultiTargetFimBuilder, name, counted)
+        cfg = merge_config({"grid_res_m": 20.0, "threads": 1})
+        expected = {run_crb_map: {("sb", "crbs", 1), ("db", "crbs", 1)},
+                    run_peb_map: {("sb", "efims", 1), ("db", "efims", 1)},
+                    run_ris_compare: {("db", "crbs", 1)}}
+        for run, names in expected.items():
+            calls.clear()
+            run(cfg, str(tmp_path))
+            assert calls == names, run.__name__
+
+    def test_an_absent_only_scene_is_the_one_target_map(self, tmp_path):
+        absent = [{"position": [-40.0, 0.0, 50.0], "kind": "absent"},
+                  {"position": [30.0, 0.0, 60.0], "kind": "absent"}]
+        csvs = []
+        for k, over in enumerate(({"n_targets": 2, "scene": absent}, {"n_targets": 1})):
+            cfg = merge_config({"grid_res_m": 10.0, **over})
+            (tmp_path / str(k)).mkdir()
+            files = run_crb_map(cfg, str(tmp_path / str(k))) + run_peb_map(cfg, str(tmp_path / str(k)))
+            csvs.append([Path(f).read_bytes() for f in files if f.endswith(".csv")])
+        assert len(csvs[0]) == 3 and csvs[0] == csvs[1]

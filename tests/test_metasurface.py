@@ -8,13 +8,12 @@ from stcmsense.metasurface import (
     PanelLayout,
     RisProfile,
     WavelengthMode,
+    _ris_terms,
     default_coding_matrix,
     fourier_coefficients,
     harmonic_pattern,
     harmonic_pattern_batch,
     harmonic_pattern_derivative,
-    ris_response,
-    ris_response_derivative,
 )
 
 from pattern_oracle import direct_coefficient, direct_pattern
@@ -230,16 +229,19 @@ class TestDefaultCode:
 
 
 class TestRisResponse:
+    """The fixed-profile response a_R(xi)^T diag(w) a_R(phi) and its xi
+    derivative, from :func:`_ris_terms`."""
+
     def test_all_ones_boresight_is_element_count(self, panel):
         prof = RisProfile(np.ones(64, dtype=complex))
-        assert ris_response(prof, panel, 0.0, 0.0) == pytest.approx(64.0, rel=1e-14)
+        assert _ris_terms(prof, panel, 0.0, 0.0)[0] == pytest.approx(64.0, rel=1e-14)
 
     def test_modulus_bound(self, panel):
         rng = np.random.default_rng(21)
         for _ in range(50):
             prof = RisProfile(np.exp(2j * np.pi * rng.uniform(size=64)))
             d, a = rng.uniform(-1.5, 1.5, size=2)
-            assert abs(ris_response(prof, panel, d, a)) <= 64.0 + 1e-9
+            assert abs(_ris_terms(prof, panel, d, a)[0]) <= 64.0 + 1e-9
 
     def test_brute_force_elementwise(self, panel):
         rng = np.random.default_rng(33)
@@ -251,15 +253,15 @@ class TestRisResponse:
         for n in range(64):
             ph = (2 * np.pi / lam) * (np.sin(d) + np.sin(a)) * pos[n, 0]
             acc += prof.phases[n] * np.exp(1j * ph)
-        assert ris_response(prof, panel, d, a) == pytest.approx(acc, rel=1e-12)
+        assert _ris_terms(prof, panel, d, a)[0] == pytest.approx(acc, rel=1e-12)
 
     def test_derivative_matches_fd(self, panel):
         rng = np.random.default_rng(41)
         prof = RisProfile(np.exp(2j * np.pi * rng.uniform(size=64)))
         h = 1e-7
         for xi in (-0.9, 0.1, 0.8):
-            fd = (ris_response(prof, panel, xi + h, 0.0) - ris_response(prof, panel, xi - h, 0.0)) / (2 * h)
-            assert ris_response_derivative(prof, panel, xi) == pytest.approx(fd, rel=1e-6)
+            fd = (_ris_terms(prof, panel, xi + h, 0.0)[0] - _ris_terms(prof, panel, xi - h, 0.0)[0]) / (2 * h)
+            assert _ris_terms(prof, panel, xi, 0.0)[1] == pytest.approx(fd, rel=1e-6)
 
 
 def test_coding_matrix_alphabet_validation():

@@ -208,7 +208,9 @@ class TestExperimentOutputs:
 
     # sha256 of every map CSV at 10 m and seed 31, taken before the writer
     # formatted by column (the R = 10 ones again when the multi-target FIM
-    # took its spatial Gram from the steering vectors); keyed by (verb, n_targets)
+    # took its spatial Gram from the steering vectors, peb-map at R = 1 again
+    # when its pair information went through the builder's certified 1 x 1
+    # inverse); keyed by (verb, n_targets)
     MAP_DIGESTS = {
         ("crb-map", 1): {
             "crb_alpha_map.csv": "f87f0f2bb2ee1d4b1bec362adffb7c2acfb9fc009b64b362bac2ff3aec01b809",
@@ -217,7 +219,7 @@ class TestExperimentOutputs:
             "crb_alpha_map.csv": "e19e41b0499bf158dc8dc0996431a5d7e24ab95b6379f39b2edb4cd4830496d4",
             "crb_xi_map.csv": "e9981f1c8d9296e7966202ed0e57b9cc7b3efc35da3861441f7aeac7753d79d4"},
         ("peb-map", 1): {
-            "peb_map.csv": "7ae39cffbf10be288453d36d020e733dd0893e849bc86661390bcfa0d79bb95e"},
+            "peb_map.csv": "2e9c86637493deb626ea4f29ea33b9ca0f6fc13c322c927748f86b20c16604a7"},
         ("peb-map", 10): {
             "peb_map.csv": "9c6f51652e0f5feff1d7ee3eb96713b706a74539f66392e7cd658641949818b0"},
         ("ris-compare", 1): {
