@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PilotMatrix, UlaLayout, steering_derivative, steering_vector
+from .channel import PilotMatrix, UlaLayout, _per_angle, steering_derivative, steering_vector
 from .constants import CONDITION_LIMIT
 from .errors import DimensionMismatch, SingularInformation
 from .geometry import SceneGeometry, jacobian_angles_to_position
@@ -267,11 +267,10 @@ def _db_trace(alpha, ula: UlaLayout, pilots: PilotMatrix) -> np.ndarray:
 def _patterns(xi, panel: PanelLayout, code: CodingMatrix, harmonics: HarmonicSet,
               mode: WavelengthMode):
     """Harmonic patterns (eta, d eta / d xi) at an array of angles, (n, K)
-    each, from one call over the distinct xi; the BS sits at the panel's
-    angle 0."""
-    xi_u, inv = np.unique(np.atleast_1d(xi), return_inverse=True)
-    eta, deta = harmonic_pattern_batch(panel, code, harmonics, xi_u, 0.0, mode)
-    return eta.T[inv], deta.T[inv]
+    each, evaluated once per distinct xi (:func:`.channel._per_angle`); the
+    BS sits at the panel's angle 0."""
+    return _per_angle(lambda x: tuple(v.T for v in harmonic_pattern_batch(
+        panel, code, harmonics, x, 0.0, mode)), xi)
 
 
 def _db_traces(xi, alpha, ula: UlaLayout, panel: PanelLayout, code: CodingMatrix,
@@ -279,7 +278,7 @@ def _db_traces(xi, alpha, ula: UlaLayout, panel: PanelLayout, code: CodingMatrix
     """Double-bounce analogues of :func:`_sb_traces`: the harmonic inner
     products de^H de, de^H e, e^H e per cell, each times tr(B G B^H)."""
     eta, deta = _patterns(xi, panel, code, harmonics, mode)
-    t_b = _db_trace(alpha, ula, pilots)
+    t_b = _per_angle(lambda a: _db_trace(a, ula, pilots), alpha)
     return np.real(_inner(deta, deta)) * t_b, _inner(deta, eta) * t_b, np.real(_inner(eta, eta)) * t_b
 
 
@@ -424,8 +423,8 @@ class MultiTargetFimBuilder:
     then the fixed angles and gains.  The scaled fixed block and its gain
     block are inverted once, so a cell forms three rows (:func:`_schur`).
 
-    It serves every R >= 1; the benchmark tracer wraps :meth:`fim` by this
-    name.  With no fixed target :meth:`crbs` and :meth:`efims` take the
+    It serves every R = ``n_targets`` >= 1; the benchmark tracer wraps :meth:`fim`
+    by this name.  With no fixed target :meth:`crbs` and :meth:`efims` take the
     closed-form gain Schur complement (:meth:`_closed`), not the term table.
     """
 
@@ -444,7 +443,7 @@ class MultiTargetFimBuilder:
         self._terms = u, v, e = t[:, 0], t[:, 1], t[:, 2:].T
         # parameter p is column j[p] of [d_0, h_0, d_1, h_1, ..] times phase[p], so
         # a FIM row is +-Re or +-Im of Gram entries: _pick = (real-view index, sign)
-        r = self._r = len(fixed_targets) + 1
+        r = self.n_targets = len(fixed_targets) + 1
         j = np.concatenate([[0, 1, 1], 2 * np.arange(1, r), np.repeat(2 * np.arange(1, r) + 1, 2)])
         ph = np.outer(np.conj([1, 1, 1j]), [1.0, 1.0, 1j] + [1.0] * (r - 1) + [1.0, 1j] * (r - 1))
         self._pick = 4 * r * j[:3, None] + 2 * j + (ph.real == 0), (ph.real - ph.imag) * 2 / noise_power
@@ -516,7 +515,8 @@ class MultiTargetFimBuilder:
         """Angle EFIMs (n,) with no fixed target (:func:`_angle_efim`)."""
         kind, ula, panel, code, harmonics, mode, pilots, noise_power = self._model
         if kind == "sb":
-            return _angle_efim(moving.sb_gain, *_sb_traces(moving.alpha, ula, pilots), noise_power)
+            traces = _per_angle(lambda a: _sb_traces(a, ula, pilots), moving.alpha)
+            return _angle_efim(moving.sb_gain, *traces, noise_power)
         return _angle_efim(moving.db_gain, *_db_traces(moving.xi, moving.alpha, ula, panel, code,
                                                        harmonics, pilots, mode), noise_power)
 
@@ -536,7 +536,7 @@ class MultiTargetFimBuilder:
         if self._fixed is None:
             return self._closed(moving)[:, None, None]
         s, a, b = self._rows(moving, scaled=True)
-        n, k, c, q_g = len(a), self._r - 1, self._shared[0], self._gains[1]
+        n, k, c, q_g = len(a), self.n_targets - 1, self._shared[0], self._gains[1]
         ok, t, p, _ = _schur(a[:, 1:, 1:], b[:, 1:, k:], self._gains, CONDITION_LIMIT)
         u_f = np.concatenate([b[:, :1, k:], np.broadcast_to(c[:k, k:], (n, k, 2 * k))], axis=1)
         u_m = np.concatenate([a[:, :1, 1:], np.swapaxes(b[:, 1:, :k], 1, 2)], axis=1)
@@ -602,8 +602,8 @@ def crb_ris_cells(xi, alpha, gain, profile: RisProfile, ris_layout: PanelLayout,
     through gain * g(xi), so the matrix is singular by construction while
     its gain block stays invertible.  The CRB is NaN where masked.
     """
-    g, dg = _ris_terms(profile, ris_layout, np.atleast_1d(xi), 0.0)
-    t_b = _db_trace(alpha, ula, pilots)
+    g, dg = _per_angle(lambda x: _ris_terms(profile, ris_layout, x, 0.0), xi)
+    t_b = _per_angle(lambda a: _db_trace(a, ula, pilots), alpha)
     f = _gain_fims(gain, np.abs(dg) ** 2 * t_b, np.conj(dg) * g * t_b, np.abs(g) ** 2 * t_b,
                    noise_power)
     return f, _inverse(f, limit)[:, 0, 0]

@@ -101,6 +101,20 @@ def steering_derivative(layout: UlaLayout, angle) -> np.ndarray:
     return deriv[:, 0] if a.ndim == 0 else deriv
 
 
+ANGLE_CHUNK = 256  # most distinct angles per call of an angle-only factor
+
+
+def _per_angle(fn, angle):
+    """``fn`` of (n,) ``angle``s, evaluated once per distinct angle (by bits,
+    so 0.0 and -0.0 stay apart), at most ANGLE_CHUNK a call, and gathered per
+    cell; ``fn`` returns an array, or a tuple of arrays, over its angles."""
+    u, inv = np.unique(np.array(angle, float, ndmin=1).view(np.int64), return_inverse=True)
+    parts = [fn(u[i:i + ANGLE_CHUNK].view(float)) for i in range(0, len(u) or 1, ANGLE_CHUNK)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p)[inv] for p in zip(*parts))
+    return np.concatenate(parts)[inv]
+
+
 @dataclass(frozen=True)
 class PilotMatrix:
     """Orthogonal pilot block X (M x S) with its total transmitted power.

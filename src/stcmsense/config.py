@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PilotMatrix, UlaLayout, dft_pilots
+from .channel import ANGLE_CHUNK, PilotMatrix, UlaLayout, dft_pilots
 from .classification import HypothesisSet
-from .constants import MAX_GRID_CELLS, MAX_TRIALS
+from .constants import MAX_GRID_CELLS, MAX_MODEL_BYTES, MAX_TRIALS
 from .errors import ConfigError
 from .geometry import SceneGeometry, ScatterPoint, TargetKind, rcs_sqrt_from_dbsm, terminal_mask
 from .metasurface import (
@@ -181,6 +181,18 @@ def _walk(v, default, path: str):
 
 def _check_across(cfg: dict) -> None:
     """The conditions that span keys, on a config whose every key passed its rule."""
+    # model arrays in bytes: the complex M x M pilot block and its Gram; per
+    # element the (N, L) code, baseline profile and position; one chunk of
+    # pattern temporaries (under 64 B per angle, harmonic and panel column)
+    # with the harmonics' (K, N) coefficients
+    p, m, h, ell = cfg["panel"], cfg["bs"]["antennas"], cfg["harmonics"], cfg["code"]["length"]
+    n, k, panel = p["n_x"] * p["n_y"], 2 * h + 1, f"panel {p['n_x']} x {p['n_y']}"
+    for what, size in ((f"bs.antennas {m}", 32 * m * m),
+                       (f"{panel} with code.length {ell}", n * (8 * ell + 40)),
+                       (f"harmonics {h} over {panel}", k * (64 * ANGLE_CHUNK * p["n_x"] + 16 * n))):
+        if size > MAX_MODEL_BYTES:
+            raise ConfigError(f"{what} needs {size:.3g} B of model arrays, over the "
+                              f"{MAX_MODEL_BYTES} B budget")
     # the lowest sideband f_c - m_f f_0 sets a wavelength c / f in the patterns
     if not cfg["carrier_hz"] - cfg["harmonics"] / cfg["code"]["period_s"] > 0:
         raise ConfigError("harmonics / code.period_s must stay below carrier_hz, got "

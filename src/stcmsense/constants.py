@@ -14,3 +14,8 @@ MAX_GRID_CELLS = 1_000_000
 # draws per trial plus one row's temporaries, about 52 B a trial, so this
 # caps a class at about 0.5 GB.
 MAX_TRIALS = 10_000_000
+
+# Most bytes each group of model arrays may take, checked before any is
+# allocated (``config._check_across``): the M x M pilot block with its Gram,
+# the per-element code and profile, one chunk of harmonic-pattern temporaries.
+MAX_MODEL_BYTES = 2**28

@@ -14,9 +14,9 @@ plain white-noise model.
 
 h2 and the marginal p_D are array-valued (:func:`effective_energy_cells`,
 :func:`pd_marginal_cells`); the scalar regressor and :func:`pd_marginal` are
-the one-element case.  :func:`detection_map` evaluates them in one array
-pass over its cells, with Rayleigh-scale callables of (n,) distances and no
-per-bearing cache.
+the one-element case.  :func:`detection_map` evaluates h2 once per distinct
+bearing and p_D in one array pass over its cells, with Rayleigh-scale
+callables of (n,) distances.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PilotMatrix, UlaLayout, steering_vector, vec
+from .channel import PilotMatrix, UlaLayout, _per_angle, steering_vector, vec
 from .errors import OutOfRange, ZeroRegressor
 from .geometry import SceneGeometry, angles_from_position, terminal_mask, triangle_distances
 
@@ -289,8 +289,8 @@ def detection_map(grid_points, geom: SceneGeometry, ula: UlaLayout,
     combiner-major in the order given.  A cell without a bearing (on the BS
     or panel phase center) is masked: it comes back as NaN in every array.
 
-    One array pass over the points, with no value cached across cells:
-    temporaries are (n_points, M), so the CLI map passes blocks of cells.
+    h2 is taken once per distinct bearing (:func:`.channel._per_angle`),
+    p_D in one array pass over the points.
     """
     gamma_th = threshold_from_pfa(p_fa)
     pts = np.asarray(grid_points, dtype=float).reshape(-1, 3)
@@ -301,7 +301,7 @@ def detection_map(grid_points, geom: SceneGeometry, ula: UlaLayout,
     roundtrip = 2.0 * triangle_distances(pts[live], geom)[0]
     scales = {label: fn(roundtrip) for label, fn in rayleigh_scales.items()}
     for comb in combiners:
-        h2 = effective_energy_cells(alpha, ula, pilots, comb)
+        h2 = _per_angle(lambda a: effective_energy_cells(a, ula, pilots, comb), alpha)
         for label, scale in scales.items():
             out[(label, comb)][live] = pd_marginal_cells(scale, h2, noise_power, gamma_th)
     return out

@@ -6,23 +6,22 @@ wrote.  Variances are reported as 10 log10(rad^2); masked grid cells carry
 an explicit boolean column.
 
 The maps (crb-map, peb-map, ris-compare, detect-map) split the grid into
-blocks of ``BLOCK_CELLS`` consecutive cells.  A block worker drops the
-terminal cells and evaluates each quantity in one array pass over the rest.
-crb-map, peb-map and the switching-panel column of ris-compare take the CRB
-and the angle EFIMs from the (sb, db) ``MultiTargetFimBuilder`` pair around
-the fixed targets (``MultiTargetFimBuilder.crbs``, ``peb_cells``) at every
-target count R.  The builder inverts the fixed targets' FIM block once per
-map and forms only the moving target's three FIM rows per cell, so blocks
-hold ``BLOCK_CELLS`` cells at any R; with no fixed target it takes its
-closed forms.  ris-compare's baseline column is ``crb_ris_cells``.
-detect-map runs ``detection.detection_map`` on the same blocks (one h2
-pass per combiner, one p_D pass per map).  ``threads`` > 1 maps the blocks
-over up to that many worker processes, and no more than one per block or
-per CPU.  Every value is a pure function of its cell, so neither the block
-size nor ``threads`` changes a byte: blocks are joined in cell order,
-independent of completion order.  Map CSVs are columns of ready strings
-(``io._fields``): coordinates once per map, each value column and its mask
-flags in one pass each, constant columns as strings.
+blocks of ``BLOCK_CELLS // R`` consecutive cells, R targets (1 for detect-map).
+A block worker drops the terminal cells and evaluates each quantity in one
+array pass over the rest, a factor of one bearing once per distinct bearing
+(``channel._per_angle``).  crb-map, peb-map and the switching-panel column
+of ris-compare take the CRB and the angle EFIMs from the (sb, db)
+``MultiTargetFimBuilder`` pair around the fixed targets (``crbs``,
+``peb_cells``) at every R: it inverts the fixed targets' FIM block once per
+map and forms the moving target's three FIM rows per cell, or takes its
+closed forms with no fixed target.  ris-compare's baseline column is
+``crb_ris_cells``.  ``threads`` > 1 maps the blocks over up to that many
+worker processes, no more than one per block or CPU, and cuts a map into at
+least that many blocks.  Every value is a pure function of its cell, so no
+block or chunk size nor ``threads`` changes a byte: blocks are joined in
+cell order, independent of completion order.  Map CSVs are columns of ready
+strings (``io._fields``): coordinates once per map, each value column and
+its mask flags in one pass each, constant columns as strings.
 classify-mc simulates only the confusion row it reports, draws each class's
 trials once for all of its SNR rows, and labels each trial by comparing its
 |beta_hat|^2 with the squared MAP region edges, without evaluating a density.
@@ -47,10 +46,9 @@ from .detection import Combiner, despread_regressor_at_angle, detection_map
 from .geometry import ScatterPoint, TargetKind, angles_from_position, terminal_mask
 from .io import _fields, write_csv, write_manifest
 
-# Cells per array pass.  Per-cell temporaries are (BLOCK_CELLS, M) steering
-# vectors and (BLOCK_CELLS, 3, 3R) FIM rows with R targets (no M S-long FIM
-# factor), so this bounds peak memory; values do not depend on it.
-BLOCK_CELLS = 256
+# Cells per array pass at one target, BLOCK_CELLS // R at R; with angle-only
+# factors ANGLE_CHUNK bearings a call, this bounds peak memory, not values.
+BLOCK_CELLS = 2560
 
 
 def _target_state(q, model: SystemModel, rcs_sqrt: float = 1.0) -> TargetState:
@@ -103,17 +101,20 @@ def _ris_block(points, model: SystemModel, builders) -> np.ndarray:
 
 
 def _map_cells(cfg: dict, model: SystemModel, block, **kwargs) -> tuple[np.ndarray, list[str]]:
-    """``block(points, model=model, **kwargs)`` over consecutive blocks of
-    BLOCK_CELLS lattice cells (x fastest), joined in cell order, and each
-    cell's ``"x,z"`` CSV fields, formatting each distinct coordinate once.
-    With threads > 1 a process pool of at most one process per block and per
-    CPU maps the blocks."""
+    """``block(points, model=model, **kwargs)`` over blocks of BLOCK_CELLS // R
+    lattice cells (x fastest; R the ``builders``' targets), joined in cell order,
+    and each cell's ``"x,z"`` CSV fields, formatting each distinct coordinate
+    once.  With threads > 1 a pool of at most one process per block and per
+    CPU maps the blocks, at least one block per process."""
     xs, zs = grid_points(model.geom, cfg["grid_res_m"])
     x, z = np.meshgrid(xs, zs)
     points = np.column_stack([x.ravel(), np.zeros(x.size), z.ravel()])
-    blocks = [points[i:i + BLOCK_CELLS] for i in range(0, len(points), BLOCK_CELLS)]
+    cpus = min(cfg["threads"], os.cpu_count() or 1)
+    r = kwargs["builders"][0].n_targets if "builders" in kwargs else 1
+    size = max(1, min(BLOCK_CELLS // r, len(points) // cpus))
+    blocks = [points[i:i + size] for i in range(0, len(points), size)]
     worker = functools.partial(block, model=model, **kwargs)
-    workers = min(cfg["threads"], len(blocks), os.cpu_count() or 1)
+    workers = min(cpus, len(blocks))
     if workers <= 1:
         values = [worker(b) for b in blocks]
     else:

@@ -643,7 +643,7 @@ class TestOneMapPath:
         calls = set()
         for name in ("crbs", "efims"):
             def counted(self, moving, _name=name, _method=getattr(MultiTargetFimBuilder, name)):
-                calls.add((self._model[0], _name, self._r))
+                calls.add((self._model[0], _name, self.n_targets))
                 return _method(self, moving)
             monkeypatch.setattr(MultiTargetFimBuilder, name, counted)
         cfg = merge_config({"grid_res_m": 20.0, "threads": 1})

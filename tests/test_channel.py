@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from stcmsense import channel
+from stcmsense.bounds import _db_trace, _patterns, _sb_traces
 from stcmsense.channel import (
     PilotMatrix,
     UlaLayout,
+    _per_angle,
     dft_pilots,
     path_gain,
     path_gains,
@@ -15,9 +18,10 @@ from stcmsense.channel import (
     vec,
     vec_outer,
 )
+from stcmsense.detection import Combiner, effective_energy_cells
 from stcmsense.errors import NonPositiveDistance, NotPerfectSquare
 from stcmsense.geometry import ScatterPoint, TargetKind, angles_from_position, triangle_distances
-from stcmsense.metasurface import HarmonicSet, harmonic_pattern_batch
+from stcmsense.metasurface import HarmonicSet, WavelengthMode, harmonic_pattern_batch
 from stcmsense.rng import complex_normal, stream_rng
 
 from echo_oracle import db_regressor, sb_regressor
@@ -273,6 +277,64 @@ class TestVecOuter:
         y, regs, gains = stack_db([], geom, ula, panel, code, harmonics, pilots, 0.0)
         assert y.shape == (len(harmonics) * 256,) and regs.shape == (0, len(harmonics) * 256)
         assert not y.any() and len(gains) == 0
+
+
+class TestPerAngle:
+    """``_per_angle`` evaluates an angle-only factor once per distinct angle,
+    a chunk at a time, and gathers it per cell."""
+
+    ANGLES = np.array([0.3, -0.7, 0.3, 0.0, -0.0, 1.2, -0.7, 0.3, 0.0, 1e-300, -1.5, 1.2])
+
+    def factors(self, ula, panel, code, harmonics, pilots):
+        """Angle-only factors of the package: an array, and tuples of 1-D and 2-D arrays."""
+        return {"sb_traces": lambda a: _sb_traces(a, ula, pilots),
+                "db_trace": lambda a: _db_trace(a, ula, pilots),
+                "patterns": lambda x: _patterns(x, panel, code, harmonics, WavelengthMode.EXACT),
+                "h2": lambda a: effective_energy_cells(a, ula, pilots, Combiner.ALL_ONES)}
+
+    @pytest.mark.parametrize("chunk", [1, 3, 256])
+    def test_bitwise_equal_to_per_cell_calls(self, monkeypatch, ula, panel, code, harmonics,
+                                             pilots, chunk):
+        monkeypatch.setattr(channel, "ANGLE_CHUNK", chunk)
+        for name, fn in self.factors(ula, panel, code, harmonics, pilots).items():
+            got = _per_angle(fn, self.ANGLES)
+            cells = [fn(np.array([a])) for a in self.ANGLES]
+            if isinstance(got, tuple):
+                want = tuple(np.concatenate(p) for p in zip(*cells))
+                assert len(got) == len(want), name
+            else:
+                got, want = (got,), (np.concatenate(cells),)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype, name
+                assert g.tobytes() == w.tobytes(), name
+                # sums over a row of an F-ordered (n, K) stack can round differently
+                assert g.flags.c_contiguous, name
+
+    @pytest.mark.parametrize("chunk", [1, 3, 256])
+    def test_each_distinct_angle_is_evaluated_once(self, monkeypatch, chunk):
+        monkeypatch.setattr(channel, "ANGLE_CHUNK", chunk)
+        seen = []
+
+        def fn(a):
+            assert 1 <= len(a) <= chunk
+            seen.extend(a.view(np.int64).tolist())
+            return 2.0 * a
+
+        rng = np.random.default_rng(5)
+        angles = rng.choice(np.linspace(-1.0, 1.0, 11), 200)
+        got = _per_angle(fn, angles)
+        assert sorted(seen) == sorted(set(angles.view(np.int64).tolist()))
+        assert got.tobytes() == (2.0 * angles).tobytes()
+
+    def test_signed_zeros_stay_apart(self):
+        seen = []
+        got = _per_angle(lambda a: seen.append(len(a)) or np.copysign(1.0, a), [0.0, -0.0, 0.0, -0.0])
+        assert seen == [2]
+        assert got.tolist() == [1.0, -1.0, 1.0, -1.0]
+
+    def test_scalar_and_empty_angles(self):
+        assert _per_angle(np.cos, 0.5).tolist() == [np.cos(0.5)]
+        assert _per_angle(lambda a: (a, a), np.array([]))[1].shape == (0,)
 
 
 def assert_close(got, want, rtol=1e-12):

@@ -5,20 +5,25 @@ Each document sets random JSON values at random key paths, known or not.
 holds (``config`` for a document that is no object), or return a config
 whose every leaf has its default's type and passes its ``RULES`` row, and
 whose ``scene`` entries build.  Any other exception fails.  Only
-``merge_config`` and ``scene_from_config`` run: an accepted document may
-still ask for unbounded work (a huge panel or array; ``n_trials`` is bounded),
-which nothing checks yet.
+``merge_config`` and ``scene_from_config`` run.  ``n_trials`` and the model
+arrays (pilot block, code, a chunk of pattern temporaries) are bounded; the
+per-block work of the verbs is not fuzzed yet.
 """
 
+import importlib.util
+import json
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stcmsense.cli import main
 from stcmsense.config import DEFAULT_CONFIG, RULES, merge_config, scene_from_config
-from stcmsense.constants import MAX_TRIALS
+from stcmsense.constants import MAX_MODEL_BYTES, MAX_TRIALS
 from stcmsense.errors import ConfigError
 
 
@@ -220,3 +225,46 @@ def test_n_trials_is_bounded():
     assert merge_config({"n_trials": MAX_TRIALS})["n_trials"] == MAX_TRIALS
     with pytest.raises(ConfigError, match=r"^n_trials must be in \[1, 10000000\], got 10000001$"):
         merge_config({"n_trials": MAX_TRIALS + 1})
+
+
+# documents whose model arrays each go over the byte budget, and the key named
+OVER_BUDGET = [
+    ({"bs": {"antennas": 10**6}}, "bs.antennas"),
+    ({"bs": {"antennas": 54**2}}, "bs.antennas"),  # 32 M^2 B just over 2^28
+    ({"panel": {"n_x": 10**5, "n_y": 10**5}}, "panel"),
+    ({"code": {"length": 10**9}}, "panel"),
+    ({"harmonics": 5000, "carrier_hz": 1e12}, "harmonics"),
+]
+
+
+@pytest.mark.parametrize("doc,key", OVER_BUDGET)
+def test_model_arrays_are_budgeted(doc, key, tmp_path, capsys):
+    # the config is refused before anything is allocated: the check's own
+    # peak stays far below any of the arrays it refuses
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} .* B budget$"):
+            merge_config(doc)
+        assert tracemalloc.get_traced_memory()[1] < 10**6
+    finally:
+        tracemalloc.stop()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["crb-map", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} "), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_default_and_benchmark_configs_fit_the_budget():
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_workloads", Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    docs = [{}] + [ov for name in workloads.WORKLOADS for _, ov in workloads.overrides(name, 31)]
+    assert len(docs) == 8
+    for doc in docs:
+        merge_config(doc)
+    # the largest perfect-square array under the budget passes
+    assert 32 * 53**4 <= MAX_MODEL_BYTES < 32 * 54**4
+    assert merge_config({"bs": {"antennas": 53**2}})["bs"]["antennas"] == 2809

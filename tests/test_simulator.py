@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stcmsense import cli, experiments
+from stcmsense import bounds, channel, cli, experiments
 from stcmsense.cli import main
 from stcmsense.classification import confusion_matrix, rayleigh_scale
 from stcmsense.config import (
@@ -28,6 +28,7 @@ from stcmsense.experiments import (
     run_peb_map,
     run_ris_compare,
 )
+from stcmsense.geometry import angles_from_position, terminal_mask
 from stcmsense.io import sha256_file
 from stcmsense.validate import run_validate
 
@@ -39,6 +40,27 @@ def csv_bytes(runner, cfg, out):
     out.mkdir()
     return {os.path.basename(f): Path(f).read_bytes()
             for f in runner(cfg, str(out)) if f.endswith(".csv")}
+
+
+class RecordingPool:
+    """A stand-in process pool that records the workers it is asked for and
+    the blocks it maps, and maps them in this process."""
+
+    asked: list = []
+    blocks: list = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, blocks):
+        self.blocks.append(len(blocks))
+        return map(fn, blocks)
 
 
 def read_csv(path):
@@ -356,27 +378,27 @@ class TestDeterminism:
     def test_pool_is_bounded_by_cpus(self, tmp_path, monkeypatch):
         # a huge thread count asks for no more processes than CPUs; the fake
         # pool records that request and maps the blocks in this process
-        asked = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, blocks):
-                return map(fn, blocks)
-
+        monkeypatch.setattr(RecordingPool, "asked", [])
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
         monkeypatch.setattr(experiments, "BLOCK_CELLS", 8)
         pooled = csv_bytes(run_crb_map, merge_config({**COARSE, "threads": 10**6}), tmp_path / "p")
-        assert asked == [3]
+        assert RecordingPool.asked == [3]
         assert pooled == csv_bytes(run_crb_map, merge_config(COARSE), tmp_path / "serial")
+
+    @pytest.mark.parametrize("runner", [run_crb_map, run_detection_map])
+    def test_threads_cut_a_map_smaller_than_one_block(self, tmp_path, monkeypatch, runner):
+        # the 187 cells fit one block, yet two workers each get at least one
+        monkeypatch.setattr(RecordingPool, "asked", [])
+        monkeypatch.setattr(RecordingPool, "blocks", [])
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        cfg = merge_config(COARSE)
+        xs, zs = grid_points(build_model(cfg).geom, cfg["grid_res_m"])
+        assert len(xs) * len(zs) < experiments.BLOCK_CELLS
+        pooled = csv_bytes(runner, merge_config({**COARSE, "threads": 2}), tmp_path / "p")
+        assert RecordingPool.asked == [2] and RecordingPool.blocks[0] >= 2
+        assert pooled == csv_bytes(runner, cfg, tmp_path / "serial")
 
     @pytest.mark.parametrize("runner,extra", [
         (run_crb_map, {}), (run_peb_map, {}), (run_ris_compare, {}),
@@ -386,10 +408,42 @@ class TestDeterminism:
         (run_detection_map, {}),
     ])
     def test_block_size_does_not_change_bytes(self, tmp_path, monkeypatch, runner, extra):
+        # 7-cell blocks, then also 3-angle chunks of the angle-only factors
         cfg = merge_config({**COARSE, **extra})
-        default = csv_bytes(runner, cfg, tmp_path / "default")
+        default, block = csv_bytes(runner, cfg, tmp_path / "default"), experiments.BLOCK_CELLS
         monkeypatch.setattr(experiments, "BLOCK_CELLS", 7)
         assert csv_bytes(runner, cfg, tmp_path / "seven") == default
+        monkeypatch.setattr(channel, "ANGLE_CHUNK", 3)
+        assert csv_bytes(runner, cfg, tmp_path / "chunk") == default
+        monkeypatch.setattr(experiments, "BLOCK_CELLS", block)
+        assert csv_bytes(runner, cfg, tmp_path / "chunk-only") == default
+
+    def test_angle_kernels_see_chunks_of_distinct_angles(self, tmp_path, monkeypatch):
+        # an R = 1 crb-map at 2 m: the kernels never get more than a chunk of
+        # angles, and the pattern kernel sees each block's distinct xi once
+        calls = {"harmonic_pattern_batch": [], "steering_vector": [], "steering_derivative": []}
+        for name, seen in calls.items():
+            def recorded(*args, _fn=getattr(bounds, name), _seen=seen):
+                angles = np.atleast_1d(args[3] if len(args) > 3 else args[1])
+                _seen.append(angles.copy())
+                return _fn(*args)
+            monkeypatch.setattr(bounds, name, recorded)
+        cfg = merge_config({"grid_res_m": 2.0, "n_targets": 1, "threads": 1})
+        run_crb_map(cfg, str(tmp_path))
+        for name, seen in calls.items():
+            assert seen and max(map(len, seen)) <= channel.ANGLE_CHUNK, name
+        model = build_model(cfg)
+        xs, zs = grid_points(model.geom, 2.0)
+        x, z = np.meshgrid(xs, zs)
+        points = np.column_stack([x.ravel(), np.zeros(x.size), z.ravel()])
+        n = experiments.BLOCK_CELLS
+        assert len(points) > n  # more than one block
+        want = []
+        for i in range(0, len(points), n):
+            q = points[i:i + n][~terminal_mask(points[i:i + n], model.geom)]
+            want += set(angles_from_position(q, model.geom).xi.view(np.int64).tolist())
+        got = np.concatenate(calls["harmonic_pattern_batch"]).view(np.int64).tolist()
+        assert sorted(got) == sorted(want)
 
     def test_seed_changes_monte_carlo(self, tmp_path):
         d1 = tmp_path / "s1"
