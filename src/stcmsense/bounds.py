@@ -12,37 +12,42 @@ All information matrices use the complex-Gaussian form
     F_ij = (2 / sigma_n^2) Re{ (d u / d psi_i)^H (d u / d psi_j) },
 
 with a Hermitian inner product between stacked derivative vectors (required
-for positive semidefiniteness).  Closed-form blocks are written with the
-exact pilot Gram G = X X^H so that they coincide with the stacked-derivative
-computation to floating-point accuracy rather than only approximately.
+for positive semidefiniteness).  Every single- and multi-target FIM, the
+closed forms and the fixed-profile baseline included, is read from one
+column Gram (:class:`MultiTargetFimBuilder`), formed with the exact pilot
+Gram X X^H from length-M vectors.
 
 Singularity policy: any matrix whose scaled condition number
 (:func:`scale_invariant_cond`, the 2-norm condition number after
 normalization to unit diagonal) exceeds ``constants.CONDITION_LIMIT`` is
-reported masked, never pseudo-inverted.  The decision reuses the inverse
-that is computed anyway (:func:`_certified_inverse`).  With D the diagonal
-of a k x k FIM F, kappa_F = ||D^-1/2 F D^-1/2||_F ||D^1/2 F^-1 D^1/2||_F
-bounds the scaled condition number: kappa_2 <= kappa_F <= k kappa_2.  So
-kappa_F <= limit / 2 passes a matrix and kappa_F > 2 k limit masks it; the
-factor-2 margins cover the rounding of the computed inverse, whose relative
-error grows as k eps kappa (Higham, Accuracy and Stability of Numerical
-Algorithms, 2002, ch. 14).  Only the rest take the SVD: the few matrices
-near the limit, and any member whose LU meets an exactly zero pivot.
+reported masked, never pseudo-inverted.  With one target, and no fixed
+one, the 3 x 3 FIM's condition number is known analytically
+(:meth:`MultiTargetFimBuilder._closed`).  Elsewhere the decision reuses the
+inverse that is computed anyway (:func:`_certified_inverse`).  With D the
+diagonal of a k x k FIM F, kappa_F = ||D^-1/2 F D^-1/2||_F ||D^1/2 F^-1
+D^1/2||_F bounds the scaled condition number: kappa_2 <= kappa_F <=
+k kappa_2.  So kappa_F <= limit / 2 passes a matrix and kappa_F > 2 k limit
+masks it; the factor-2 margins cover the rounding of the computed inverse,
+whose relative error grows as k eps kappa (Higham, Accuracy and Stability
+of Numerical Algorithms, 2002, ch. 14).  Only the rest take the SVD: the
+few matrices near the limit, and any member whose LU meets an exactly zero
+pivot.
 
 Every map runs through :class:`MultiTargetFimBuilder` at any target count
-R, which at R = 1 takes the closed forms.  With R > 1 targets the scaled
-FIM is F = [[A, B], [B^T, C]] over [moving | fixed].  The fixed block C is
-the same in every cell, so Q = C^-1 is certified once (if C fails, every F
-does: kappa_2(F) >= kappa_2(C) by Cauchy interlacing).  Per cell, P = B Q
-and T = (A - P B^T)^-1, the leading block of F^-1 (Kay, Estimation Theory,
-1993, ch. 3), give kappa_F with no cancellation (:func:`_schur`):
-||F||_F^2 = ||A||^2 + 2 ||B||^2 + ||C||^2 and ||F^-1||_F^2 = ||T||^2
-+ 2 ||T P||^2 + ||Q||^2 + 2 tr(T P Q P^T) + tr(T P P^T T P P^T), every term
-non-negative.
+R, which at R = 1 takes the gain Schur complement of its column Gram.  With
+R > 1 targets the scaled FIM is F = [[A, B], [B^T, C]] over [moving |
+fixed].  The fixed block C is the same in every cell, so Q = C^-1 is
+certified once (if C fails, every F does: kappa_2(F) >= kappa_2(C) by
+Cauchy interlacing).  Per cell, P = B Q and T = (A - P B^T)^-1, the leading
+block of F^-1 (Kay, Estimation Theory, 1993, ch. 3), give kappa_F with no
+cancellation (:func:`_schur`): ||F||_F^2 = ||A||^2 + 2 ||B||^2 + ||C||^2
+and ||F^-1||_F^2 = ||T||^2 + 2 ||T P||^2 + ||Q||^2 + 2 tr(T P Q P^T)
++ tr(T P P^T T P P^T), every term non-negative.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,132 +231,64 @@ def _rows(ula: UlaLayout, angle, derivative: bool = False) -> np.ndarray:
     return np.ascontiguousarray(fn(ula, np.atleast_1d(angle)).T)
 
 
-def _quad(v1: np.ndarray, g: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """v1^T G conj(v2) per row of the (n, M) stacks."""
-    return np.sum(v1 * np.matmul(v2.conj()[:, None, :], g.T)[:, 0], axis=-1)
-
-
-def _inner(u2: np.ndarray, u1: np.ndarray) -> np.ndarray:
-    """u2^H u1 per row of the (n, M) stacks."""
-    return np.sum(u2.conj() * u1, axis=-1)
-
-
-# Every spatial inner product (the traces below, MultiTargetFimBuilder) sums
+# Every spatial inner product (MultiTargetFimBuilder) sums
 #     vec(u2 v2^T X)^H vec(u1 v1^T X) = (v1^T G conj(v2)) (u2^H u1),
 # the trace tr((u1 v1^T) G (u2 v2^T)^H), so per cell only length-M vectors
 # are formed, never an M S-long vector or an M x M product.
 
-def _sb_traces(alpha, ula: UlaLayout, pilots: PilotMatrix):
-    """(t_dd, t_ad, t_aa) per angle: tr(dA G dA^H), tr(A G dA^H), tr(A G A^H)
-    with A = a a^T, dA = da a^T + a da^T and the exact Gram G = X X^H."""
-    a, da = _rows(ula, alpha), _rows(ula, alpha, derivative=True)
-    g = pilots.gram()
-    q_aa, q_ad = _quad(a, g, a), _quad(a, g, da)
-    n_aa = _inner(a, a)
-    t_aa = np.real(q_aa * n_aa)
-    t_ad = q_aa * _inner(da, a) + q_ad * n_aa
-    t_dd = np.real(q_aa * _inner(da, da) + q_ad * _inner(a, da)
-                   + _quad(da, g, a) * _inner(da, a) + _quad(da, g, da) * n_aa)
-    return t_dd, t_ad, t_aa
+def _patterns(panel: PanelLayout, code: CodingMatrix, harmonics: HarmonicSet,
+              mode: WavelengthMode, xi):
+    """Harmonic patterns (eta, d eta / d xi) at (n,) angles xi, (n, K) each;
+    the BS sits at the panel's angle 0.  Its ``functools.partial`` over a
+    panel is the double bounce's ``patterns`` of :class:`MultiTargetFimBuilder`."""
+    return tuple(v.T for v in harmonic_pattern_batch(panel, code, harmonics, xi, 0.0, mode))
 
 
-def _db_trace(alpha, ula: UlaLayout, pilots: PilotMatrix) -> np.ndarray:
-    """tr(B G B^H) per angle with B = a_r a_s^T + a_s a_r^T, a_r = a(alpha)
-    and a_s = a(0), the panel on the BS boresight."""
-    r, s = _rows(ula, alpha), _rows(ula, 0.0)
-    g = pilots.gram()
-    return np.real(_quad(s, g, s) * _inner(r, r) + _quad(s, g, r) * _inner(s, r)
-                   + _quad(r, g, s) * _inner(r, s) + _quad(r, g, r) * _inner(s, s))
-
-
-def _patterns(xi, panel: PanelLayout, code: CodingMatrix, harmonics: HarmonicSet,
-              mode: WavelengthMode):
-    """Harmonic patterns (eta, d eta / d xi) at an array of angles, (n, K)
-    each, evaluated once per distinct xi (:func:`.channel._per_angle`); the
-    BS sits at the panel's angle 0."""
-    return _per_angle(lambda x: tuple(v.T for v in harmonic_pattern_batch(
-        panel, code, harmonics, x, 0.0, mode)), xi)
-
-
-def _db_traces(xi, alpha, ula: UlaLayout, panel: PanelLayout, code: CodingMatrix,
-               harmonics: HarmonicSet, pilots: PilotMatrix, mode: WavelengthMode):
-    """Double-bounce analogues of :func:`_sb_traces`: the harmonic inner
-    products de^H de, de^H e, e^H e per cell, each times tr(B G B^H)."""
-    eta, deta = _patterns(xi, panel, code, harmonics, mode)
-    t_b = _per_angle(lambda a: _db_trace(a, ula, pilots), alpha)
-    return np.real(_inner(deta, deta)) * t_b, _inner(deta, eta) * t_b, np.real(_inner(eta, eta)) * t_b
-
-
-def _gain_fims(gain, t_dd, t_ad, t_aa, noise_power: float) -> np.ndarray:
-    """(n, 3, 3) FIMs over (angle, Re b, Im b) from per-cell trace terms."""
-    x = np.conj(gain) * t_ad
-    z = np.zeros_like(t_aa)
-    f = [[np.abs(gain) ** 2 * t_dd, x.real, -x.imag], [x.real, t_aa, z], [-x.imag, z, t_aa]]
-    return (2.0 / noise_power) * np.moveaxis(np.array(f), (0, 1), (-2, -1))
-
-
-def _angle_efim(gain, t_dd, t_ad, t_aa, noise_power: float) -> np.ndarray:
-    """Angle EFIM (2 |b|^2 / sigma_n^2)(t_dd - |t_ad|^2 / t_aa) per cell: the
-    Schur complement of the gain block of :func:`_gain_fims`.  NaN where the
-    gain block is singular (t_aa <= 0)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = (2.0 / noise_power) * np.abs(gain) ** 2 * (t_dd - np.abs(t_ad) ** 2 / t_aa)
-    return np.where(t_aa > 0, e, np.nan)
-
-
-def _crb(efim_values: np.ndarray) -> np.ndarray:
-    """1 / EFIM where it is positive and finite, NaN (masked) elsewhere."""
-    ok = (efim_values > 0) & np.isfinite(efim_values)
-    return np.where(ok, 1.0 / np.where(ok, efim_values, 1.0), np.nan)
+def _one_target(kind: str, xi, alpha, gain, ula: UlaLayout, pilots: PilotMatrix,
+                noise_power: float, patterns=None):
+    """(builder with no fixed target, the moving target) at angles and a gain
+    given as scalars or (n,) arrays; ``gain`` serves either bounce."""
+    return (MultiTargetFimBuilder([], kind, ula, pilots, noise_power, patterns),
+            TargetState(*np.atleast_1d(alpha, xi, gain, gain)))
 
 
 def fim_sb_single(alpha: float, gain: complex, ula: UlaLayout, pilots: PilotMatrix,
                   noise_power: float) -> FisherMatrix:
     """3x3 single-target single-bounce FIM over (alpha, Re b, Im b)."""
-    f = _gain_fims(gain, *_sb_traces(alpha, ula, pilots), noise_power)[0]
-    return FisherMatrix(entries=f, labels=("alpha", "re_gain", "im_gain"))
+    b, t = _one_target("sb", 0.0, alpha, gain, ula, pilots, noise_power)
+    return FisherMatrix(entries=b.fim_cells(t)[0], labels=("alpha", "re_gain", "im_gain"))
 
 
 def crb_alpha_closed(alpha: float, gain: complex, ula: UlaLayout, pilots: PilotMatrix,
                      noise_power: float) -> float:
-    """Closed-form CRB(alpha) at one angle; raises where masked.
-
-    sigma_n^2 / (2 |b|^2 (tr(dA G dA^H) - |tr(A G dA^H)|^2 / tr(A G A^H))):
-    the Schur complement of the gain nuisance.  Masked where tr(A G A^H) <= 0
-    or the denominator is not positive and finite.
-    """
-    return _one(_crb(_angle_efim(gain, *_sb_traces(alpha, ula, pilots), noise_power)),
-                "angle information vanished or fully absorbed by the gain nuisance")
+    """Closed-form CRB(alpha) at one angle, the gain Schur complement of
+    :func:`fim_sb_single` (:meth:`MultiTargetFimBuilder.crbs`); raises where
+    that FIM's scaled condition number exceeds the limit."""
+    b, t = _one_target("sb", 0.0, alpha, gain, ula, pilots, noise_power)
+    return _one(b.crbs(t), "alpha FIM over the condition limit")
 
 
 def fim_db_single(xi: float, alpha: float, gain: complex, ula: UlaLayout,
                   panel: PanelLayout, code: CodingMatrix, harmonics: HarmonicSet,
                   pilots: PilotMatrix, noise_power: float,
                   mode: WavelengthMode = WavelengthMode.EXACT) -> FisherMatrix:
-    """3x3 single-target double-bounce FIM over (xi, Re b, Im b).
-
-    Blocks factor into the harmonic-vector inner products (eta, d eta) and
-    the common spatial trace tr(B G B^H) with B = A + A^T.
-    """
-    traces = _db_traces(xi, alpha, ula, panel, code, harmonics, pilots, mode)
-    f = _gain_fims(gain, *traces, noise_power)[0]
-    return FisherMatrix(entries=f, labels=("xi", "re_gain", "im_gain"))
+    """3x3 single-target double-bounce FIM over (xi, Re b, Im b)."""
+    b, t = _one_target("db", xi, alpha, gain, ula, pilots, noise_power,
+                       functools.partial(_patterns, panel, code, harmonics, mode))
+    return FisherMatrix(entries=b.fim_cells(t)[0], labels=("xi", "re_gain", "im_gain"))
 
 
 def crb_xi_closed(xi: float, alpha: float, gain: complex, ula: UlaLayout,
                   panel: PanelLayout, code: CodingMatrix, harmonics: HarmonicSet,
                   pilots: PilotMatrix, noise_power: float,
                   mode: WavelengthMode = WavelengthMode.EXACT) -> float:
-    """Closed-form CRB(xi) at one angle pair; raises where masked.
-
-    sigma_n^2 / (2 |b|^2 tr(B G B^H) (de^H de - |de^H e|^2 / e^H e)); the
-    harmonic Schur term multiplies the spatial trace.  Certified against
-    numeric inversion of :func:`fim_db_single`.  Masked where e^H e or
-    tr(B G B^H) is not positive (their product, as e^H e >= 0 by
-    construction) or the denominator is not positive and finite.
-    """
-    traces = _db_traces(xi, alpha, ula, panel, code, harmonics, pilots, mode)
-    return _one(_crb(_angle_efim(gain, *traces, noise_power)), "xi information vanished")
+    """Closed-form CRB(xi) at one angle pair, the gain Schur complement of
+    :func:`fim_db_single` (:meth:`MultiTargetFimBuilder.crbs`); raises where
+    that FIM's scaled condition number exceeds the limit, as with a single
+    harmonic, whose pattern and derivative columns are parallel."""
+    b, t = _one_target("db", xi, alpha, gain, ula, pilots, noise_power,
+                       functools.partial(_patterns, panel, code, harmonics, mode))
+    return _one(b.crbs(t), "xi FIM over the condition limit")
 
 
 def crbs_from_fim(fim: FisherMatrix, limit: float = CONDITION_LIMIT) -> np.ndarray:
@@ -393,11 +330,11 @@ def fim_multi_target(targets, kind: str, ula: UlaLayout, pilots: PilotMatrix,
     """Full numeric FIM for R targets, kind "sb" (alpha set) or "db" (xi set).
 
     The first target takes parameter index 0 of
-    :meth:`MultiTargetFimBuilder.fim`, the term-table FIM at every R; at
-    R = 1 it equals :func:`fim_sb_single` or :func:`fim_db_single` to rounding.
+    :meth:`MultiTargetFimBuilder.fim`; at R = 1 it is :func:`fim_sb_single`
+    or :func:`fim_db_single`.
     """
-    return MultiTargetFimBuilder(targets[1:], kind, ula, pilots, noise_power, panel, code,
-                                 harmonics, mode).fim(targets[0])
+    return MultiTargetFimBuilder(targets[1:], kind, ula, pilots, noise_power, functools.partial(
+        _patterns, panel, code, harmonics, mode)).fim(targets[0])
 
 
 def _spatial(nq: np.ndarray, left, right) -> np.ndarray:
@@ -414,30 +351,32 @@ class MultiTargetFimBuilder:
 
     Each target has the columns d (angle), h (Re b) and 1j h (Im b); d and h
     are kron(x, w) of a harmonic factor x (the gain for the single bounce;
-    gain * d eta and eta for the double bounce) and a spatial factor w, a sum
-    of terms (u, v) = vec(u v^T X) (:func:`.channel.vec_outer`): d = (da, a) +
-    (a, da) and h = (a, a) for the single bounce, d = h = (a, a_s) + (a_s, a)
-    for the double.  Inner products factor as (x^H y)(w^H v), and w^H v by the
-    Gram identity above (:func:`_spatial`), so only length-M vectors are
-    formed.  Parameters run [moving | fixed]: the moving (angle, Re b, Im b),
-    then the fixed angles and gains.  The scaled fixed block and its gain
-    block are inverted once, so a cell forms three rows (:func:`_schur`).
+    gain * d eta and eta for the double bounce, from ``patterns(xi) -> (eta,
+    d eta)``, (n, K) each) and a spatial factor w, a sum of terms (u, v) =
+    vec(u v^T X) (:func:`.channel.vec_outer`): d = (da, a) + (a, da) and
+    h = (a, a) for the single bounce, d = h = (a, a_s) + (a_s, a) for the
+    double.  Inner products factor as (x^H y)(w^H v), and w^H v by the Gram
+    identity above (:func:`_spatial`), so only length-M vectors are formed.
+    Parameters run [moving | fixed]: the moving (angle, Re b, Im b), then the
+    fixed angles and gains.  The scaled fixed block and its gain block are
+    inverted once, so a cell forms three rows (:func:`_schur`).
 
     It serves every R = ``n_targets`` >= 1; the benchmark tracer wraps :meth:`fim`
-    by this name.  With no fixed target :meth:`crbs` and :meth:`efims` take the
-    closed-form gain Schur complement (:meth:`_closed`), not the term table.
+    by this name.  With no fixed target the spatial Gram depends on the bearing
+    alone and is taken once per distinct alpha, and :meth:`crbs` and
+    :meth:`efims` read the 2 x 2 column Gram directly (:meth:`_closed`).
+    ``patterns`` is a ``functools.partial`` of a module-level function, so the
+    builder pickles into worker processes: :func:`_patterns` for the switching
+    panel, ``metasurface._ris_terms`` (one row) for the fixed-profile baseline.
     """
 
     def __init__(self, fixed_targets, kind: str, ula: UlaLayout, pilots: PilotMatrix,
-                 noise_power: float, panel: PanelLayout | None = None,
-                 code: CodingMatrix | None = None,
-                 harmonics: HarmonicSet | None = None,
-                 mode: WavelengthMode = WavelengthMode.EXACT):
+                 noise_power: float, patterns=None):
         if kind not in ("sb", "db"):
             raise ValueError("kind must be 'sb' or 'db'")
-        self._model = (kind, ula, panel, code, harmonics, mode, pilots, noise_power)
+        self.kind, self._ula, self._patterns, self._noise = kind, ula, patterns, noise_power
         self._g = pilots.gram()
-        # terms (u, v) as rows (u, v, in d, in h) over the basis of _factors
+        # terms (u, v) as rows (u, v, in d, in h) over the basis of _basis
         t = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]] if kind == "sb"
                      else [[0, 1, 1, 1], [1, 0, 1, 1]])
         self._terms = u, v, e = t[:, 0], t[:, 1], t[:, 2:].T
@@ -456,7 +395,8 @@ class MultiTargetFimBuilder:
         if fixed_targets:
             # harmonic columns [d_1, h_1, d_2, ..], [b | b G]^T of the stacked
             # bases b and their terms; C is the fixed targets' own rows against them
-            x, b = self._factors(fixed := _stacked(fixed_targets))
+            fixed = _stacked(fixed_targets)
+            x, b = self._harmonic(fixed), self._basis(fixed.alpha)
             b, o = b.reshape(-1, b.shape[-1]), 2 * np.arange(r - 1)[:, None]
             self._fixed = (np.moveaxis(x, 0, 1).reshape(x.shape[1], -1),
                            np.concatenate([b, b @ self._g]).T,
@@ -470,29 +410,44 @@ class MultiTargetFimBuilder:
             self._shared = _shared_block(c, CONDITION_LIMIT)
             self._gains = _shared_block(c[r - 1:, r - 1:], CONDITION_LIMIT)
 
-    def _factors(self, t: TargetState):
-        """(harmonic (n, K, 2), basis (n, 2, M)) factors of the columns [d, h]
-        of n targets: the basis is [a, da] (sb) or [a, a_s] (db)."""
-        kind, ula, panel, code, harmonics, mode = self._model[:6]
-        a = _rows(ula, t.alpha)
-        if kind == "sb":
-            return (np.stack([t.sb_gain, np.ones_like(t.sb_gain)], -1)[:, None],
-                    np.stack([a, _rows(ula, t.alpha, derivative=True)], 1))
-        eta, deta = _patterns(t.xi, panel, code, harmonics, mode)
-        return (np.stack([t.db_gain[:, None] * deta, eta], -1),
-                np.stack([a, np.broadcast_to(_rows(ula, 0.0), a.shape)], 1))
+    def _harmonic(self, t: TargetState) -> np.ndarray:
+        """Harmonic factors (n, K, 2) of the columns [d, h] of n targets."""
+        if self.kind == "sb":
+            return np.stack([t.sb_gain, np.ones_like(t.sb_gain)], -1)[:, None]
+        eta, deta = _per_angle(self._patterns, t.xi)
+        return np.stack([t.db_gain[:, None] * deta, eta], -1)
+
+    def _basis(self, alpha) -> np.ndarray:
+        """Spatial bases (n, 2, M) at (n,) bearings: [a, da] (sb) or [a, a_s] (db)."""
+        a = _rows(self._ula, alpha)
+        if self.kind == "sb":
+            return np.stack([a, _rows(self._ula, alpha, derivative=True)], 1)
+        return np.stack([a, np.broadcast_to(_rows(self._ula, 0.0), a.shape)], 1)
+
+    def _spatial_gram(self, b: np.ndarray) -> np.ndarray:
+        """Spatial Gram (n, 2, 2) of the columns [d, h] over bases b (n, 2, M)."""
+        nq = np.concatenate([b, (b.reshape(-1, b.shape[-1]) @ self._g).reshape(b.shape)], 1)
+        return _spatial(b.conj() @ np.swapaxes(nq, 1, 2), self._terms, self._terms)
+
+    def _gram(self, moving: TargetState) -> np.ndarray:
+        """Gram (n, 2, 2R) of the moving target's columns [d, h] against
+        [d, h, d_1, h_1, ..]: harmonic Gram x^H x' times spatial Gram.  With
+        no fixed target the spatial Gram is taken once per distinct bearing;
+        otherwise one basis per cell feeds its own and its cross block."""
+        x = self._harmonic(moving)
+        xh = np.swapaxes(x, 1, 2).conj()
+        if self._fixed is None:
+            return (xh @ x) * _per_angle(lambda a: self._spatial_gram(self._basis(a)), moving.alpha)
+        b = self._basis(moving.alpha)
+        x_f, nq_f, t_f = self._fixed
+        nq = (b.conj().reshape(-1, b.shape[-1]) @ nq_f).reshape(len(b), 2, -1)
+        return np.concatenate([(xh @ x) * self._spatial_gram(b),
+                               (xh @ x_f) * _spatial(nq, self._terms, t_f)], axis=-1)
 
     def _rows(self, moving: TargetState, scaled: bool = False):
         """The moving target's FIM rows A (n, 3, 3), B (n, 3, 3R - 3); with
         ``scaled``, (scale (n, 3), A, B) scaled against the fixed block."""
-        x, b = self._factors(moving)
-        xh, bc, t = np.swapaxes(x, 1, 2).conj(), b.conj(), self._terms
-        nq = np.concatenate([b, (b.reshape(-1, b.shape[-1]) @ self._g).reshape(b.shape)], 1)
-        g = (xh @ x) * _spatial(bc @ np.swapaxes(nq, 1, 2), t, t)
-        if self._fixed is not None:
-            x_f, nq_f, t_f = self._fixed
-            nq = (bc.reshape(-1, b.shape[-1]) @ nq_f).reshape(len(b), 2, -1)
-            g = np.concatenate([g, (xh @ x_f) * _spatial(nq, t, t_f)], axis=-1)
+        g = self._gram(moving)
         f = self._pick[1] * g.reshape(len(g), -1).view(float)[:, self._pick[0]]
         a, b = 0.5 * (f[:, :, :3] + np.swapaxes(f[:, :, :3], 1, 2)), f[:, :, 3:]
         if not scaled:
@@ -511,19 +466,31 @@ class MultiTargetFimBuilder:
         """FIM with the moving target as parameter index 0 (:meth:`fim_cells`)."""
         return FisherMatrix(entries=self.fim_cells(_stacked([moving]))[0], labels=self._labels)
 
-    def _closed(self, moving: TargetState) -> np.ndarray:
-        """Angle EFIMs (n,) with no fixed target (:func:`_angle_efim`)."""
-        kind, ula, panel, code, harmonics, mode, pilots, noise_power = self._model
-        if kind == "sb":
-            traces = _per_angle(lambda a: _sb_traces(a, ula, pilots), moving.alpha)
-            return _angle_efim(moving.sb_gain, *traces, noise_power)
-        return _angle_efim(moving.db_gain, *_db_traces(moving.xi, moving.alpha, ula, panel, code,
-                                                       harmonics, pilots, mode), noise_power)
+    def _closed(self, moving: TargetState):
+        """(angle EFIMs, scaled condition numbers), (n,) each, with no fixed
+        target, from the column Gram G (:meth:`_gram`).  The EFIM is the gain
+        Schur complement (2 / sigma_n^2)(G_dd - |G_dh|^2 / G_hh) (Kay,
+        Estimation Theory, 1993, ch. 3), NaN where the gain block G_hh is not
+        positive.  Scaled to unit diagonal the 3 x 3 FIM has the eigenvalues
+        1 and 1 +- rho, rho^2 = |G_dh|^2 / (G_dd G_hh), so its kappa_2 is
+        (1 + rho) / (1 - rho) exactly; infinite where a diagonal is not
+        positive or an entry is not finite."""
+        g = self._gram(moving)
+        dd, dh, hh = g[:, 0, 0].real, np.abs(g[:, 0, 1]), g[:, 1, 1].real
+        live = (dd > 0) & (hh > 0) & np.isfinite(g).all(axis=(1, 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e = (2.0 / self._noise) * (dd - dh ** 2 / hh)
+            rho = dh / np.sqrt(dd * hh)
+            kappa = np.where(live & (rho < 1.0), (1.0 + rho) / (1.0 - rho), np.inf)
+        return np.where(hh > 0, e, np.nan), kappa
 
     def crbs(self, moving: TargetState) -> np.ndarray:
-        """CRBs (n,) of the moving angle, 1 / EFIM or T_00 / s_0^2; NaN where masked."""
+        """CRBs (n,) of the moving angle, 1 / EFIM or T_00 / s_0^2; NaN where
+        the full FIM's scaled condition number exceeds the limit."""
         if self._fixed is None:
-            return _crb(self._closed(moving))
+            e, kappa = self._closed(moving)
+            with np.errstate(divide="ignore"):
+                return np.where(kappa <= CONDITION_LIMIT, 1.0 / e, np.nan)
         s, a, b = self._rows(moving, scaled=True)
         ok, t, _, _ = _schur(a, b, self._shared, CONDITION_LIMIT)
         return np.where(ok, t[:, 0, 0] / s[:, 0] ** 2, np.nan)
@@ -534,7 +501,7 @@ class MultiTargetFimBuilder:
         Schur factors of the gain block, U = [U_m | U_f] the angle-by-gain
         block and W = U_m - U_f P_g^T: E = F_aa - U_f Q_g U_f^T - W T_g W^T."""
         if self._fixed is None:
-            return self._closed(moving)[:, None, None]
+            return self._closed(moving)[0][:, None, None]
         s, a, b = self._rows(moving, scaled=True)
         n, k, c, q_g = len(a), self.n_targets - 1, self._shared[0], self._gains[1]
         ok, t, p, _ = _schur(a[:, 1:, 1:], b[:, 1:, k:], self._gains, CONDITION_LIMIT)
@@ -597,15 +564,16 @@ def crb_ris_cells(xi, alpha, gain, profile: RisProfile, ris_layout: PanelLayout,
     """(FIMs (n, 3, 3) over (xi, Re b, Im b), CRB(xi) (n,)) of the
     fixed-profile linear-panel baseline at (n,) angle pairs and gains.
 
-    The one response g(xi) = a_R(xi)^T diag(w) a_R(0) takes the place
-    of the harmonic vector of :func:`_db_traces`.  The angle enters only
-    through gain * g(xi), so the matrix is singular by construction while
-    its gain block stays invertible.  The CRB is NaN where masked.
+    It is the double-bounce builder with no fixed target whose harmonic
+    factor is the one response g(xi) = a_R(xi)^T diag(w) a_R(0)
+    (``metasurface._ris_terms``).  The angle enters only through
+    gain * g(xi), so the matrix is singular by construction while its gain
+    block stays invertible; the CRB is the certified numeric inverse's, NaN
+    where masked.
     """
-    g, dg = _per_angle(lambda x: _ris_terms(profile, ris_layout, x, 0.0), xi)
-    t_b = _per_angle(lambda a: _db_trace(a, ula, pilots), alpha)
-    f = _gain_fims(gain, np.abs(dg) ** 2 * t_b, np.conj(dg) * g * t_b, np.abs(g) ** 2 * t_b,
-                   noise_power)
+    b, t = _one_target("db", xi, alpha, gain, ula, pilots, noise_power,
+                       functools.partial(_ris_terms, profile, ris_layout, phi_fixed=0.0))
+    f = b.fim_cells(t)
     return f, _inverse(f, limit)[:, 0, 0]
 
 

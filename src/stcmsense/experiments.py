@@ -13,11 +13,13 @@ array pass over the rest, a factor of one bearing once per distinct bearing
 of ris-compare take the CRB and the angle EFIMs from the (sb, db)
 ``MultiTargetFimBuilder`` pair around the fixed targets (``crbs``,
 ``peb_cells``) at every R: it inverts the fixed targets' FIM block once per
-map and forms the moving target's three FIM rows per cell, or takes its
-closed forms with no fixed target.  ris-compare's baseline column is
-``crb_ris_cells``.  ``threads`` > 1 maps the blocks over up to that many
-worker processes, no more than one per block or CPU, and cuts a map into at
-least that many blocks.  Every value is a pure function of its cell, so no
+map and forms the moving target's three FIM rows per cell, or reads the
+gain Schur complement of its column Gram with no fixed target.
+ris-compare's baseline column is ``crb_ris_cells``, the same double-bounce
+builder with the fixed profile's response as its harmonic factor.
+``threads`` > 1 maps the blocks over up to that many worker processes, no
+more than one per block or CPU, and cuts a map into at least that many
+blocks.  Every value is a pure function of its cell, so no
 block or chunk size nor ``threads`` changes a byte: blocks are joined in
 cell order, independent of completion order.  Map CSVs are columns of ready
 strings (``io._fields``): coordinates once per map, each value column and
@@ -38,7 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .bounds import MultiTargetFimBuilder, TargetState, crb_ris_cells, peb_cells
+from .bounds import MultiTargetFimBuilder, TargetState, _patterns, crb_ris_cells, peb_cells
 from .channel import path_gains
 from .classification import confusion_row, rayleigh_scale
 from .config import SystemModel, build_model, config_hash, fixed_scene, grid_points
@@ -67,7 +69,8 @@ def _builders(model: SystemModel, fixed):
               if p.kind is not TargetKind.ABSENT]
     sb = MultiTargetFimBuilder(states, "sb", model.ula, model.pilots, model.noise_power)
     db = MultiTargetFimBuilder(states, "db", model.ula, model.pilots, model.noise_power,
-                               model.panel, model.code, model.harmonics, model.mode)
+                               functools.partial(_patterns, model.panel, model.code,
+                                                 model.harmonics, model.mode))
     return sb, db
 
 

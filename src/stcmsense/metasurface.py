@@ -266,10 +266,10 @@ def default_coding_matrix(layout: PanelLayout, code_length: int = 8,
 # --- linear-RIS baseline ---------------------------------------------------
 
 def _ris_terms(profile: RisProfile, layout: PanelLayout, xi, phi_fixed: float):
-    """(g, dg / dxi), each (len(xi),), of g = a_R(xi)^T diag(w) a_R(phi_fixed)
+    """(g, dg / dxi), each (len(xi), 1), of g = a_R(xi)^T diag(w) a_R(phi_fixed)
     for a fixed phase profile w: :func:`_pattern_terms` with coefficients w at
-    the carrier wavelength."""
+    the carrier wavelength, one harmonic row."""
     if profile.phases.shape[0] != layout.n_elements:
         raise ValueError("profile length must match the panel")
     eta, deta = _pattern_terms(profile.phases[None], [layout.wavelength], xi, phi_fixed, layout)
-    return eta[0], deta[0]
+    return eta.T, deta.T

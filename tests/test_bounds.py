@@ -1,4 +1,5 @@
 import csv
+import functools
 import warnings
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import random_correlation
 
-from stcmsense import bounds
+from stcmsense import bounds, experiments
 from stcmsense.bounds import (
     FisherMatrix,
     MultiTargetFimBuilder,
@@ -22,12 +23,12 @@ from stcmsense.bounds import (
     peb_cells,
 )
 from stcmsense.channel import path_gains, steering_derivative, steering_vector, vec
-from stcmsense.config import merge_config
+from stcmsense.config import build_model, grid_points, merge_config
 from stcmsense.constants import CONDITION_LIMIT
 from stcmsense.errors import DimensionMismatch, SingularInformation
 from stcmsense.experiments import run_crb_map, run_peb_map, run_ris_compare
-from stcmsense.geometry import ScatterPoint, angles_from_position
-from stcmsense.metasurface import HarmonicSet, RisProfile, harmonic_pattern_batch
+from stcmsense.geometry import ScatterPoint, angles_from_position, terminal_mask
+from stcmsense.metasurface import HarmonicSet, RisProfile, WavelengthMode, harmonic_pattern_batch
 
 from echo_oracle import db_regressor, sb_regressor
 
@@ -244,6 +245,11 @@ class TestMultiTarget:
         assert both[1] < 2.0 * solo2
 
 
+def patterns(panel, code, harmonics):
+    """The switching panel's harmonic-factor source of the double-bounce builder."""
+    return functools.partial(bounds._patterns, panel, code, harmonics, WavelengthMode.EXACT)
+
+
 def oracle_fim(states, kind, ula, panel, code, harmonics, pilots):
     """Stacked-derivative FIM over [angles | (Re b, Im b) per target]."""
     cols = [sb_derivative_columns(t.alpha, t.sb_gain, ula, pilots) if kind == "sb" else
@@ -254,7 +260,8 @@ def oracle_fim(states, kind, ula, panel, code, harmonics, pilots):
 
 def builder(states, kind, ula, panel, code, harmonics, pilots):
     """Builder around states[1:] (the fixed targets)."""
-    return MultiTargetFimBuilder(states[1:], kind, ula, pilots, NOISE, panel, code, harmonics)
+    return MultiTargetFimBuilder(states[1:], kind, ula, pilots, NOISE,
+                                 patterns(panel, code, harmonics))
 
 
 def efim(states, kind, ula, panel, code, harmonics, pilots):
@@ -309,13 +316,13 @@ class TestEfim:
     @pytest.mark.parametrize("kind", ["sb", "db"])
     def test_closed_forms_without_fixed_targets_match_the_stacked_columns(
             self, geom, ula, panel, code, harmonics, pilots, kind):
-        # R = 1 takes the closed forms, not the term table: check them against
-        # the inverse of the explicit M S-long columns' FIM, on the BS-panel
-        # axis (0, 0, 50) too
+        # R = 1 takes the gain Schur complement of the per-bearing column Gram:
+        # check it against the inverse of the explicit M S-long columns' FIM,
+        # on the BS-panel axis (0, 0, 50) too
         q = [[0.0, 0.0, 50.0], [30.0, 0.0, 40.0], [-40.0, 0.0, 60.0], [60.0, 0.0, 20.0],
              [-65.0, 0.0, 85.0], [10.0, 0.0, 95.0]]
         states = [TestMultiTarget().state(np.array(p), geom) for p in q]
-        b = MultiTargetFimBuilder([], kind, ula, pilots, NOISE, panel, code, harmonics)
+        b = MultiTargetFimBuilder([], kind, ula, pilots, NOISE, patterns(panel, code, harmonics))
         crbs, efims = b.crbs(bounds._stacked(states)), b.efims(bounds._stacked(states))
         assert efims.shape == (len(q), 1, 1)
         for t, crb, e in zip(states, crbs, efims[:, 0, 0]):
@@ -341,8 +348,8 @@ class TestPeb:
 
     def peb_multi(self, states, q, geom, ula, panel, code, harmonics, pilots, noise=NOISE):
         """peb_cells of target 0 of one scene, fixed states[1:]; NaN where masked."""
-        builders = [MultiTargetFimBuilder(states[1:], kind, ula, pilots, noise, panel, code,
-                                          harmonics) for kind in ("sb", "db")]
+        builders = [MultiTargetFimBuilder(states[1:], kind, ula, pilots, noise,
+                                          patterns(panel, code, harmonics)) for kind in ("sb", "db")]
         return peb_cells(builders, bounds._stacked(states[:1]), q[None], geom)[0]
 
     def test_noise_scaling(self, geom, ula, panel, code, harmonics, pilots):
@@ -407,9 +414,33 @@ class TestRisBaseline:
 
     def test_single_harmonic_panel_equally_blind(self, ula, panel, code, pilots):
         # the switching panel restricted to m = 0 alone has the same
-        # rank-one structure, hence no xi information either
-        with pytest.raises(SingularInformation):
-            crb_xi_closed(0.5, 0.3, 1e-7, ula, panel, code, HarmonicSet(0), pilots, NOISE)
+        # rank-one structure, hence no xi information either: every pair is
+        # masked, not only those where rounding leaves no positive EFIM
+        rng = np.random.default_rng(13)
+        for xi, alpha in rng.uniform(-1.3, 1.3, (200, 2)):
+            with pytest.raises(SingularInformation):
+                crb_xi_closed(xi, alpha, random_gain(rng, 1e-7), ula, panel, code, HarmonicSet(0),
+                              pilots, NOISE)
+
+    def test_fim_matches_the_stacked_columns(self, geom, ula, panel, pilots):
+        # columns [gain dg v, g v, 1j g v] of the explicit M S-long double-bounce
+        # regressor v, g = sum_n w_n exp(j k sin(xi) x_n) written out per element;
+        # on the BS-panel axis (0, 0, 50) too
+        rng = np.random.default_rng(14)
+        prof = RisProfile(np.exp(2j * np.pi * rng.uniform(size=panel.n_elements)))
+        x = np.repeat((np.arange(panel.n_x) - (panel.n_x - 1) / 2) * panel.spacing, panel.n_y)
+        k = 2 * np.pi / panel.wavelength
+        for q in ([0.0, 0.0, 50.0], [30.0, 0.0, 40.0], [-40.0, 0.0, 60.0], [60.0, 0.0, 20.0],
+                  [-65.0, 0.0, 85.0], [10.0, 0.0, 95.0]):
+            t = TestMultiTarget().state(np.array(q), geom)
+            terms = prof.phases * np.exp(1j * k * np.sin(t.xi) * x)
+            g, dg = terms.sum(), (1j * k * np.cos(t.xi) * x * terms).sum()
+            v = db_regressor(t.alpha, np.ones(1), ula, pilots)
+            ref = fim_generic([t.db_gain * dg * v, g * v, 1j * g * v], NOISE).entries
+            f = crb_ris(t.xi, t.alpha, t.db_gain, prof, panel, ula, pilots, NOISE)[0].entries
+            d = np.sqrt(np.diag(ref))
+            np.testing.assert_allclose(f / np.outer(d, d), ref / np.outer(d, d), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(np.diag(f), np.diag(ref), rtol=1e-12)
 
 
 def svd_inverse(f, limit=CONDITION_LIMIT):
@@ -606,7 +637,8 @@ class TestDegenerateFixedScene:
         x, z = np.meshgrid(np.arange(-70.0, 71.0, 20.0), np.arange(10.0, 91.0, 20.0))
         q = np.column_stack([x.ravel(), np.zeros(x.size), z.ravel()])
         moving = bounds._stacked([state(p, geom) for p in q])
-        builders = [MultiTargetFimBuilder(fixed, kind, ula, pilots, NOISE, panel, code, harmonics)
+        builders = [MultiTargetFimBuilder(fixed, kind, ula, pilots, NOISE,
+                                          patterns(panel, code, harmonics))
                     for kind in ("sb", "db")]
         for b in builders:
             assert np.isnan(b.crbs(moving)).all()
@@ -635,6 +667,28 @@ class TestDegenerateFixedScene:
         assert csvs[0] == csvs[1]
 
 
+class TestOneTargetMask:
+    """With no fixed target the CRB is masked where the FIM's scaled
+    condition number exceeds the limit, the rule of every other R."""
+
+    @pytest.mark.parametrize("m_f", [0, 3])
+    @pytest.mark.parametrize("kind", [0, 1], ids=["sb", "db"])
+    def test_nan_pattern_is_the_condition_rule(self, m_f, kind):
+        cfg = merge_config({"grid_res_m": 10.0, "harmonics": m_f})
+        model = build_model(cfg)
+        xs, zs = grid_points(model.geom, 10.0)
+        x, z = np.meshgrid(xs, zs)
+        q = np.column_stack([x.ravel(), np.zeros(x.size), z.ravel()])
+        q = q[~terminal_mask(q, model.geom)]
+        moving = experiments._target_state(q, model)
+        b = experiments._builders(model, ())[kind]
+        cond = bounds.scale_invariant_cond(b.fim_cells(moving))
+        np.testing.assert_array_equal(np.isnan(b.crbs(moving)), cond > CONDITION_LIMIT)
+        # a single harmonic leaves the xi column parallel to the gain columns
+        # (kappa_2 4e15 and up); elsewhere every cell is well inside the limit
+        assert (cond > CONDITION_LIMIT).all() if (kind, m_f) == (1, 0) else (cond < 1e3).all()
+
+
 class TestOneMapPath:
     """Every bound map runs through the (sb, db) builder pair; R = 1 is the
     pair with no fixed target."""
@@ -643,7 +697,7 @@ class TestOneMapPath:
         calls = set()
         for name in ("crbs", "efims"):
             def counted(self, moving, _name=name, _method=getattr(MultiTargetFimBuilder, name)):
-                calls.add((self._model[0], _name, self.n_targets))
+                calls.add((self.kind, _name, self.n_targets))
                 return _method(self, moving)
             monkeypatch.setattr(MultiTargetFimBuilder, name, counted)
         cfg = merge_config({"grid_res_m": 20.0, "threads": 1})

@@ -1,8 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
 from stcmsense import channel
-from stcmsense.bounds import _db_trace, _patterns, _sb_traces
+from stcmsense.bounds import MultiTargetFimBuilder, _patterns
 from stcmsense.channel import (
     PilotMatrix,
     UlaLayout,
@@ -286,10 +288,13 @@ class TestPerAngle:
     ANGLES = np.array([0.3, -0.7, 0.3, 0.0, -0.0, 1.2, -0.7, 0.3, 0.0, 1e-300, -1.5, 1.2])
 
     def factors(self, ula, panel, code, harmonics, pilots):
-        """Angle-only factors of the package: an array, and tuples of 1-D and 2-D arrays."""
-        return {"sb_traces": lambda a: _sb_traces(a, ula, pilots),
-                "db_trace": lambda a: _db_trace(a, ula, pilots),
-                "patterns": lambda x: _patterns(x, panel, code, harmonics, WavelengthMode.EXACT),
+        """Angle-only factors of the package: 1-D and 3-D arrays, and tuples of 2-D
+        arrays.  The per-bearing spatial Grams are what a builder with no fixed
+        target takes once per distinct bearing."""
+        sb, db = (MultiTargetFimBuilder([], kind, ula, pilots, 1.0) for kind in ("sb", "db"))
+        return {"sb_gram": lambda a: sb._spatial_gram(sb._basis(a)),
+                "db_gram": lambda a: db._spatial_gram(db._basis(a)),
+                "patterns": functools.partial(_patterns, panel, code, harmonics, WavelengthMode.EXACT),
                 "h2": lambda a: effective_energy_cells(a, ula, pilots, Combiner.ALL_ONES)}
 
     @pytest.mark.parametrize("chunk", [1, 3, 256])

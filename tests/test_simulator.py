@@ -232,20 +232,21 @@ class TestExperimentOutputs:
     # formatted by column (the R = 10 ones again when the multi-target FIM
     # took its spatial Gram from the steering vectors, peb-map at R = 1 again
     # when its pair information went through the builder's certified 1 x 1
-    # inverse); keyed by (verb, n_targets)
+    # inverse, the R = 1 ones again when every single-target bound came from
+    # the builder's column Gram); keyed by (verb, n_targets)
     MAP_DIGESTS = {
         ("crb-map", 1): {
-            "crb_alpha_map.csv": "f87f0f2bb2ee1d4b1bec362adffb7c2acfb9fc009b64b362bac2ff3aec01b809",
-            "crb_xi_map.csv": "bfef4915e0564f58fca62b58376195ef1667638c71a4d5cb6bc350d8f83bf191"},
+            "crb_alpha_map.csv": "3e99e306932a19e6c7a5c42e99f6c40d946da430e2ca7d948a72089137c133d9",
+            "crb_xi_map.csv": "0e30cdbed5f4ca5f4911f1f32552cf4e9c2825c2e31530b77a33fc00fa6240e0"},
         ("crb-map", 10): {
             "crb_alpha_map.csv": "e19e41b0499bf158dc8dc0996431a5d7e24ab95b6379f39b2edb4cd4830496d4",
             "crb_xi_map.csv": "e9981f1c8d9296e7966202ed0e57b9cc7b3efc35da3861441f7aeac7753d79d4"},
         ("peb-map", 1): {
-            "peb_map.csv": "2e9c86637493deb626ea4f29ea33b9ca0f6fc13c322c927748f86b20c16604a7"},
+            "peb_map.csv": "e7c6df4444a271563f640c28777e932bb38e2859a866cf32f4b2b9e51a1f6625"},
         ("peb-map", 10): {
             "peb_map.csv": "9c6f51652e0f5feff1d7ee3eb96713b706a74539f66392e7cd658641949818b0"},
         ("ris-compare", 1): {
-            "ris_compare.csv": "aacd45a680c1df1bdeddbd9bceac01001bb4ebfa6c017bea53399feacf66cddb"},
+            "ris_compare.csv": "49a321efd554607e6a97aa9698b215754d24c3a6a68d9e00091859a90114d471"},
         ("detect-map", 1): {
             "detect_map_human_like_all_ones.csv":
                 "cbc776a4dfa4229a8ba33edaf56571b7339d61543086027f8795609cdc8ec32f",
@@ -364,11 +365,13 @@ class TestDeterminism:
         f2 = run_crb_map(multi, str(d2))
         assert Path(f1[0]).read_bytes() == Path(f2[0]).read_bytes()
         assert Path(f1[1]).read_bytes() == Path(f2[1]).read_bytes()
-        # every block worker: peb-map, the fixed-target FIM path, detect-map
+        # every block worker: peb-map, the fixed-target FIM path, detect-map,
+        # ris-compare (its builders' pattern sources must pickle)
         ten = {"n_targets": 10, "grid_res_m": 20.0}
         for runner, extra in ((run_peb_map, {}), (run_crb_map, {"n_targets": 2}),
                               (run_peb_map, {"n_targets": 2}), (run_crb_map, ten),
-                              (run_peb_map, ten), (run_detection_map, {})):
+                              (run_peb_map, ten), (run_detection_map, {}),
+                              (run_ris_compare, {})):
             tag = f"{runner.__name__}-{len(extra)}"
             serial = csv_bytes(runner, merge_config({**COARSE, **extra}), tmp_path / tag)
             pooled = csv_bytes(runner, merge_config({**COARSE, **extra, "threads": 2}),
