@@ -14,9 +14,9 @@ plain white-noise model.
 
 h2 and the marginal p_D are array-valued (:func:`effective_energy_cells`,
 :func:`pd_marginal_cells`); the scalar regressor and :func:`pd_marginal` are
-the one-element case.  :func:`detection_map` evaluates h2 once per distinct
-bearing and p_D in one array pass over its cells, with Rayleigh-scale
-callables of (n,) distances.
+the one-element case, and so is one combiner.  :func:`detection_map` takes
+h2 once per distinct bearing for all its combiners and p_D in one array
+pass, with Rayleigh-scale callables of (n,) distances.
 """
 
 from __future__ import annotations
@@ -64,26 +64,29 @@ def despread_regressor_at_angle(alpha: float, ula: UlaLayout, pilots: PilotMatri
     return DespreadRegressor(h, float(effective_energy_cells([alpha], ula, pilots, combiner)[0]))
 
 
-def effective_energy_cells(alpha, ula: UlaLayout, pilots: PilotMatrix,
-                           combiner: Combiner) -> np.ndarray:
-    """Noise-referred energy h2 at the (n,) bearings ``alpha``, as (n,).
+def effective_energy_cells(alpha, ula: UlaLayout, pilots: PilotMatrix, combiner):
+    """Noise-referred energy h2 at the (n,) bearings ``alpha``, as (n,), or a
+    tuple of (n,) arrays, one per combiner, for a tuple of combiners.
 
     H = vec(Z a a^T X) has rank one, so ||H||^2 = ||Z a||^2 ||X^T a||^2 and
     H^H (I kron Z Z^H) H = ||Z^H Z a||^2 ||X^T a||^2, giving
 
         h2 = ||Z a||^4 ||X^T a||^2 / ||Z^H Z a||^2
 
-    from three (M x M)(M x n) products, stacked per bearing so that a value
-    does not depend on how many bearings share the call.  A bearing with
-    Z a = 0 carries no energy: h2 = 0 there.
+    from (M x M)(M x n) products, stacked per bearing so that a value does
+    not depend on how many bearings share the call; the combiners share a
+    and ||X^T a||^2.  A bearing with Z a = 0 carries no energy: h2 = 0 there.
     """
     a = np.ascontiguousarray(steering_vector(ula, np.atleast_1d(alpha)).T)[:, None, :]
-    z = combiner_matrix(combiner, pilots)
-    za = a @ z.T  # (n, 1, M) rows (Z a)^T
-    za_sq = np.sum(np.abs(za) ** 2, axis=(1, 2))
     xa_sq = np.sum(np.abs(a @ pilots.symbols) ** 2, axis=(1, 2))
-    colored = np.sum(np.abs(za @ z.conj()) ** 2, axis=(1, 2))
-    return np.divide(za_sq**2 * xa_sq, colored, out=np.zeros_like(za_sq), where=colored > 0)
+    h2 = []
+    for comb in (combiner,) if isinstance(combiner, Combiner) else combiner:
+        z = combiner_matrix(comb, pilots)
+        za = a @ z.T  # (n, 1, M) rows (Z a)^T
+        za_sq = np.sum(np.abs(za) ** 2, axis=(1, 2))
+        colored = np.sum(np.abs(za @ z.conj()) ** 2, axis=(1, 2))
+        h2.append(np.divide(za_sq**2 * xa_sq, colored, out=np.zeros_like(za_sq), where=colored > 0))
+    return h2[0] if isinstance(combiner, Combiner) else tuple(h2)
 
 
 def ml_beta_estimate(y: np.ndarray, h: np.ndarray) -> complex:
@@ -289,8 +292,9 @@ def detection_map(grid_points, geom: SceneGeometry, ula: UlaLayout,
     combiner-major in the order given.  A cell without a bearing (on the BS
     or panel phase center) is masked: it comes back as NaN in every array.
 
-    h2 is taken once per distinct bearing (:func:`.channel._per_angle`),
-    p_D in one array pass over the points.
+    h2 is taken once per distinct bearing (:func:`.channel._per_angle`) for
+    every combiner, from one steering evaluation, and p_D in one array pass
+    over the points.
     """
     gamma_th = threshold_from_pfa(p_fa)
     pts = np.asarray(grid_points, dtype=float).reshape(-1, 3)
@@ -300,8 +304,8 @@ def detection_map(grid_points, geom: SceneGeometry, ula: UlaLayout,
     alpha = angles_from_position(pts[live], geom).alpha
     roundtrip = 2.0 * triangle_distances(pts[live], geom)[0]
     scales = {label: fn(roundtrip) for label, fn in rayleigh_scales.items()}
-    for comb in combiners:
-        h2 = _per_angle(lambda a: effective_energy_cells(a, ula, pilots, comb), alpha)
+    h2s = _per_angle(lambda a: effective_energy_cells(a, ula, pilots, combiners), alpha)
+    for comb, h2 in zip(combiners, h2s):
         for label, scale in scales.items():
             out[(label, comb)][live] = pd_marginal_cells(scale, h2, noise_power, gamma_th)
     return out

@@ -22,8 +22,9 @@ more than one per block or CPU, and cuts a map into at least that many
 blocks.  Every value is a pure function of its cell, so no
 block or chunk size nor ``threads`` changes a byte: blocks are joined in
 cell order, independent of completion order.  Map CSVs are columns of ready
-strings (``io._fields``): coordinates once per map, each value column and
-its mask flags in one pass each, constant columns as strings.
+strings (``io.format_column``): each distinct coordinate, value (dB taken
+first) and mask flag of a column is formatted once and gathered per cell;
+constant columns are strings.
 classify-mc simulates only the confusion row it reports, draws each class's
 trials once for all of its SNR rows, and labels each trial by comparing its
 |beta_hat|^2 with the squared MAP region edges, without evaluating a density.
@@ -46,7 +47,7 @@ from .classification import confusion_row, rayleigh_scale
 from .config import SystemModel, build_model, config_hash, fixed_scene, grid_points
 from .detection import Combiner, despread_regressor_at_angle, detection_map
 from .geometry import ScatterPoint, TargetKind, angles_from_position, terminal_mask
-from .io import _fields, write_csv, write_manifest
+from .io import format_column, write_csv, write_manifest
 
 # Cells per array pass at one target, BLOCK_CELLS // R at R; with angle-only
 # factors ANGLE_CHUNK bearings a call, this bounds peak memory, not values.
@@ -123,17 +124,14 @@ def _map_cells(cfg: dict, model: SystemModel, block, **kwargs) -> tuple[np.ndarr
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(worker, blocks))
-    x_csv, z_csv = _fields(xs.tolist()), _fields(zs.tolist())
+    x_csv, z_csv = format_column(xs), format_column(zs)
     return np.concatenate(values, axis=-1), [f"{a},{b}" for b in z_csv for a in x_csv]
 
 
 def _column(vals: np.ndarray, db: bool = True) -> tuple[list[str], list[str]]:
     """(CSV values, masked flags) of one map column, empty where NaN;
-    variances in dB by ``math.log10`` (``np.log10`` differs in the last ulp
-    on some doubles; NaN passes through it)."""
-    masked = np.isnan(vals).tolist()
-    vals = [10.0 * math.log10(v) for v in vals.tolist()] if db else vals.tolist()
-    return _fields(vals, masked), _fields(masked)
+    variances in dB."""
+    return format_column(vals, db=db), format_column(np.isnan(vals))
 
 
 def _write(out_dir: str, experiment: str, cfg: dict, tables) -> list[str]:
@@ -225,7 +223,7 @@ def run_classification_mc(cfg: dict, out_dir: str) -> list[str]:
             for k, snr_db in enumerate(snrs) for j, label in labels.items()]
     header = ("snr_db", "true_class", "p_h0", "p_h1", "p_h2", "n_trials", "seed")
     return _write(out_dir, "classification_mc", cfg,
-                  [("classification_mc.csv", header, map(_fields, zip(*rows)))])
+                  [("classification_mc.csv", header, map(format_column, zip(*rows)))])
 
 
 def run_ris_compare(cfg: dict, out_dir: str) -> list[str]:

@@ -288,14 +288,16 @@ class TestPerAngle:
     ANGLES = np.array([0.3, -0.7, 0.3, 0.0, -0.0, 1.2, -0.7, 0.3, 0.0, 1e-300, -1.5, 1.2])
 
     def factors(self, ula, panel, code, harmonics, pilots):
-        """Angle-only factors of the package: 1-D and 3-D arrays, and tuples of 2-D
-        arrays.  The per-bearing spatial Grams are what a builder with no fixed
-        target takes once per distinct bearing."""
+        """Angle-only factors of the package: 1-D and 3-D arrays, and tuples of 1-D
+        and 2-D arrays.  The per-bearing spatial Grams are what a builder with no
+        fixed target takes once per distinct bearing; detect-map takes h2 for all
+        of its combiners at once."""
         sb, db = (MultiTargetFimBuilder([], kind, ula, pilots, 1.0) for kind in ("sb", "db"))
         return {"sb_gram": lambda a: sb._spatial_gram(sb._basis(a)),
                 "db_gram": lambda a: db._spatial_gram(db._basis(a)),
                 "patterns": functools.partial(_patterns, panel, code, harmonics, WavelengthMode.EXACT),
-                "h2": lambda a: effective_energy_cells(a, ula, pilots, Combiner.ALL_ONES)}
+                "h2": lambda a: effective_energy_cells(a, ula, pilots, Combiner.ALL_ONES),
+                "h2_all": lambda a: effective_energy_cells(a, ula, pilots, tuple(Combiner))}
 
     @pytest.mark.parametrize("chunk", [1, 3, 256])
     def test_bitwise_equal_to_per_cell_calls(self, monkeypatch, ula, panel, code, harmonics,
@@ -314,6 +316,16 @@ class TestPerAngle:
                 assert g.tobytes() == w.tobytes(), name
                 # sums over a row of an F-ordered (n, K) stack can round differently
                 assert g.flags.c_contiguous, name
+
+    @pytest.mark.parametrize("chunk", [1, 3, 256])
+    def test_all_combiner_h2_is_per_combiner_h2(self, monkeypatch, ula, pilots, chunk):
+        monkeypatch.setattr(channel, "ANGLE_CHUNK", chunk)
+        got = _per_angle(lambda a: effective_energy_cells(a, ula, pilots, tuple(Combiner)),
+                         self.ANGLES)
+        assert len(got) == len(Combiner)
+        for comb, h2 in zip(Combiner, got):
+            want = _per_angle(lambda a: effective_energy_cells(a, ula, pilots, comb), self.ANGLES)
+            assert h2.tobytes() == want.tobytes(), comb
 
     @pytest.mark.parametrize("chunk", [1, 3, 256])
     def test_each_distinct_angle_is_evaluated_once(self, monkeypatch, chunk):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stcmsense import bounds, channel, cli, experiments
+from stcmsense import bounds, channel, cli, detection, experiments
 from stcmsense.cli import main
 from stcmsense.classification import confusion_matrix, rayleigh_scale
 from stcmsense.config import (
@@ -19,7 +19,7 @@ from stcmsense.config import (
     load_config,
     merge_config,
 )
-from stcmsense.detection import detection_map
+from stcmsense.detection import Combiner, detection_map
 from stcmsense.errors import ConfigError
 from stcmsense.experiments import (
     run_classification_mc,
@@ -447,6 +447,37 @@ class TestDeterminism:
             want += set(angles_from_position(q, model.geom).xi.view(np.int64).tolist())
         got = np.concatenate(calls["harmonic_pattern_batch"]).view(np.int64).tolist()
         assert sorted(got) == sorted(want)
+
+    def test_detect_map_steers_once_per_chunk_of_bearings(self, tmp_path, monkeypatch):
+        # an R = 1 detect-map at 2 m: one steering evaluation per chunk of a
+        # block's distinct bearings serves both combiners
+        seen = []
+
+        def recorded(ula, angle, _fn=detection.steering_vector):
+            seen.append(np.size(angle))
+            return _fn(ula, angle)
+
+        monkeypatch.setattr(detection, "steering_vector", recorded)
+        cfg = merge_config({"grid_res_m": 2.0, "threads": 1})
+        run_detection_map(cfg, str(tmp_path))
+        model = build_model(cfg)
+        xs, zs = grid_points(model.geom, 2.0)
+        x, z = np.meshgrid(xs, zs)
+        points = np.column_stack([x.ravel(), np.zeros(x.size), z.ravel()])
+        n, chunk = experiments.BLOCK_CELLS, channel.ANGLE_CHUNK
+        assert len(points) > n  # more than one block
+        want = []  # chunk sizes, per block
+        for i in range(0, len(points), n):
+            q = points[i:i + n][~terminal_mask(points[i:i + n], model.geom)]
+            distinct = len(set(angles_from_position(q, model.geom).alpha.view(np.int64).tolist()))
+            want.append([min(chunk, distinct - j) for j in range(0, distinct, chunk)])
+        assert seen == sum(want, [])
+        # the number of combiners does not change the steering calls
+        for combiners in [(c,) for c in Combiner] + [tuple(Combiner)]:
+            seen.clear()
+            detection_map(points[:n], model.geom, model.ula, model.pilots, model.noise_power,
+                          model.p_fa, {}, combiners)
+            assert seen == want[0], combiners
 
     def test_seed_changes_monte_carlo(self, tmp_path):
         d1 = tmp_path / "s1"
