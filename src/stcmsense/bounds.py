@@ -291,16 +291,16 @@ def crb_xi_closed(xi: float, alpha: float, gain: complex, ula: UlaLayout,
     return _one(b.crbs(t), "xi FIM over the condition limit")
 
 
-def crbs_from_fim(fim: FisherMatrix, limit: float = CONDITION_LIMIT) -> np.ndarray:
+def crbs_from_fim(fim: FisherMatrix) -> np.ndarray:
     """Diagonal of the FIM inverse, inverted on the diagonally-normalized
     system so mixed angle/gain units do not degrade it; raises instead of
     pseudo-inverting."""
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.sqrt(np.diag(fim.entries))
-        crbs = np.diag(_inverse((fim.entries / np.outer(s, s))[None], limit)[0]) / s**2
+        crbs = np.diag(_inverse((fim.entries / np.outer(s, s))[None], CONDITION_LIMIT)[0]) / s**2
     if np.isnan(crbs).any():
         raise SingularInformation(
-            f"scaled condition number {fim.condition_number():.3e} exceeds {limit:.1e}"
+            f"scaled condition number {fim.condition_number():.3e} exceeds {CONDITION_LIMIT:.1e}"
         )
     return crbs
 
@@ -536,8 +536,7 @@ def _position_peb(q, geom: SceneGeometry, e: np.ndarray, limit: float) -> np.nda
     return np.sqrt(np.trace(_inverse(f, limit), axis1=-2, axis2=-1))
 
 
-def peb_cells(builders, moving: TargetState, q, geom: SceneGeometry,
-              limit: float = CONDITION_LIMIT) -> np.ndarray:
+def peb_cells(builders, moving: TargetState, q, geom: SceneGeometry) -> np.ndarray:
     """PEB of the moving target (``moving`` as (n,) arrays) at stacked points
     q (n, 3) from its (sb, db) :class:`MultiTargetFimBuilder` pair, at any R;
     NaN where masked.
@@ -551,38 +550,29 @@ def peb_cells(builders, moving: TargetState, q, geom: SceneGeometry,
     that axis.  Masked: a singular gain block on either path, the 2R x 2R
     angle information or the 2 x 2 position information over the limit.
     """
-    ok, covs = _certified_inverse([b.efims(moving) for b in builders], limit)
+    ok, covs = _certified_inverse([b.efims(moving) for b in builders], CONDITION_LIMIT)
     # the covariance is block diagonal, so the pair's equivalent information
     # is diagonal: one over each of its two variances
     info = np.stack([1.0 / x[:, 0, 0] for x in covs], -1)
-    return _position_peb(q, geom, np.where(ok[:, None], info, np.nan), limit)
+    return _position_peb(q, geom, np.where(ok[:, None], info, np.nan), CONDITION_LIMIT)
 
 
-def crb_ris_cells(xi, alpha, gain, profile: RisProfile, ris_layout: PanelLayout,
-                  ula: UlaLayout, pilots: PilotMatrix, noise_power: float,
-                  limit: float = CONDITION_LIMIT):
-    """(FIMs (n, 3, 3) over (xi, Re b, Im b), CRB(xi) (n,)) of the
-    fixed-profile linear-panel baseline at (n,) angle pairs and gains.
+def crb_ris(xi: float, alpha: float, gain: complex, profile: RisProfile,
+            ris_layout: PanelLayout, ula: UlaLayout, pilots: PilotMatrix,
+            noise_power: float):
+    """(FisherMatrix over (xi, Re b, Im b), CRB(xi)) of the fixed-profile
+    linear-panel baseline at one angle pair and gain.
 
     It is the double-bounce builder with no fixed target whose harmonic
     factor is the one response g(xi) = a_R(xi)^T diag(w) a_R(0)
     (``metasurface._ris_terms``).  The angle enters only through
     gain * g(xi), so the matrix is singular by construction while its gain
-    block stays invertible; the CRB is the certified numeric inverse's, NaN
-    where masked.
+    block stays invertible; the CRB is the certified numeric inverse's, +inf
+    where masked, never a pseudo-inverse artifact.
     """
     b, t = _one_target("db", xi, alpha, gain, ula, pilots, noise_power,
                        functools.partial(_ris_terms, profile, ris_layout, phi_fixed=0.0))
     f = b.fim_cells(t)
-    return f, _inverse(f, limit)[:, 0, 0]
-
-
-def crb_ris(xi: float, alpha: float, gain: complex, profile: RisProfile,
-            ris_layout: PanelLayout, ula: UlaLayout, pilots: PilotMatrix,
-            noise_power: float, limit: float = CONDITION_LIMIT):
-    """(FisherMatrix, CRB(xi)) of :func:`crb_ris_cells` at one angle pair;
-    the CRB is +inf where masked, never a pseudo-inverse artifact."""
-    f, crb = crb_ris_cells(xi, alpha, gain, profile, ris_layout, ula, pilots, noise_power,
-                           limit)
+    crb = _inverse(f, CONDITION_LIMIT)[0, 0, 0]
     return (FisherMatrix(entries=f[0], labels=("xi", "re_gain", "im_gain")),
-            float(crb[0]) if np.isfinite(crb[0]) else np.inf)
+            float(crb) if np.isfinite(crb) else np.inf)

@@ -12,11 +12,16 @@ scaled magnitude-squared statistic is exactly noncentral chi-square with two
 degrees of freedom.  For an identity combiner h2 reduces to ||H||^2, the
 plain white-noise model.
 
-h2 and the marginal p_D are array-valued (:func:`effective_energy_cells`,
-:func:`pd_marginal_cells`); the scalar regressor and :func:`pd_marginal` are
-the one-element case, and so is one combiner.  :func:`detection_map` takes
-h2 once per distinct bearing for all its combiners and p_D in one array
-pass, with Rayleigh-scale callables of (n,) distances.
+h2, the marginal p_D and the Marcum Q are array-valued
+(:func:`effective_energy_cells`, :func:`pd_marginal_cells`,
+:func:`marcum_q1`); a scalar call is the one-element case, and so is one
+combiner.  p_D given the gain is Q1(a, b), a^2 the noncentrality and b^2
+the threshold.  Q1(a, b) = P(J <= K) for independent J ~ Pois(b^2/2) and
+K ~ Pois(a^2/2): the Poisson mixture of the noncentral chi-square with two
+degrees of freedom is sum_k P(K = k) P(chi2_{2k+2} > b^2), and
+P(chi2_{2k+2} > b^2) = P(J <= k).  :func:`detection_map` takes h2 once per
+distinct bearing for all its combiners and p_D in one array pass, with
+Rayleigh-scale callables of (n,) distances.
 """
 
 from __future__ import annotations
@@ -30,9 +35,6 @@ import numpy as np
 from .channel import PilotMatrix, UlaLayout, _per_angle, steering_vector, vec
 from .errors import OutOfRange, ZeroRegressor
 from .geometry import SceneGeometry, angles_from_position, terminal_mask, triangle_distances
-
-_MARCUM_MASS = 1e-14   # swept Poisson mixture mass: 1 - this
-_MARCUM_WINDOW = 1e-16  # per-window term cutoff, relative
 
 
 class Combiner(enum.Enum):
@@ -105,161 +107,67 @@ def threshold_from_pfa(p_fa: float) -> float:
     return -2.0 * math.log(p_fa)
 
 
-def _pois_pmf(k: int, mu: float) -> float:
-    """Poisson pmf e^{-mu} mu^k / k! without large-argument cancellation.
+# Window entries per pass of _marcum_pair: bounds memory, not values
+_MARCUM_CHUNK = 4096
+_LOG_FACTORIAL = np.array([math.lgamma(k + 1) for k in range(30)])
 
-    The naive log-space form loses ~mu * eps of absolute accuracy in the
-    exponent; rewriting around the saddle point,
 
-        log pmf = (k - mu) - k log1p((k - mu)/mu) - log(2 pi k)/2 - S(k),
-
-    keeps every term small near the mode (S is the Stirling tail).
-    """
-    if k < 0:
-        return 0.0
-    if k < 30:
-        # naive log form: significant pmf values here imply mu ~ k, so the
-        # exponent stays small and cancellation is harmless
-        return math.exp(-mu + k * math.log(mu) - math.lgamma(k + 1))
-    x = (k - mu) / mu
-    t = (k - mu) - k * math.log1p(x)
-    k2 = float(k) * k
+def _log_pois_pmf(n: np.ndarray, mu: float) -> np.ndarray:
+    """log Poisson pmf at ascending integers n >= 0 (floats), mu > 0.  From
+    n = 30 on it is taken around the saddle point, (n - mu) - n log1p((n -
+    mu)/mu) - log(2 pi n)/2 - S(n) with S the Stirling tail, which keeps the
+    ~mu eps cancellation of the naive form out of the exponent."""
+    k = n[n >= 30]
+    small = n[:len(n) - len(k)]
+    k2 = k * k
     stirling = (1.0 / (12.0 * k) - 1.0 / (360.0 * k2 * k)
                 + 1.0 / (1260.0 * k2 * k2 * k) - 1.0 / (1680.0 * k2 * k2 * k2 * k))
-    return math.exp(t - 0.5 * math.log(2.0 * math.pi * k) - stirling)
+    return np.concatenate([
+        -mu + small * math.log(mu) - _LOG_FACTORIAL[small.astype(int)],
+        (k - mu) - k * np.log1p((k - mu) / mu) - 0.5 * np.log(2.0 * np.pi * k) - stirling])
 
 
-def marcum_q1(a: float, b: float) -> float:
-    """First-order Marcum Q function, absolute error below 1e-12.
+def _marcum_pair(lam: float, g: float) -> float:
+    """P(J <= K) at lam, g > 0 over n in [min - h, max + h] of (lam, g), h =
+    12 sqrt(max) + 40, past which both laws carry negligible mass.  The
+    smaller side is summed: sum P(K = n) P(J <= n) for lam <= g, else
+    1 - sum P(J = n) P(K <= n - 1), the inner cdf one running sum."""
+    h = 12.0 * math.sqrt(max(lam, g)) + 40.0
+    lo, hi = max(0.0, math.floor(min(lam, g) - h)), math.ceil(max(lam, g) + h) + 1.0
+    complement = lam > g
+    outer, inner = (g, lam) if complement else (lam, g)
+    acc = cdf = 0.0
+    with np.errstate(over="ignore"):
+        while lo < hi:
+            n = np.arange(lo, min(lo + _MARCUM_CHUNK, hi))
+            p = np.exp(_log_pois_pmf(n, inner))
+            c = cdf + np.cumsum(p)
+            cdf, lo = c[-1], lo + _MARCUM_CHUNK
+            acc += np.dot(np.exp(_log_pois_pmf(n, outer)), c - p if complement else c)
+    return min(max(1.0 - acc if complement else acc, 0.0), 1.0)
 
-    Series over the Poisson mixture of the noncentral chi-square:
 
-        Q1(a, b) = sum_k e^{-L} L^k / k! * P(chi2_{2k+2} > b^2),   L = a^2/2,
-
-    where the inner factor P(chi2_{2k+2} > b^2) = e^{-g} sum_{j<=k} g^j / j!
-    with g = b^2/2.  Terms come from the cancellation-free Poisson pmf
-    (:func:`_pois_pmf`), the sweep covers Poisson mass 1 - 1e-14 around the
-    mode (every neglected term is bounded by the neglected mass), the running
-    inner factor is re-anchored every 64 steps, and whichever of Q1 and
-    1 - Q1 is smaller is the quantity actually accumulated.  Arguments
-    separated by 16 or more take the Chernoff shortcuts (both bounds are
-    then below 1e-55).  Absolute error stays below 1e-12; cross-checks
-    against reference implementations sit near 1e-14 out to a, b ~ 500.
-    """
-    if a < 0 or b < 0:
-        raise OutOfRange("arguments must be nonnegative")
-    if b == 0.0:
-        return 1.0
-    lam = 0.5 * a * a
-    g = 0.5 * b * b
-    if lam == 0.0:
-        return math.exp(-g)
-    # far-tail shortcuts from the Chernoff bounds
-    # 1 - Q1 <= exp(-(a-b)^2/2)/2 and Q1 <= exp(-(b-a)^2/2); at |a-b| >= 16
-    # either bound is below 1e-55, far inside the 1e-12 budget
-    if a - b >= 16.0:
-        return 1.0
-    if b - a >= 16.0:
-        return 0.0
-
-    def chi_window(lo: int, hi_open: bool, k: int) -> float:
-        # e^{-g} sum of g^j/j! over j = lo..k (hi_open: j = k+1..inf),
-        # restricted to the numerically significant window around j ~ g
-        total = 0.0
-        if hi_open:
-            j = max(k + 1, int(g))
-            while True:
-                t = _pois_pmf(j, g)
-                total += t
-                if t < _MARCUM_WINDOW * max(total, 1e-300):
-                    break
-                j += 1
-            j = int(g) - 1
-            while j >= k + 1:
-                t = _pois_pmf(j, g)
-                total += t
-                if t < _MARCUM_WINDOW * max(total, 1e-300):
-                    break
-                j -= 1
-        else:
-            if k < lo:
-                return 0.0
-            j = min(k, int(g))
-            while j >= lo:
-                t = _pois_pmf(j, g)
-                total += t
-                if t < _MARCUM_WINDOW * max(total, 1e-300):
-                    break
-                j -= 1
-            j = min(k, int(g)) + 1
-            while j <= k:
-                t = _pois_pmf(j, g)
-                total += t
-                if t < _MARCUM_WINDOW * max(total, 1e-300):
-                    break
-                j += 1
-        return min(total, 1.0)
-
-    # Whichever of Q1 and 1 - Q1 is the smaller sum is accumulated directly,
-    # so the returned value only ever carries small absolute rounding.
-    complement = a > b
-    k0 = int(lam)
-
-    def weight(k: int) -> float:
-        # P(chi2_{2k+2} <= b^2) when accumulating the complement, else the tail
-        if complement:
-            return chi_window(0, True, k)
-        return chi_window(0, False, k)
-
-    acc = _pois_pmf(k0, lam) * weight(k0)
-    mass = _pois_pmf(k0, lam)
-    # downward sweep; the 1e-18 cutoff keeps the geometric remainder of the
-    # neglected Poisson mass below budget even for wide distributions.  The
-    # running weight is re-anchored by direct summation every 64 steps so
-    # recurrence drift stays bounded independent of the sweep length.
-    k = k0 - 1
-    w_k = weight(k)
-    pk = _pois_pmf(k, lam) if k >= 0 else 0.0
-    since_anchor = 0
-    while k >= 0 and pk > 0.0:
-        acc += pk * w_k
-        mass += pk
-        step = _pois_pmf(k, g)
-        w_k = w_k + step if complement else w_k - step
-        w_k = min(max(w_k, 0.0), 1.0)
-        pk *= (k / lam) if k > 0 else 0.0
-        k -= 1
-        since_anchor += 1
-        if since_anchor >= 64:
-            w_k = weight(k)
-            since_anchor = 0
-        if pk < 1e-18 and mass > 0.5:
-            break
-    # upward sweep; the cap sits beyond 20 Poisson standard deviations,
-    # where the residual mass is mathematically negligible
-    k = k0 + 1
-    k_cap = k0 + int(20.0 * math.sqrt(lam)) + 200
-    w_k = weight(k)
-    pk = _pois_pmf(k, lam)
-    since_anchor = 0
-    while mass < 1.0 - _MARCUM_MASS and k <= k_cap:
-        acc += pk * w_k
-        mass += pk
-        k += 1
-        pk *= lam / k
-        step = _pois_pmf(k, g)
-        w_k = w_k - step if complement else w_k + step
-        w_k = min(max(w_k, 0.0), 1.0)
-        since_anchor += 1
-        if since_anchor >= 64:
-            w_k = weight(k)
-            since_anchor = 0
-        if pk == 0.0:
-            break
-    if complement:
-        # neglected Poisson mass contributes at most 1e-14 to the complement
-        return min(max(1.0 - acc, 0.0), 1.0)
-    return min(max(acc, 0.0), 1.0)
+def marcum_q1(a, b):
+    """First-order Marcum Q function, absolute error below 1e-12, broadcast
+    over a and b (a scalar pair gives a ``float``): P(J <= K) of the module
+    docstring per pair (:func:`_marcum_pair`).  Shortcuts are keyed on the
+    squares: b^2 = 0 gives 1, a^2 = 0 gives exp(-b^2/2), and |a - b| >= 16
+    gives 1 or 0 (the Chernoff bounds 1 - Q1 <= exp(-(a-b)^2/2)/2 and
+    Q1 <= exp(-(b-a)^2/2) are then below 1e-55).  Negative or non-finite
+    arguments raise, and so do squares past 2^52 that take no shortcut,
+    where the window's integers are no longer exact.  Memory is bounded;
+    time grows with the window, about 17 max(a, b) integers."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if not np.all(np.isfinite(a) & np.isfinite(b) & (a >= 0) & (b >= 0)):
+        raise OutOfRange("arguments must be finite and nonnegative")
+    with np.errstate(over="ignore"):
+        lam, g = 0.5 * a * a, 0.5 * b * b
+    q = np.where(g == 0, 1.0, np.where(lam == 0, np.exp(-g), np.where(a > b, 1.0, 0.0)))
+    live = (g > 0) & (lam > 0) & (np.abs(a - b) < 16.0)
+    if np.any(np.maximum(lam, g)[live] > 2.0**52):
+        raise OutOfRange("a^2/2 and b^2/2 must stay below 2^52 where |a - b| < 16")
+    q[live] = [_marcum_pair(x, y) for x, y in zip(lam[live].tolist(), g[live].tolist())]
+    return float(q) if q.ndim == 0 else q
 
 
 def pd_marginal(scale_sigma: float, h2: float, noise_power: float, gamma_th: float) -> float:

@@ -9,14 +9,15 @@ The maps (crb-map, peb-map, ris-compare, detect-map) split the grid into
 blocks of ``BLOCK_CELLS // R`` consecutive cells, R targets (1 for detect-map).
 A block worker drops the terminal cells and evaluates each quantity in one
 array pass over the rest, a factor of one bearing once per distinct bearing
-(``channel._per_angle``).  crb-map, peb-map and the switching-panel column
-of ris-compare take the CRB and the angle EFIMs from the (sb, db)
-``MultiTargetFimBuilder`` pair around the fixed targets (``crbs``,
-``peb_cells``) at every R: it inverts the fixed targets' FIM block once per
-map and forms the moving target's three FIM rows per cell, or reads the
-gain Schur complement of its column Gram with no fixed target.
-ris-compare's baseline column is ``crb_ris_cells``, the same double-bounce
-builder with the fixed profile's response as its harmonic factor.
+(``channel._per_angle``).  crb-map and peb-map take the CRB and the angle
+EFIMs from the (sb, db) ``MultiTargetFimBuilder`` pair around the fixed
+targets (``crbs``, ``peb_cells``) at every R: it inverts the fixed targets'
+FIM block once per map and forms the moving target's three FIM rows per
+cell, or reads the gain Schur complement of its column Gram with no fixed
+target.  ris-compare is crb-map's block over the (baseline, switching
+panel) pair of double-bounce builders with no fixed target; the baseline's
+harmonic factor is the fixed profile's one response, so its column is
+masked at every cell (rho = 1 up to rounding).
 ``threads`` > 1 maps the blocks over up to that many worker processes, no
 more than one per block or CPU, and cuts a map into at least that many
 blocks.  Every value is a pure function of its cell, so no
@@ -41,13 +42,14 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .bounds import MultiTargetFimBuilder, TargetState, _patterns, crb_ris_cells, peb_cells
+from .bounds import MultiTargetFimBuilder, TargetState, _patterns, peb_cells
 from .channel import path_gains
 from .classification import confusion_row, rayleigh_scale
 from .config import SystemModel, build_model, config_hash, fixed_scene, grid_points
 from .detection import Combiner, despread_regressor_at_angle, detection_map
 from .geometry import ScatterPoint, TargetKind, angles_from_position, terminal_mask
 from .io import format_column, write_csv, write_manifest
+from .metasurface import _ris_terms
 
 # Cells per array pass at one target, BLOCK_CELLS // R at R; with angle-only
 # factors ANGLE_CHUNK bearings a call, this bounds peak memory, not values.
@@ -94,14 +96,6 @@ def _crb_block(points, model: SystemModel, builders) -> np.ndarray:
 
 def _peb_block(points, model: SystemModel, builders) -> np.ndarray:
     return _block(points, model, lambda q, s: [peb_cells(builders, s, q, model.geom)], 1)
-
-
-def _ris_block(points, model: SystemModel, builders) -> np.ndarray:
-    def values(q, s):
-        _, ris = crb_ris_cells(s.xi, s.alpha, s.db_gain, model.ris_profile, model.panel,
-                               model.ula, model.pilots, model.noise_power)
-        return ris, builders[1].crbs(s)
-    return _block(points, model, values, 2)
 
 
 def _map_cells(cfg: dict, model: SystemModel, block, **kwargs) -> tuple[np.ndarray, list[str]]:
@@ -229,7 +223,11 @@ def run_classification_mc(cfg: dict, out_dir: str) -> list[str]:
 def run_ris_compare(cfg: dict, out_dir: str) -> list[str]:
     """Fixed-profile linear-panel baseline CRB(xi) next to the switching panel."""
     model = build_model(cfg)
-    (ris, stcm), xz = _map_cells(cfg, model, _ris_block, builders=_builders(model, ()))
+    baseline = MultiTargetFimBuilder([], "db", model.ula, model.pilots, model.noise_power,
+                                     functools.partial(_ris_terms, model.ris_profile, model.panel,
+                                                       phi_fixed=0.0))
+    (ris, stcm), xz = _map_cells(cfg, model, _crb_block,
+                                 builders=(baseline, _builders(model, ())[1]))
     header = ("x_m", "z_m", "ris_crb_xi_db", "ris_masked", "stcm_crb_xi_db", "stcm_masked")
     return _write(out_dir, "ris_compare", cfg,
                   [("ris_compare.csv", header, (xz, *_column(ris), *_column(stcm)))])

@@ -122,7 +122,7 @@ def run_validate(cfg: dict | None = None, printer=print) -> int:
 
     # Marcum identities
     ok = abs(marcum_q1(0.0, 1.7) - np.exp(-1.7**2 / 2)) < 1e-12 and marcum_q1(2.3, 0.0) == 1.0
-    qs = [marcum_q1(a, 1.0) for a in np.linspace(0, 6, 25)]
+    qs = marcum_q1(np.linspace(0, 6, 25), 1.0)
     ok = ok and bool(np.all(np.diff(qs) >= -1e-12))
     check("Marcum Q identities and monotonicity", ok)
 

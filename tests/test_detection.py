@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import ncx2
@@ -146,6 +149,57 @@ class TestMarcumQ:
         assert marcum_q1(300.0, 299.0) == pytest.approx(
             float(ncx2.sf(299.0**2, 2, 300.0**2)), abs=1e-10
         )
+
+    def test_underflowing_squares(self):
+        # b^2/2 underflows to 0, where Q1 = 1
+        assert marcum_q1(1.0, 1e-170) == 1.0
+        assert marcum_q1(1.0, 5e-324) == 1.0
+
+    def test_out_of_range_arguments_raise(self):
+        # non-finite or negative, and squares past 2^52 with no shortcut
+        for a, b in ((np.nan, 1.0), (1.0, np.nan), (np.inf, np.inf), (np.inf, 1.0),
+                     (1e200, 1e200), (1.5e8, 1.5e8 - 1.0)):
+            with pytest.raises(OutOfRange):
+                marcum_q1(a, b)
+        with pytest.raises(OutOfRange):
+            marcum_q1([1.0, -1.0], 1.0)
+        # huge but separated arguments take the |a - b| >= 16 shortcut
+        assert marcum_q1(1e200, 3.0) == 1.0
+        assert marcum_q1(3.0, 1e200) == 0.0
+
+    def test_array_matches_scalar_calls_bitwise(self):
+        # zero and underflowing squares, |a - b| >= 16 both ways, small,
+        # moderate and large windows, a on both sides of b
+        vals = np.array([0.0, 1e-170, 1e-3, 0.4, 2.0, 7.5, 20.0, 45.0, 300.0, 301.5])
+        q = marcum_q1(vals[:, None], vals[None, :])
+        scalar = np.array([[marcum_q1(a, b) for b in vals] for a in vals])
+        assert q.shape == (10, 10)
+        assert q.tobytes() == scalar.tobytes()
+
+    def test_broadcasting_and_scalar_type(self):
+        q = marcum_q1(np.array([[0.5], [4.0]]), np.array([1.0, 3.0, 4.0]))
+        assert q.shape == (2, 3)
+        assert q[1, 2] == marcum_q1(4.0, 4.0)
+        assert type(marcum_q1(4.0, 4.0)) is float
+        assert type(marcum_q1(np.float64(4.0), 0.0)) is float
+
+    def test_large_arguments_against_scipy(self):
+        for a, b in ((1000.0, 999.0), (3000.0, 2995.0)):
+            assert marcum_q1(a, b) == pytest.approx(float(ncx2.sf(b * b, 2, a * a)), abs=1e-12)
+
+    def test_bounded_memory_and_time_at_huge_arguments(self):
+        a, b = 1e5, 1e5 - 3
+        start = time.perf_counter()
+        q = marcum_q1(a, b)
+        assert time.perf_counter() - start < 1.0
+        tracemalloc.start()
+        try:
+            assert marcum_q1(a, b) == q
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert 0.5 < q < 1.0
 
 
 class TestPdConditional:
