@@ -567,12 +567,12 @@ def crb_ris(xi: float, alpha: float, gain: complex, profile: RisProfile,
     factor is the one response g(xi) = a_R(xi)^T diag(w) a_R(0)
     (``metasurface._ris_terms``).  The angle enters only through
     gain * g(xi), so the matrix is singular by construction while its gain
-    block stays invertible; the CRB is the certified numeric inverse's, +inf
-    where masked, never a pseudo-inverse artifact.
+    block stays invertible; the CRB is the builder's closed form
+    (:meth:`MultiTargetFimBuilder.crbs`) under its one mask rule, +inf where
+    masked, never a pseudo-inverse artifact.
     """
     b, t = _one_target("db", xi, alpha, gain, ula, pilots, noise_power,
                        functools.partial(_ris_terms, profile, ris_layout, phi_fixed=0.0))
-    f = b.fim_cells(t)
-    crb = _inverse(f, CONDITION_LIMIT)[0, 0, 0]
-    return (FisherMatrix(entries=f[0], labels=("xi", "re_gain", "im_gain")),
+    crb = b.crbs(t)[0]
+    return (FisherMatrix(entries=b.fim_cells(t)[0], labels=("xi", "re_gain", "im_gain")),
             float(crb) if np.isfinite(crb) else np.inf)

@@ -148,8 +148,10 @@ def _marcum_pair(lam: float, g: float) -> float:
 
 
 def marcum_q1(a, b):
-    """First-order Marcum Q function, absolute error below 1e-12, broadcast
-    over a and b (a scalar pair gives a ``float``): P(J <= K) of the module
+    """First-order Marcum Q function, broadcast over a and b (a scalar pair
+    gives a ``float``), with absolute error below 1e-12 as checked against
+    references up to a, b = 1e5; larger windows are not checked.  It is
+    P(J <= K) of the module
     docstring per pair (:func:`_marcum_pair`).  Shortcuts are keyed on the
     squares: b^2 = 0 gives 1, a^2 = 0 gives exp(-b^2/2), and |a - b| >= 16
     gives 1 or 0 (the Chernoff bounds 1 - Q1 <= exp(-(a-b)^2/2)/2 and

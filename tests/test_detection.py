@@ -1,10 +1,10 @@
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import ncx2
 
+from stcmsense import detection
 from stcmsense.channel import PilotMatrix
 from stcmsense.config import build_model, merge_config
 from stcmsense.detection import (
@@ -187,11 +187,37 @@ class TestMarcumQ:
         for a, b in ((1000.0, 999.0), (3000.0, 2995.0)):
             assert marcum_q1(a, b) == pytest.approx(float(ncx2.sf(b * b, 2, a * a)), abs=1e-12)
 
-    def test_bounded_memory_and_time_at_huge_arguments(self):
+    def test_high_precision_reference_at_huge_arguments(self):
+        # Q1 as the integral of x exp(-(x^2 + a^2)/2) I0(a x) over x > b at
+        # 30 digits, a reference independent of the Poisson window
+        mp = pytest.importorskip("mpmath")
+
+        def ref(a, b):
+            with mp.workdps(30):
+                a, b = mp.mpf(a), mp.mpf(b)
+                knots = [p for p in (a - 40, a - 10, a, a + 10, a + 40) if p > b]
+                return float(mp.quad(lambda x: x * mp.exp(-(x * x + a * a) / 2) * mp.besseli(0, a * x),
+                                     [b] + knots + [mp.inf]))
+
+        for a, b in ((1e4, 1e4 - 3), (1e5, 1e5 - 3), (1e5 - 3, 1e5)):
+            assert marcum_q1(a, b) == pytest.approx(ref(a, b), abs=1e-12)
+
+    def test_bounded_memory_and_window_at_huge_arguments(self, monkeypatch):
+        # each pass evaluates at most one chunk, and the passes together
+        # cover about the window, 2 (12 sqrt(max) + 40) + |a^2 - b^2|/2
+        # integers (about 2.0e6 here); tracemalloc bounds what is held
         a, b = 1e5, 1e5 - 3
-        start = time.perf_counter()
+        sizes = []
+        log_pmf = detection._log_pois_pmf
+
+        def counted(n, mu):
+            sizes.append(len(n))
+            return log_pmf(n, mu)
+
+        monkeypatch.setattr(detection, "_log_pois_pmf", counted)
         q = marcum_q1(a, b)
-        assert time.perf_counter() - start < 1.0
+        assert max(sizes) <= 4096 and sum(sizes) < 2 * 2.2e6
+        monkeypatch.undo()
         tracemalloc.start()
         try:
             assert marcum_q1(a, b) == q
