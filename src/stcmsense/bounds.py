@@ -13,9 +13,9 @@ All information matrices use the complex-Gaussian form
 
 with a Hermitian inner product between stacked derivative vectors (required
 for positive semidefiniteness).  Every single- and multi-target FIM, the
-closed forms and the fixed-profile baseline included, is read from one
-column Gram (:class:`MultiTargetFimBuilder`), formed with the exact pilot
-Gram X X^H from length-M vectors.
+closed forms and the fixed-profile baseline included, is read from the column
+Grams of term tables over one basis Gram (:class:`MultiTargetFimBuilder`),
+formed with the exact pilot Gram X X^H from length-M vectors.
 
 Singularity policy: any matrix whose scaled condition number
 (:func:`scale_invariant_cond`, the 2-norm condition number after
@@ -48,7 +48,7 @@ and ||F^-1||_F^2 = ||T||^2 + 2 ||T P||^2 + ||Q||^2 + 2 tr(T P Q P^T)
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -115,15 +115,15 @@ def _decide(kappa_f: np.ndarray, bad: np.ndarray, k: int, limit: float, full) ->
 
 
 def _inv(g: np.ndarray):
-    """(inverses, singular) of stacked (n, k, k) matrices.  Members LU finds
+    """(inverses, singular) of stacked (..., k, k) matrices.  Members LU finds
     exactly singular, which ``np.linalg.inv`` refuses, are named by slogdet
     (sign 0) and inverted as the identity; if slogdet misses one, all are."""
-    singular = np.zeros(len(g), dtype=bool)
+    singular = np.zeros(g.shape[:-2], dtype=bool)
     try:
         return np.linalg.inv(g), singular
     except np.linalg.LinAlgError:
         singular = np.linalg.slogdet(g)[0] == 0
-        g = np.where(singular[:, None, None], np.eye(g.shape[-1]), g)
+        g = np.where(singular[..., None, None], np.eye(g.shape[-1]), g)
         try:
             return np.linalg.inv(g), singular
         except np.linalg.LinAlgError:
@@ -131,16 +131,16 @@ def _inv(g: np.ndarray):
 
 
 def _certified_inverse(blocks, limit: float):
-    """(ok, [x_i]) for stacked FIMs, block diagonal with the (n, k_i, k_i)
+    """(ok, [x_i]) for stacked FIMs, block diagonal with the (..., k_i, k_i)
     ``blocks``: ok is their ``scale_invariant_cond <= limit`` and x_i[ok] is
     bitwise ``np.linalg.inv(blocks[i][ok])`` (LAPACK inverts each member on
     its own).  kappa_F sums the blocks' squared norms."""
     bad = np.any([_bad(f) for f in blocks], axis=0)
-    gs = [np.where(bad[:, None, None], np.eye(f.shape[-1]), f) for f in blocks]
+    gs = [np.where(bad[..., None, None], np.eye(f.shape[-1]), f) for f in blocks]
     xs, singular = zip(*map(_inv, gs))
     singular = np.any(singular, axis=0)
-    s = [np.sqrt(np.diagonal(g, axis1=1, axis2=2)) for g in gs]
-    ss = [v[:, :, None] * v[:, None, :] for v in s]
+    s = [np.sqrt(np.diagonal(g, axis1=-2, axis2=-1)) for g in gs]
+    ss = [v[..., :, None] * v[..., None, :] for v in s]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         kappa_f = (np.sqrt(sum(_fro2(g / t) for g, t in zip(gs, ss)))
                    * np.sqrt(sum(_fro2(x * t) for x, t in zip(xs, ss))))
@@ -156,44 +156,47 @@ def _certified_inverse(blocks, limit: float):
     return ok, xs
 
 
+_t = functools.partial(np.swapaxes, axis1=-1, axis2=-2)  # transposes of a stack
+
+
 def _full(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Stacked [[A, B], [B^T, C]] from (n, j, j) A, (n, j, m) B and a shared C."""
-    return np.block([[a, b], [np.swapaxes(b, 1, 2), np.broadcast_to(c, (len(a),) + c.shape)]])
+    """Stacked [[A, B], [B^T, C]] from (..., j, j) A, (..., j, m) B and a broadcast C."""
+    return np.block([[a, b], [_t(b), np.broadcast_to(c, b.shape[:-2] + c.shape[-2:])]])
 
 
 def _shared_block(c: np.ndarray, limit: float):
-    """(C, Q = C^-1, ||C||_F^2, ||Q||_F^2, ok) of a scaled (m, m) block that a
-    stack shares; ok is whether C passes the limit."""
+    """(C, Q = C^-1, ||C||_F^2, ||Q||_F^2, ok) of a scaled (..., m, m) block,
+    or stack of them, that a stack shares; ok is whether C passes the limit."""
     ok, (q,) = _certified_inverse([c[None]], limit)
     return c, q[0], _fro2(c), _fro2(q[0]), ok[0]
 
 
 def _schur(a: np.ndarray, b: np.ndarray, shared, limit: float):
     """(ok, T, P, kappa_F) of scaled stacks F = [[A, B], [B^T, C]] with
-    (n, j, j) A, (n, j, m) B and C from :func:`_shared_block`: P = B Q and
+    (..., j, j) A, (..., j, m) B and C from :func:`_shared_block`: P = B Q and
     T = (A - P B^T)^-1.  ok is ``scale_invariant_cond(F) <= limit``, from the
     block kappa_F of the module docstring; all fail where C does."""
     c, q, c2, q2, c_ok = shared
-    bad = ~(np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2)) & c_ok)
+    bad = ~(np.isfinite(a).all(axis=(-2, -1)) & np.isfinite(b).all(axis=(-2, -1)) & c_ok)
     p = b @ q
-    t, singular = _inv(a - p @ np.swapaxes(b, 1, 2))
+    t, singular = _inv(a - p @ _t(b))
     tp = t @ p
-    tm = tp @ np.swapaxes(p, 1, 2)  # T P P^T; tr(T P Q P^T) sums (T P Q) * P
+    tm = tp @ _t(p)  # T P P^T; tr(T P Q P^T) sums (T P Q) * P
     with np.errstate(over="ignore", invalid="ignore"):
-        inv2 = (_fro2(t) + 2.0 * _fro2(tp) + q2 + 2.0 * np.sum((tp @ q) * p, axis=(1, 2))
-                + np.sum(tm * np.swapaxes(tm, 1, 2), axis=(1, 2)))
+        inv2 = (_fro2(t) + 2.0 * _fro2(tp) + q2 + 2.0 * np.sum((tp @ q) * p, axis=(-2, -1))
+                + np.sum(tm * _t(tm), axis=(-2, -1)))
         kappa_f = np.sqrt(_fro2(a) + 2.0 * _fro2(b) + c2) * np.sqrt(inv2)
     kappa_f[singular] = np.nan
-    ok = _decide(kappa_f, bad, a.shape[-1] + len(c), limit, lambda rows: _full(a[rows], b[rows], c))
+    ok = _decide(kappa_f, bad, a.shape[-1] + c.shape[-1], limit, lambda rows: _full(
+        a[rows], b[rows], np.broadcast_to(c, a.shape[:-2] + c.shape[-2:])[rows]))
     return ok, t, p, kappa_f
 
 
 @dataclass(frozen=True)
 class FisherMatrix:
-    """Real symmetric PSD information matrix with named parameters."""
+    """Real symmetric PSD information matrix."""
 
     entries: np.ndarray
-    labels: tuple = ()
 
     def __post_init__(self):
         f = np.asarray(self.entries, dtype=float)
@@ -219,36 +222,42 @@ def fim_generic(derivative_columns, noise_power: float) -> FisherMatrix:
 
 def _one(values: np.ndarray, reason: str) -> float:
     """The single value of a one-cell array; raises where it is masked."""
-    v = float(values[0])
+    v = values.item()
     if np.isnan(v):
         raise SingularInformation(reason)
     return v
 
 
-def _rows(ula: UlaLayout, angle, derivative: bool = False) -> np.ndarray:
-    """Steering vectors (or their derivatives) at an array of angles, (n, M)."""
-    fn = steering_derivative if derivative else steering_vector
-    return np.ascontiguousarray(fn(ula, np.atleast_1d(angle)).T)
-
-
-# Every spatial inner product (MultiTargetFimBuilder) sums
-#     vec(u2 v2^T X)^H vec(u1 v1^T X) = (v1^T G conj(v2)) (u2^H u1),
-# the trace tr((u1 v1^T) G (u2 v2^T)^H), so per cell only length-M vectors
-# are formed, never an M S-long vector or an M x M product.
-
 def _patterns(panel: PanelLayout, code: CodingMatrix, harmonics: HarmonicSet,
               mode: WavelengthMode, xi):
     """Harmonic patterns (eta, d eta / d xi) at (n,) angles xi, (n, K) each;
     the BS sits at the panel's angle 0.  Its ``functools.partial`` over a
-    panel is the double bounce's ``patterns`` of :class:`MultiTargetFimBuilder`."""
+    panel is the double bounce's pattern source of :class:`MultiTargetFimBuilder`."""
     return tuple(v.T for v in harmonic_pattern_batch(panel, code, harmonics, xi, 0.0, mode))
 
 
+def _unit(xi):
+    """The single bounce's pattern source: eta = d eta / d xi = 1, (n, 1) each."""
+    return (np.ones((len(xi), 1)),) * 2
+
+
+# Term tables: a TargetState gain field, and rows (u, v, in d, in h) of terms
+# vec(b_u b_v^T X) over a target's basis b = [a, da, a_s] summed into its
+# columns d (angle) and h (gain): d = (da, a) + (a, da) and h = (a, a) for the
+# single bounce, d = h = (a, a_s) + (a_s, a) for the double.  Every spatial
+# inner product (MultiTargetFimBuilder) sums
+#     vec(u2 v2^T X)^H vec(u1 v1^T X) = (v1^T G conj(v2)) (u2^H u1),
+# the trace tr((u1 v1^T) G (u2 v2^T)^H), so per cell only length-M vectors
+# are formed, never an M S-long vector or an M x M product.
+_TABLES = {"sb": ("sb_gain", [[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]]),
+           "db": ("db_gain", [[0, 2, 1, 1], [2, 0, 1, 1]])}
+
+
 def _one_target(kind: str, xi, alpha, gain, ula: UlaLayout, pilots: PilotMatrix,
-                noise_power: float, patterns=None):
-    """(builder with no fixed target, the moving target) at angles and a gain
-    given as scalars or (n,) arrays; ``gain`` serves either bounce."""
-    return (MultiTargetFimBuilder([], kind, ula, pilots, noise_power, patterns),
+                noise_power: float, patterns=_unit):
+    """(one-table builder with no fixed target, the moving target) at angles
+    and a gain given as scalars or (n,) arrays; ``gain`` serves either bounce."""
+    return (MultiTargetFimBuilder([], [(kind, patterns)], ula, pilots, noise_power),
             TargetState(*np.atleast_1d(alpha, xi, gain, gain)))
 
 
@@ -256,7 +265,7 @@ def fim_sb_single(alpha: float, gain: complex, ula: UlaLayout, pilots: PilotMatr
                   noise_power: float) -> FisherMatrix:
     """3x3 single-target single-bounce FIM over (alpha, Re b, Im b)."""
     b, t = _one_target("sb", 0.0, alpha, gain, ula, pilots, noise_power)
-    return FisherMatrix(entries=b.fim_cells(t)[0], labels=("alpha", "re_gain", "im_gain"))
+    return FisherMatrix(entries=b.fim_cells(t)[0, 0])
 
 
 def crb_alpha_closed(alpha: float, gain: complex, ula: UlaLayout, pilots: PilotMatrix,
@@ -275,7 +284,7 @@ def fim_db_single(xi: float, alpha: float, gain: complex, ula: UlaLayout,
     """3x3 single-target double-bounce FIM over (xi, Re b, Im b)."""
     b, t = _one_target("db", xi, alpha, gain, ula, pilots, noise_power,
                        functools.partial(_patterns, panel, code, harmonics, mode))
-    return FisherMatrix(entries=b.fim_cells(t)[0], labels=("xi", "re_gain", "im_gain"))
+    return FisherMatrix(entries=b.fim_cells(t)[0, 0])
 
 
 def crb_xi_closed(xi: float, alpha: float, gain: complex, ula: UlaLayout,
@@ -317,9 +326,9 @@ class TargetState:
 
 
 def _stacked(states) -> TargetState:
-    """One TargetState of (n,) arrays from n scalar ones."""
-    return TargetState(*(np.array(v) for v in zip(*(
-        (t.alpha, t.xi, t.sb_gain, t.db_gain) for t in states))))
+    """One TargetState of (n,) arrays from n >= 0 scalar ones."""
+    return TargetState(*(np.array([getattr(t, f.name) for t in states])
+                         for f in fields(TargetState)))
 
 
 def fim_multi_target(targets, kind: str, ula: UlaLayout, pilots: PilotMatrix,
@@ -333,141 +342,134 @@ def fim_multi_target(targets, kind: str, ula: UlaLayout, pilots: PilotMatrix,
     :meth:`MultiTargetFimBuilder.fim`; at R = 1 it is :func:`fim_sb_single`
     or :func:`fim_db_single`.
     """
-    return MultiTargetFimBuilder(targets[1:], kind, ula, pilots, noise_power, functools.partial(
-        _patterns, panel, code, harmonics, mode)).fim(targets[0])
-
-
-def _spatial(nq: np.ndarray, left, right) -> np.ndarray:
-    """Gram (.., c, c') of spatial factors that sum terms (u, v) of two bases b, b'
-    by the identity above: n[u, u'] q[v, v'] from nq = [b^H b' | b'^T G conj(b)],
-    summed into columns by each side's e (c, terms)."""
-    (u1, v1, e1), (u2, v2, e2) = left, right
-    p = nq[..., u1[:, None], u2] * nq[..., v1[:, None], v2 + nq.shape[-1] // 2]
-    return np.moveaxis(np.tensordot(e1, np.tensordot(p, e2, (-1, 1)), (1, -2)), 0, -2)
+    patterns = _unit if kind == "sb" else functools.partial(_patterns, panel, code, harmonics, mode)
+    return MultiTargetFimBuilder(targets[1:], [(kind, patterns)], ula, pilots,
+                                 noise_power).fim(targets[0])[0]
 
 
 class MultiTargetFimBuilder:
-    """Caches the fixed targets' factors and FIM block across a grid sweep.
+    """Caches the fixed targets' factors and FIM blocks across a grid sweep.
 
-    Each target has the columns d (angle), h (Re b) and 1j h (Im b); d and h
-    are kron(x, w) of a harmonic factor x (the gain for the single bounce;
-    gain * d eta and eta for the double bounce, from ``patterns(xi) -> (eta,
-    d eta)``, (n, K) each) and a spatial factor w, a sum of terms (u, v) =
-    vec(u v^T X) (:func:`.channel.vec_outer`): d = (da, a) + (a, da) and
-    h = (a, a) for the single bounce, d = h = (a, a_s) + (a_s, a) for the
-    double.  Inner products factor as (x^H y)(w^H v), and w^H v by the Gram
-    identity above (:func:`_spatial`), so only length-M vectors are formed.
+    ``tables`` holds T pairs (kind, patterns): a term table of ``_TABLES`` and
+    its harmonic source ``patterns(xi) -> (eta, d eta)``, (n, K) each.  A table
+    gives each target the columns d (angle), h (Re b) and 1j h (Im b), kron(x,
+    w) of a harmonic factor x = [gain * d eta, eta] and the table's spatial
+    factor w.  Inner products factor as (x^H y)(w^H v), and every table reads
+    w^H v from one N/Q Gram of the bases (:meth:`_basis_gram`) by the identity
+    above, so only length-M vectors are formed.  Results carry the tables on a
+    leading axis, so (sb, db) tables give the split (alpha, xi) bounds.
     Parameters run [moving | fixed]: the moving (angle, Re b, Im b), then the
-    fixed angles and gains.  The scaled fixed block and its gain block are
-    inverted once, so a cell forms three rows (:func:`_schur`).
+    fixed angles and gains.  Each table's scaled fixed block and its gain
+    block are inverted once, so a cell forms three rows (:func:`_schur`).
 
     It serves every R = ``n_targets`` >= 1; the benchmark tracer wraps :meth:`fim`
-    by this name.  With no fixed target the spatial Gram depends on the bearing
+    by this name.  With no fixed target the basis Gram depends on the bearing
     alone and is taken once per distinct alpha, and :meth:`crbs` and
     :meth:`efims` read the 2 x 2 column Gram directly (:meth:`_closed`).
-    ``patterns`` is a ``functools.partial`` of a module-level function, so the
-    builder pickles into worker processes: :func:`_patterns` for the switching
-    panel, ``metasurface._ris_terms`` (one row) for the fixed-profile baseline.
+    Pattern sources are module-level functions or their ``functools.partial``
+    (:func:`_unit`, :func:`_patterns`, ``metasurface._ris_terms``), so the
+    builder pickles into worker processes.
     """
 
-    def __init__(self, fixed_targets, kind: str, ula: UlaLayout, pilots: PilotMatrix,
-                 noise_power: float, patterns=None):
-        if kind not in ("sb", "db"):
-            raise ValueError("kind must be 'sb' or 'db'")
-        self.kind, self._ula, self._patterns, self._noise = kind, ula, patterns, noise_power
-        self._g = pilots.gram()
-        # terms (u, v) as rows (u, v, in d, in h) over the basis of _basis
-        t = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]] if kind == "sb"
-                     else [[0, 1, 1, 1], [1, 0, 1, 1]])
-        self._terms = u, v, e = t[:, 0], t[:, 1], t[:, 2:].T
+    def __init__(self, fixed_targets, tables, ula: UlaLayout, pilots: PilotMatrix,
+                 noise_power: float):
+        self._ula, self._noise, self._g = ula, noise_power, pilots.gram()
+        self.kinds, self._sources = zip(*tables)
+        # each table's rows, padded with terms of zero weight to one count (T, I, 4)
+        rows = [_TABLES[k][1] for k in self.kinds]
+        t = np.array([x + [[0, 0, 0, 0]] * (max(map(len, rows)) - len(x)) for x in rows])
+        self._e = _t(t[..., 2:]).astype(complex)  # (T, 2, I): terms into columns [d, h]
+        # where N[u, u'] (Q[v, v']) of term i and target f's term j sit in a basis Gram
+        r = self.n_targets = len(fixed_targets) + 1
+        o = 6 * np.arange(r)[:, None]
+        self._terms = [(x[:, :, None, None, None], (o + s + x[:, None, None])[:, :, None])
+                       for x, s in ((t[..., 0], 0), (t[..., 1], 3))]
         # parameter p is column j[p] of [d_0, h_0, d_1, h_1, ..] times phase[p], so
         # a FIM row is +-Re or +-Im of Gram entries: _pick = (real-view index, sign)
-        r = self.n_targets = len(fixed_targets) + 1
         j = np.concatenate([[0, 1, 1], 2 * np.arange(1, r), np.repeat(2 * np.arange(1, r) + 1, 2)])
         ph = np.outer(np.conj([1, 1, 1j]), [1.0, 1.0, 1j] + [1.0] * (r - 1) + [1.0, 1j] * (r - 1))
         self._pick = 4 * r * j[:3, None] + 2 * j + (ph.real == 0), (ph.real - ph.imag) * 2 / noise_power
         # where each parameter of the public order [angles | gains] sits
         self._order = np.concatenate([[0], 3 + np.arange(r - 1), [1, 2], 2 + r + np.arange(2 * r - 2)])
-        angle = "alpha" if kind == "sb" else "xi"
-        self._labels = tuple([f"{angle}_{i}" for i in range(r)]
-                             + [f"{part}_gain_{i}" for i in range(r) for part in ("re", "im")])
-        self._fixed, self._fim_c = None, np.zeros((0, 0))
+        # the fixed targets' harmonic columns [d_1, h_1, d_2, ..] per table and
+        # their bases' [b | b G]^T, target by target; C is their own rows against them
+        fixed = _stacked(fixed_targets)
+        self._x_f = [np.moveaxis(x, 0, 1).reshape(x.shape[1], -1) for x in self._harmonic(fixed)]
+        self._right = self._basis(fixed.alpha).reshape(-1, len(self._g)).T
+        self._fim_c = np.zeros((len(rows), 1, 0, 0))
         if fixed_targets:
-            # harmonic columns [d_1, h_1, d_2, ..], [b | b G]^T of the stacked
-            # bases b and their terms; C is the fixed targets' own rows against them
-            fixed = _stacked(fixed_targets)
-            x, b = self._harmonic(fixed), self._basis(fixed.alpha)
-            b, o = b.reshape(-1, b.shape[-1]), 2 * np.arange(r - 1)[:, None]
-            self._fixed = (np.moveaxis(x, 0, 1).reshape(x.shape[1], -1),
-                           np.concatenate([b, b @ self._g]).T,
-                           ((o + u).ravel(), (o + v).ravel(), np.kron(np.eye(r - 1, dtype=int), e)))
             b = self._rows(fixed)[1]
-            c = np.concatenate([b[:, 0], b[:, 1:].reshape(-1, b.shape[-1])])
-            c = 0.5 * (c + c.T)
-            self._fim_c, self._s = c, np.sqrt(np.diagonal(c))
+            c = np.concatenate([b[:, :, 0], b[:, :, 1:].reshape(len(b), -1, b.shape[-1])], 1)[:, None]
+            c = 0.5 * (c + _t(c))
+            self._fim_c, self._s = c, np.sqrt(np.diagonal(c, axis1=-2, axis2=-1))
             with np.errstate(divide="ignore", invalid="ignore"):
-                c = c / np.outer(self._s, self._s)
+                c = c / (self._s[..., :, None] * self._s[..., None, :])
             self._shared = _shared_block(c, CONDITION_LIMIT)
-            self._gains = _shared_block(c[r - 1:, r - 1:], CONDITION_LIMIT)
+            self._gains = _shared_block(c[..., r - 1:, r - 1:], CONDITION_LIMIT)
 
-    def _harmonic(self, t: TargetState) -> np.ndarray:
-        """Harmonic factors (n, K, 2) of the columns [d, h] of n targets."""
-        if self.kind == "sb":
-            return np.stack([t.sb_gain, np.ones_like(t.sb_gain)], -1)[:, None]
-        eta, deta = _per_angle(self._patterns, t.xi)
-        return np.stack([t.db_gain[:, None] * deta, eta], -1)
+    def _harmonic(self, t: TargetState) -> list:
+        """Harmonic factors (n, K, 2) of the columns [d, h] of n targets, per table."""
+        return [np.stack([getattr(t, _TABLES[k][0])[:, None] * deta, eta], -1) for k, (eta, deta)
+                in zip(self.kinds, (_per_angle(p, t.xi) for p in self._sources))]
 
     def _basis(self, alpha) -> np.ndarray:
-        """Spatial bases (n, 2, M) at (n,) bearings: [a, da] (sb) or [a, a_s] (db)."""
-        a = _rows(self._ula, alpha)
-        if self.kind == "sb":
-            return np.stack([a, _rows(self._ula, alpha, derivative=True)], 1)
-        return np.stack([a, np.broadcast_to(_rows(self._ula, 0.0), a.shape)], 1)
+        """[b | b G] (n, 6, M) of the spatial bases b = [a, da, a_s] at (n,) bearings."""
+        a, da = steering_vector(self._ula, alpha).T, steering_derivative(self._ula, alpha).T
+        b = np.stack([a, da, np.broadcast_to(steering_vector(self._ula, 0.0), a.shape)], 1)
+        return np.concatenate([b, (b.reshape(-1, len(self._g)) @ self._g).reshape(b.shape)], 1)
 
-    def _spatial_gram(self, b: np.ndarray) -> np.ndarray:
-        """Spatial Gram (n, 2, 2) of the columns [d, h] over bases b (n, 2, M)."""
-        nq = np.concatenate([b, (b.reshape(-1, b.shape[-1]) @ self._g).reshape(b.shape)], 1)
-        return _spatial(b.conj() @ np.swapaxes(nq, 1, 2), self._terms, self._terms)
+    def _basis_gram(self, alpha) -> np.ndarray:
+        """N/Q Gram (n, 3, 6R) of the bases b at (n,) bearings against each
+        target's b' of [own | fixed]: [b^H b' | b'^T G conj(b)] per target."""
+        w = self._basis(alpha)
+        return np.concatenate([w[:, :3].conj() @ _t(w), w[:, :3].conj() @ self._right], -1)
+
+    def _spatial(self, nq: np.ndarray) -> np.ndarray:
+        """Spatial Grams (n, T, 2, 2R) of each table's [d, h] against [d, h, d_1,
+        h_1, ..] from a basis Gram nq: terms (u, v) against (u', v') are n[u, u']
+        q[v, v'], summed into each table's columns by e."""
+        (u, u2), (v, v2), n = *self._terms, np.arange(len(nq))[:, None, None]
+        p = nq[n, u, u2]  # (T, I, n, R, I)
+        p *= nq[n, v, v2]
+        t, i = p.shape[:2]
+        s = (self._e @ p.reshape(t, i, -1)).reshape(t, -1, i) @ _t(self._e)
+        return s.reshape(t, 2, len(nq), -1, 2).transpose(2, 0, 1, 3, 4).reshape(len(nq), t, 2, -1)
 
     def _gram(self, moving: TargetState) -> np.ndarray:
-        """Gram (n, 2, 2R) of the moving target's columns [d, h] against
-        [d, h, d_1, h_1, ..]: harmonic Gram x^H x' times spatial Gram.  With
-        no fixed target the spatial Gram is taken once per distinct bearing;
-        otherwise one basis per cell feeds its own and its cross block."""
-        x = self._harmonic(moving)
-        xh = np.swapaxes(x, 1, 2).conj()
-        if self._fixed is None:
-            return (xh @ x) * _per_angle(lambda a: self._spatial_gram(self._basis(a)), moving.alpha)
-        b = self._basis(moving.alpha)
-        x_f, nq_f, t_f = self._fixed
-        nq = (b.conj().reshape(-1, b.shape[-1]) @ nq_f).reshape(len(b), 2, -1)
-        return np.concatenate([(xh @ x) * self._spatial_gram(b),
-                               (xh @ x_f) * _spatial(nq, self._terms, t_f)], axis=-1)
+        """Column Grams (T, n, 2, 2R) of the moving [d, h] against [d, h, d_1, h_1,
+        ..]: harmonic times spatial Gram, from one basis Gram per distinct bearing
+        with no fixed target, else one moving basis per cell for every block."""
+        h = [np.concatenate([_t(x).conj() @ x, _t(x).conj() @ x_f], -1)
+             for x, x_f in zip(self._harmonic(moving), self._x_f)]
+        spatial = lambda a: self._spatial(self._basis_gram(a))  # noqa: E731
+        s = _per_angle(spatial, moving.alpha) if self.n_targets == 1 else spatial(moving.alpha)
+        return np.stack(h) * np.moveaxis(s, 0, 1)
 
     def _rows(self, moving: TargetState, scaled: bool = False):
-        """The moving target's FIM rows A (n, 3, 3), B (n, 3, 3R - 3); with
-        ``scaled``, (scale (n, 3), A, B) scaled against the fixed block."""
+        """The moving target's FIM rows A (T, n, 3, 3), B (T, n, 3, 3R - 3); with
+        ``scaled``, (scale (T, n, 3), A, B) scaled against the fixed block."""
         g = self._gram(moving)
-        f = self._pick[1] * g.reshape(len(g), -1).view(float)[:, self._pick[0]]
-        a, b = 0.5 * (f[:, :, :3] + np.swapaxes(f[:, :, :3], 1, 2)), f[:, :, 3:]
+        f = self._pick[1] * g.reshape(g.shape[:2] + (-1,)).view(float)[..., self._pick[0]]
+        a, b = 0.5 * (f[..., :3] + _t(f[..., :3])), f[..., 3:]
         if not scaled:
             return a, b
-        s = np.sqrt(np.diagonal(a, axis1=1, axis2=2))
+        s = np.sqrt(np.diagonal(a, axis1=-2, axis2=-1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return s, a / (s[:, :, None] * s[:, None, :]), b / (s[:, :, None] * self._s)
+            return (s, a / (s[..., :, None] * s[..., None, :]),
+                    b / (s[..., :, None] * self._s[..., None, :]))
 
     def fim_cells(self, moving: TargetState) -> np.ndarray:
-        """(n, 3R, 3R) FIMs [[A, B], [B^T, C]] in the order [angles | gains],
+        """(T, n, 3R, 3R) FIMs [[A, B], [B^T, C]] in the order [angles | gains],
         with the moving target, given as (n,) arrays, as parameter index 0."""
         o = self._order
-        return _full(*self._rows(moving), self._fim_c)[:, o[:, None], o]
+        return _full(*self._rows(moving), self._fim_c)[..., o[:, None], o]
 
-    def fim(self, moving: TargetState) -> FisherMatrix:
-        """FIM with the moving target as parameter index 0 (:meth:`fim_cells`)."""
-        return FisherMatrix(entries=self.fim_cells(_stacked([moving]))[0], labels=self._labels)
+    def fim(self, moving: TargetState) -> list:
+        """FIMs per table with the moving target as parameter index 0 (:meth:`fim_cells`)."""
+        return [FisherMatrix(entries=f[0]) for f in self.fim_cells(_stacked([moving]))]
 
     def _closed(self, moving: TargetState):
-        """(angle EFIMs, scaled condition numbers), (n,) each, with no fixed
+        """(angle EFIMs, scaled condition numbers), (T, n) each, with no fixed
         target, from the column Gram G (:meth:`_gram`).  The EFIM is the gain
         Schur complement (2 / sigma_n^2)(G_dd - |G_dh|^2 / G_hh) (Kay,
         Estimation Theory, 1993, ch. 3), NaN where the gain block G_hh is not
@@ -476,8 +478,8 @@ class MultiTargetFimBuilder:
         (1 + rho) / (1 - rho) exactly; infinite where a diagonal is not
         positive or an entry is not finite."""
         g = self._gram(moving)
-        dd, dh, hh = g[:, 0, 0].real, np.abs(g[:, 0, 1]), g[:, 1, 1].real
-        live = (dd > 0) & (hh > 0) & np.isfinite(g).all(axis=(1, 2))
+        dd, dh, hh = g[..., 0, 0].real, np.abs(g[..., 0, 1]), g[..., 1, 1].real
+        live = (dd > 0) & (hh > 0) & np.isfinite(g).all(axis=(-2, -1))
         with np.errstate(divide="ignore", invalid="ignore"):
             e = (2.0 / self._noise) * (dd - dh ** 2 / hh)
             rho = dh / np.sqrt(dd * hh)
@@ -485,33 +487,33 @@ class MultiTargetFimBuilder:
         return np.where(hh > 0, e, np.nan), kappa
 
     def crbs(self, moving: TargetState) -> np.ndarray:
-        """CRBs (n,) of the moving angle, 1 / EFIM or T_00 / s_0^2; NaN where
+        """CRBs (T, n) of the moving angle, 1 / EFIM or T_00 / s_0^2; NaN where
         the full FIM's scaled condition number exceeds the limit."""
-        if self._fixed is None:
+        if self.n_targets == 1:
             e, kappa = self._closed(moving)
             with np.errstate(divide="ignore"):
                 return np.where(kappa <= CONDITION_LIMIT, 1.0 / e, np.nan)
         s, a, b = self._rows(moving, scaled=True)
         ok, t, _, _ = _schur(a, b, self._shared, CONDITION_LIMIT)
-        return np.where(ok, t[:, 0, 0] / s[:, 0] ** 2, np.nan)
+        return np.where(ok, t[..., 0, 0] / s[..., 0] ** 2, np.nan)
 
     def efims(self, moving: TargetState) -> np.ndarray:
-        """Angle EFIMs (n, R, R) over [moving | fixed angles], every gain a
+        """Angle EFIMs (T, n, R, R) over [moving | fixed angles], every gain a
         nuisance; NaN where the gain block is masked.  With T_g, P_g the
         Schur factors of the gain block, U = [U_m | U_f] the angle-by-gain
         block and W = U_m - U_f P_g^T: E = F_aa - U_f Q_g U_f^T - W T_g W^T."""
-        if self._fixed is None:
-            return self._closed(moving)[0][:, None, None]
+        if self.n_targets == 1:
+            return self._closed(moving)[0][..., None, None]
         s, a, b = self._rows(moving, scaled=True)
-        n, k, c, q_g = len(a), self.n_targets - 1, self._shared[0], self._gains[1]
-        ok, t, p, _ = _schur(a[:, 1:, 1:], b[:, 1:, k:], self._gains, CONDITION_LIMIT)
-        u_f = np.concatenate([b[:, :1, k:], np.broadcast_to(c[:k, k:], (n, k, 2 * k))], axis=1)
-        u_m = np.concatenate([a[:, :1, 1:], np.swapaxes(b[:, 1:, :k], 1, 2)], axis=1)
-        w = u_m - u_f @ np.swapaxes(p, 1, 2)
-        e = (_full(a[:, :1, :1], b[:, :1, :k], c[:k, :k]) - u_f @ q_g @ np.swapaxes(u_f, 1, 2)
-             - w @ t @ np.swapaxes(w, 1, 2))
-        s = np.concatenate([s[:, :1], np.broadcast_to(self._s[:k], (n, k))], axis=1)
-        return np.where(ok[:, None, None], e * (s[:, :, None] * s[:, None, :]), np.nan)
+        lead, k, c, q_g = a.shape[:-2], self.n_targets - 1, self._shared[0], self._gains[1]
+        ok, t, p, _ = _schur(a[..., 1:, 1:], b[..., 1:, k:], self._gains, CONDITION_LIMIT)
+        u_f = np.concatenate([b[..., :1, k:], np.broadcast_to(c[..., :k, k:], lead + (k, 2 * k))], -2)
+        u_m = np.concatenate([a[..., :1, 1:], _t(b[..., 1:, :k])], -2)
+        w = u_m - u_f @ _t(p)
+        e = (_full(a[..., :1, :1], b[..., :1, :k], c[..., :k, :k]) - u_f @ q_g @ _t(u_f)
+             - w @ t @ _t(w))
+        s = np.concatenate([s[..., :1], np.broadcast_to(self._s[..., :k], lead + (k,))], -1)
+        return np.where(ok[..., None, None], e * (s[..., :, None] * s[..., None, :]), np.nan)
 
 
 def _inverse(f: np.ndarray, limit: float) -> np.ndarray:
@@ -536,21 +538,20 @@ def _position_peb(q, geom: SceneGeometry, e: np.ndarray, limit: float) -> np.nda
     return np.sqrt(np.trace(_inverse(f, limit), axis1=-2, axis2=-1))
 
 
-def peb_cells(builders, moving: TargetState, q, geom: SceneGeometry) -> np.ndarray:
+def peb_cells(builder, moving: TargetState, q, geom: SceneGeometry) -> np.ndarray:
     """PEB of the moving target (``moving`` as (n,) arrays) at stacked points
-    q (n, 3) from its (sb, db) :class:`MultiTargetFimBuilder` pair, at any R;
-    NaN where masked.
+    q (n, 3) from a builder over the (sb, db) tables, at any R; NaN where masked.
 
-    The R x R angle EFIMs (:meth:`MultiTargetFimBuilder.efims`) combine,
-    under the independent-path assumption, into a block-diagonal information
-    matrix over all 2R angles.  Only the probed target's angle pair
-    (marginalizing every other angle) is pushed through its Jacobian, so a
-    nuisance target on the BS-panel axis degrades nothing but its own
+    The tables' R x R angle EFIMs (:meth:`MultiTargetFimBuilder.efims`)
+    combine, under the independent-path assumption, into a block-diagonal
+    information matrix over all 2R angles.  Only the probed target's angle
+    pair (marginalizing every other angle) is pushed through its Jacobian, so
+    a nuisance target on the BS-panel axis degrades nothing but its own
     position.  The moving target's own position information is rank one on
     that axis.  Masked: a singular gain block on either path, the 2R x 2R
     angle information or the 2 x 2 position information over the limit.
     """
-    ok, covs = _certified_inverse([b.efims(moving) for b in builders], CONDITION_LIMIT)
+    ok, covs = _certified_inverse(list(builder.efims(moving)), CONDITION_LIMIT)
     # the covariance is block diagonal, so the pair's equivalent information
     # is diagonal: one over each of its two variances
     info = np.stack([1.0 / x[:, 0, 0] for x in covs], -1)
@@ -563,8 +564,8 @@ def crb_ris(xi: float, alpha: float, gain: complex, profile: RisProfile,
     """(FisherMatrix over (xi, Re b, Im b), CRB(xi)) of the fixed-profile
     linear-panel baseline at one angle pair and gain.
 
-    It is the double-bounce builder with no fixed target whose harmonic
-    factor is the one response g(xi) = a_R(xi)^T diag(w) a_R(0)
+    It is the builder over one double-bounce table, with no fixed target,
+    whose harmonic factor is the one response g(xi) = a_R(xi)^T diag(w) a_R(0)
     (``metasurface._ris_terms``).  The angle enters only through
     gain * g(xi), so the matrix is singular by construction while its gain
     block stays invertible; the CRB is the builder's closed form
@@ -573,6 +574,5 @@ def crb_ris(xi: float, alpha: float, gain: complex, profile: RisProfile,
     """
     b, t = _one_target("db", xi, alpha, gain, ula, pilots, noise_power,
                        functools.partial(_ris_terms, profile, ris_layout, phi_fixed=0.0))
-    crb = b.crbs(t)[0]
-    return (FisherMatrix(entries=b.fim_cells(t)[0], labels=("xi", "re_gain", "im_gain")),
-            float(crb) if np.isfinite(crb) else np.inf)
+    crb = b.crbs(t).item()
+    return FisherMatrix(entries=b.fim_cells(t)[0, 0]), crb if np.isfinite(crb) else np.inf

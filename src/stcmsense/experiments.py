@@ -9,15 +9,15 @@ The maps (crb-map, peb-map, ris-compare, detect-map) split the grid into
 blocks of ``BLOCK_CELLS // R`` consecutive cells, R targets (1 for detect-map).
 A block worker drops the terminal cells and evaluates each quantity in one
 array pass over the rest, a factor of one bearing once per distinct bearing
-(``channel._per_angle``).  crb-map and peb-map take the CRB and the angle
-EFIMs from the (sb, db) ``MultiTargetFimBuilder`` pair around the fixed
-targets (``crbs``, ``peb_cells``) at every R: it inverts the fixed targets'
-FIM block once per map and forms the moving target's three FIM rows per
-cell, or reads the gain Schur complement of its column Gram with no fixed
-target.  ris-compare is crb-map's block over the (baseline, switching
-panel) pair of double-bounce builders with no fixed target; the baseline's
-harmonic factor is the fixed profile's one response, so its column is
-masked at every cell (rho = 1 up to rounding).
+(``channel._per_angle``).  Each bound map builds one ``MultiTargetFimBuilder``
+around the fixed targets.  crb-map and peb-map take the CRBs and the angle
+EFIMs of its (sb, db) term tables (``crbs``, ``peb_cells``) at every R: it
+inverts each table's fixed FIM block once per map and forms the moving
+target's three FIM rows per cell, or reads the gain Schur complement of its
+column Grams with no fixed target.  ris-compare is crb-map's block over two
+double-bounce tables with no fixed target, (baseline, switching panel); the
+baseline's harmonic factor is the fixed profile's one response, so its
+column is masked at every cell (rho = 1 up to rounding).
 ``threads`` > 1 maps the blocks over up to that many worker processes, no
 more than one per block or CPU, and cuts a map into at least that many
 blocks.  Every value is a pure function of its cell, so no
@@ -42,7 +42,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .bounds import MultiTargetFimBuilder, TargetState, _patterns, peb_cells
+from .bounds import MultiTargetFimBuilder, TargetState, _patterns, _unit, peb_cells
 from .channel import path_gains
 from .classification import confusion_row, rayleigh_scale
 from .config import SystemModel, build_model, config_hash, fixed_scene, grid_points
@@ -65,16 +65,15 @@ def _target_state(q, model: SystemModel, rcs_sqrt: float = 1.0) -> TargetState:
     return TargetState(alpha=ang.alpha, xi=ang.xi, sb_gain=g.sb_gain, db_gain=g.db_gain)
 
 
-def _builders(model: SystemModel, fixed):
-    """(sb, db) FIM builders around the fixed scatter points, each with its
-    own RCS; absent points carry no echo and are left out."""
+def _builder(model: SystemModel, fixed, first=("sb", _unit)) -> MultiTargetFimBuilder:
+    """FIM builder over the tables (``first``, switching-panel db) around the
+    fixed scatter points, each with its own RCS; absent points carry no echo
+    and are left out."""
     states = [_target_state(p.position, model, p.rcs_sqrt) for p in fixed
               if p.kind is not TargetKind.ABSENT]
-    sb = MultiTargetFimBuilder(states, "sb", model.ula, model.pilots, model.noise_power)
-    db = MultiTargetFimBuilder(states, "db", model.ula, model.pilots, model.noise_power,
-                               functools.partial(_patterns, model.panel, model.code,
-                                                 model.harmonics, model.mode))
-    return sb, db
+    panel = functools.partial(_patterns, model.panel, model.code, model.harmonics, model.mode)
+    return MultiTargetFimBuilder(states, [first, ("db", panel)], model.ula, model.pilots,
+                                 model.noise_power)
 
 
 def _block(points, model: SystemModel, values, k: int) -> np.ndarray:
@@ -87,20 +86,21 @@ def _block(points, model: SystemModel, values, k: int) -> np.ndarray:
     return out
 
 
-def _crb_block(points, model: SystemModel, builders) -> np.ndarray:
-    """(crb_alpha, crb_xi) rows for a block of cells; NaN marks a masked value."""
-    out = _block(points, model, lambda q, s: [b.crbs(s) for b in builders], 2)
+def _crb_block(points, model: SystemModel, builder) -> np.ndarray:
+    """A CRB row per table, (crb_alpha, crb_xi) for crb-map, for a block of
+    cells; NaN marks a masked value."""
+    out = _block(points, model, lambda q, s: builder.crbs(s), 2)
     out[out <= 0] = np.nan  # a non-positive numeric inverse is masked too
     return out
 
 
-def _peb_block(points, model: SystemModel, builders) -> np.ndarray:
-    return _block(points, model, lambda q, s: [peb_cells(builders, s, q, model.geom)], 1)
+def _peb_block(points, model: SystemModel, builder) -> np.ndarray:
+    return _block(points, model, lambda q, s: [peb_cells(builder, s, q, model.geom)], 1)
 
 
 def _map_cells(cfg: dict, model: SystemModel, block, **kwargs) -> tuple[np.ndarray, list[str]]:
     """``block(points, model=model, **kwargs)`` over blocks of BLOCK_CELLS // R
-    lattice cells (x fastest; R the ``builders``' targets), joined in cell order,
+    lattice cells (x fastest; R the ``builder``'s targets), joined in cell order,
     and each cell's ``"x,z"`` CSV fields, formatting each distinct coordinate
     once.  With threads > 1 a pool of at most one process per block and per
     CPU maps the blocks, at least one block per process."""
@@ -108,7 +108,7 @@ def _map_cells(cfg: dict, model: SystemModel, block, **kwargs) -> tuple[np.ndarr
     x, z = np.meshgrid(xs, zs)
     points = np.column_stack([x.ravel(), np.zeros(x.size), z.ravel()])
     cpus = min(cfg["threads"], os.cpu_count() or 1)
-    r = kwargs["builders"][0].n_targets if "builders" in kwargs else 1
+    r = kwargs["builder"].n_targets if "builder" in kwargs else 1
     size = max(1, min(BLOCK_CELLS // r, len(points) // cpus))
     blocks = [points[i:i + size] for i in range(0, len(points), size)]
     worker = functools.partial(block, model=model, **kwargs)
@@ -141,7 +141,7 @@ def run_crb_map(cfg: dict, out_dir: str) -> list[str]:
     """Angle-CRB maps over the scene for the configured target count."""
     model = build_model(cfg)
     values, xz = _map_cells(cfg, model, _crb_block,
-                            builders=_builders(model, fixed_scene(cfg, model)))
+                            builder=_builder(model, fixed_scene(cfg, model)))
     return _write(out_dir, "crb_map", cfg, (
         (f"{name}_map.csv", ("x_m", "z_m", "crb_db", "masked"), (xz, *_column(vals)))
         for name, vals in zip(("crb_alpha", "crb_xi"), values)))
@@ -151,7 +151,7 @@ def run_peb_map(cfg: dict, out_dir: str) -> list[str]:
     """Position-error-bound map (meters) for the moving target."""
     model = build_model(cfg)
     (values,), xz = _map_cells(cfg, model, _peb_block,
-                               builders=_builders(model, fixed_scene(cfg, model)))
+                               builder=_builder(model, fixed_scene(cfg, model)))
     return _write(out_dir, "peb_map", cfg, [
         ("peb_map.csv", ("x_m", "z_m", "peb_m", "masked"), (xz, *_column(values, db=False)))])
 
@@ -223,11 +223,9 @@ def run_classification_mc(cfg: dict, out_dir: str) -> list[str]:
 def run_ris_compare(cfg: dict, out_dir: str) -> list[str]:
     """Fixed-profile linear-panel baseline CRB(xi) next to the switching panel."""
     model = build_model(cfg)
-    baseline = MultiTargetFimBuilder([], "db", model.ula, model.pilots, model.noise_power,
-                                     functools.partial(_ris_terms, model.ris_profile, model.panel,
-                                                       phi_fixed=0.0))
+    baseline = functools.partial(_ris_terms, model.ris_profile, model.panel, phi_fixed=0.0)
     (ris, stcm), xz = _map_cells(cfg, model, _crb_block,
-                                 builders=(baseline, _builders(model, ())[1]))
+                                 builder=_builder(model, (), ("db", baseline)))
     header = ("x_m", "z_m", "ris_crb_xi_db", "ris_masked", "stcm_crb_xi_db", "stcm_masked")
     return _write(out_dir, "ris_compare", cfg,
                   [("ris_compare.csv", header, (xz, *_column(ris), *_column(stcm)))])

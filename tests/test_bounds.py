@@ -246,8 +246,14 @@ class TestMultiTarget:
 
 
 def patterns(panel, code, harmonics):
-    """The switching panel's harmonic-factor source of the double-bounce builder."""
+    """The switching panel's harmonic-factor source of the double-bounce table."""
     return functools.partial(bounds._patterns, panel, code, harmonics, WavelengthMode.EXACT)
+
+
+def tables(kinds, panel, code, harmonics):
+    """(kind, pattern source) builder tables: the unit source for the single
+    bounce, the switching panel for the double."""
+    return [(k, bounds._unit if k == "sb" else patterns(panel, code, harmonics)) for k in kinds]
 
 
 def oracle_fim(states, kind, ula, panel, code, harmonics, pilots):
@@ -259,15 +265,15 @@ def oracle_fim(states, kind, ula, panel, code, harmonics, pilots):
 
 
 def builder(states, kind, ula, panel, code, harmonics, pilots):
-    """Builder around states[1:] (the fixed targets)."""
-    return MultiTargetFimBuilder(states[1:], kind, ula, pilots, NOISE,
-                                 patterns(panel, code, harmonics))
+    """Builder over the one table ``kind`` around states[1:] (the fixed targets)."""
+    return MultiTargetFimBuilder(states[1:], tables([kind], panel, code, harmonics), ula, pilots,
+                                 NOISE)
 
 
 def efim(states, kind, ula, panel, code, harmonics, pilots):
     """(angle EFIM of states[0] against the fixed states[1:], its oracle FIM)."""
     e = builder(states, kind, ula, panel, code, harmonics, pilots).efims(bounds._stacked(states[:1]))
-    return e[0], oracle_fim(states, kind, ula, panel, code, harmonics, pilots)
+    return e[0, 0], oracle_fim(states, kind, ula, panel, code, harmonics, pilots)
 
 
 def scene(rng, geom, r):
@@ -289,7 +295,7 @@ class TestBuilderGram:
         axis = TestMultiTarget().state(np.array([0.0, 0.0, 50.0]), geom)
         for states in (scene(rng, geom, r), [axis] + scene(rng, geom, r)[1:]):
             f = builder(states, kind, ula, panel, code, harmonics, pilots).fim_cells(
-                bounds._stacked(states[:1]))[0]
+                bounds._stacked(states[:1]))[0, 0]
             ref = oracle_fim(states, kind, ula, panel, code, harmonics, pilots)
             d = np.sqrt(np.diag(ref))
             np.testing.assert_allclose(f / np.outer(d, d), ref / np.outer(d, d), rtol=0, atol=1e-12)
@@ -322,8 +328,8 @@ class TestEfim:
         q = [[0.0, 0.0, 50.0], [30.0, 0.0, 40.0], [-40.0, 0.0, 60.0], [60.0, 0.0, 20.0],
              [-65.0, 0.0, 85.0], [10.0, 0.0, 95.0]]
         states = [TestMultiTarget().state(np.array(p), geom) for p in q]
-        b = MultiTargetFimBuilder([], kind, ula, pilots, NOISE, patterns(panel, code, harmonics))
-        crbs, efims = b.crbs(bounds._stacked(states)), b.efims(bounds._stacked(states))
+        b = builder(states[:1], kind, ula, panel, code, harmonics, pilots)
+        crbs, efims = b.crbs(bounds._stacked(states))[0], b.efims(bounds._stacked(states))[0]
         assert efims.shape == (len(q), 1, 1)
         for t, crb, e in zip(states, crbs, efims[:, 0, 0]):
             ref = np.linalg.inv(oracle_fim([t], kind, ula, panel, code, harmonics, pilots))[0, 0]
@@ -348,9 +354,9 @@ class TestPeb:
 
     def peb_multi(self, states, q, geom, ula, panel, code, harmonics, pilots, noise=NOISE):
         """peb_cells of target 0 of one scene, fixed states[1:]; NaN where masked."""
-        builders = [MultiTargetFimBuilder(states[1:], kind, ula, pilots, noise,
-                                          patterns(panel, code, harmonics)) for kind in ("sb", "db")]
-        return peb_cells(builders, bounds._stacked(states[:1]), q[None], geom)[0]
+        b = MultiTargetFimBuilder(states[1:], tables(("sb", "db"), panel, code, harmonics), ula,
+                                  pilots, noise)
+        return peb_cells(b, bounds._stacked(states[:1]), q[None], geom)[0]
 
     def test_noise_scaling(self, geom, ula, panel, code, harmonics, pilots):
         q = np.array([30.0, 0.0, 40.0])
@@ -637,13 +643,12 @@ class TestDegenerateFixedScene:
         x, z = np.meshgrid(np.arange(-70.0, 71.0, 20.0), np.arange(10.0, 91.0, 20.0))
         q = np.column_stack([x.ravel(), np.zeros(x.size), z.ravel()])
         moving = bounds._stacked([state(p, geom) for p in q])
-        builders = [MultiTargetFimBuilder(fixed, kind, ula, pilots, NOISE,
-                                          patterns(panel, code, harmonics))
-                    for kind in ("sb", "db")]
-        for b in builders:
-            assert np.isnan(b.crbs(moving)).all()
-            assert np.isnan(svd_inverse(b.fim_cells(moving))).all()
-        assert np.isnan(peb_cells(builders, moving, q, geom)).all()
+        b = MultiTargetFimBuilder(fixed, tables(("sb", "db"), panel, code, harmonics), ula, pilots,
+                                  NOISE)
+        for crbs, fims in zip(b.crbs(moving), b.fim_cells(moving)):
+            assert np.isnan(crbs).all()
+            assert np.isnan(svd_inverse(fims)).all()
+        assert np.isnan(peb_cells(b, moving, q, geom)).all()
 
     def test_coincident_scene_masks_every_map_cell(self, tmp_path):
         scene = [{"position": [30.0, 0.0, 60.0], "rcs_dbsm": 0.0}] * 2
@@ -681,33 +686,38 @@ class TestOneTargetMask:
         q = np.column_stack([x.ravel(), np.zeros(x.size), z.ravel()])
         q = q[~terminal_mask(q, model.geom)]
         moving = experiments._target_state(q, model)
-        b = experiments._builders(model, ())[kind]
-        cond = bounds.scale_invariant_cond(b.fim_cells(moving))
-        np.testing.assert_array_equal(np.isnan(b.crbs(moving)), cond > CONDITION_LIMIT)
+        b = experiments._builder(model, ())
+        cond = bounds.scale_invariant_cond(b.fim_cells(moving)[kind])
+        np.testing.assert_array_equal(np.isnan(b.crbs(moving)[kind]), cond > CONDITION_LIMIT)
         # a single harmonic leaves the xi column parallel to the gain columns
         # (kappa_2 4e15 and up); elsewhere every cell is well inside the limit
         assert (cond > CONDITION_LIMIT).all() if (kind, m_f) == (1, 0) else (cond < 1e3).all()
 
 
 class TestOneMapPath:
-    """Every bound map runs through the (sb, db) builder pair; R = 1 is the
-    pair with no fixed target."""
+    """Every bound map runs through one builder over its term tables; R = 1
+    is the builder with no fixed target."""
 
     def test_single_target_maps_call_the_builder(self, tmp_path, monkeypatch):
-        calls = set()
+        calls, built = set(), []
         for name in ("crbs", "efims"):
             def counted(self, moving, _name=name, _method=getattr(MultiTargetFimBuilder, name)):
-                calls.add((self.kind, _name, self.n_targets))
+                calls.add((self.kinds, _name, self.n_targets))
                 return _method(self, moving)
             monkeypatch.setattr(MultiTargetFimBuilder, name, counted)
+        init = MultiTargetFimBuilder.__init__
+        monkeypatch.setattr(MultiTargetFimBuilder, "__init__",
+                            lambda self, *args: built.append(self) or init(self, *args))
         cfg = merge_config({"grid_res_m": 20.0, "threads": 1})
-        expected = {run_crb_map: {("sb", "crbs", 1), ("db", "crbs", 1)},
-                    run_peb_map: {("sb", "efims", 1), ("db", "efims", 1)},
-                    run_ris_compare: {("db", "crbs", 1)}}
+        expected = {run_crb_map: {(("sb", "db"), "crbs", 1)},
+                    run_peb_map: {(("sb", "db"), "efims", 1)},
+                    run_ris_compare: {(("db", "db"), "crbs", 1)}}
         for run, names in expected.items():
             calls.clear()
+            built.clear()
             run(cfg, str(tmp_path))
             assert calls == names, run.__name__
+            assert len(built) == 1, run.__name__
 
     def test_an_absent_only_scene_is_the_one_target_map(self, tmp_path):
         absent = [{"position": [-40.0, 0.0, 50.0], "kind": "absent"},

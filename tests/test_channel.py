@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stcmsense import channel
-from stcmsense.bounds import MultiTargetFimBuilder, _patterns
+from stcmsense.bounds import MultiTargetFimBuilder, _patterns, _unit
 from stcmsense.channel import (
     PilotMatrix,
     UlaLayout,
@@ -288,13 +288,14 @@ class TestPerAngle:
     ANGLES = np.array([0.3, -0.7, 0.3, 0.0, -0.0, 1.2, -0.7, 0.3, 0.0, 1e-300, -1.5, 1.2])
 
     def factors(self, ula, panel, code, harmonics, pilots):
-        """Angle-only factors of the package: 1-D and 3-D arrays, and tuples of 1-D
-        and 2-D arrays.  The per-bearing spatial Grams are what a builder with no
-        fixed target takes once per distinct bearing; detect-map takes h2 for all
-        of its combiners at once."""
-        sb, db = (MultiTargetFimBuilder([], kind, ula, pilots, 1.0) for kind in ("sb", "db"))
-        return {"sb_gram": lambda a: sb._spatial_gram(sb._basis(a)),
-                "db_gram": lambda a: db._spatial_gram(db._basis(a)),
+        """Angle-only factors of the package: 1-D, 3-D and 4-D arrays, and tuples
+        of 1-D and 2-D arrays.  The per-bearing basis Gram, and the (sb, db)
+        spatial Grams read from it, are what a builder with no fixed target
+        takes once per distinct bearing; detect-map takes h2 for all of its
+        combiners at once."""
+        b = MultiTargetFimBuilder([], [("sb", _unit), ("db", _unit)], ula, pilots, 1.0)
+        return {"basis_gram": b._basis_gram,
+                "spatial_grams": lambda a: b._spatial(b._basis_gram(a)),
                 "patterns": functools.partial(_patterns, panel, code, harmonics, WavelengthMode.EXACT),
                 "h2": lambda a: effective_energy_cells(a, ula, pilots, Combiner.ALL_ONES),
                 "h2_all": lambda a: effective_energy_cells(a, ula, pilots, tuple(Combiner))}

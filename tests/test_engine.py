@@ -208,7 +208,7 @@ def test_svd_runs_only_where_the_certificate_cannot_decide(tmp_path, monkeypatch
         return cond(m)
 
     def counting_decide(kappa_f, *args):
-        rows["decided"] += len(kappa_f)
+        rows["decided"] += np.size(kappa_f)
         return decide(kappa_f, *args)
 
     monkeypatch.setattr(bounds, "scale_invariant_cond", counting_cond)

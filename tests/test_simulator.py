@@ -236,15 +236,15 @@ class TestExperimentOutputs:
     # the builder's column Gram); keyed by (verb, n_targets)
     MAP_DIGESTS = {
         ("crb-map", 1): {
-            "crb_alpha_map.csv": "3e99e306932a19e6c7a5c42e99f6c40d946da430e2ca7d948a72089137c133d9",
+            "crb_alpha_map.csv": "c173fe2f2dccc563b6e5571006ea1f7277faec00e9dd48124f526abbac7448b4",
             "crb_xi_map.csv": "0e30cdbed5f4ca5f4911f1f32552cf4e9c2825c2e31530b77a33fc00fa6240e0"},
         ("crb-map", 10): {
-            "crb_alpha_map.csv": "e19e41b0499bf158dc8dc0996431a5d7e24ab95b6379f39b2edb4cd4830496d4",
-            "crb_xi_map.csv": "e9981f1c8d9296e7966202ed0e57b9cc7b3efc35da3861441f7aeac7753d79d4"},
+            "crb_alpha_map.csv": "929cfa17882779e4c531346271bf873bb0c78799f2b16ecf865cb70f8d7ce102",
+            "crb_xi_map.csv": "a6a033a49a1e3d54ea54a457867fdcca46b204848e8da8fe2ef39fba14bcc7d6"},
         ("peb-map", 1): {
-            "peb_map.csv": "e7c6df4444a271563f640c28777e932bb38e2859a866cf32f4b2b9e51a1f6625"},
+            "peb_map.csv": "fd927564a7aaf95a030e5a4eaf72cde344827c45392ab7356d19693a845b941d"},
         ("peb-map", 10): {
-            "peb_map.csv": "9c6f51652e0f5feff1d7ee3eb96713b706a74539f66392e7cd658641949818b0"},
+            "peb_map.csv": "d8db83047af7b14eea80e6398d903f67aa53cecd31ab2870555c0bc2a9262202"},
         ("ris-compare", 1): {
             "ris_compare.csv": "49a321efd554607e6a97aa9698b215754d24c3a6a68d9e00091859a90114d471"},
         ("detect-map", 1): {
@@ -478,6 +478,52 @@ class TestDeterminism:
             detection_map(points[:n], model.geom, model.ula, model.pilots, model.noise_power,
                           model.p_fa, {}, combiners)
             assert seen == want[0], combiners
+
+    @staticmethod
+    def record_basis_grams(monkeypatch):
+        """The bearing counts of every ``MultiTargetFimBuilder._basis_gram`` call."""
+        seen = []
+
+        def recorded(self, alpha, _fn=bounds.MultiTargetFimBuilder._basis_gram):
+            seen.append(np.size(alpha))
+            return _fn(self, alpha)
+
+        monkeypatch.setattr(bounds.MultiTargetFimBuilder, "_basis_gram", recorded)
+        return seen
+
+    @staticmethod
+    def live_blocks(model, res, r):
+        """The non-terminal cells of each block of a map at R = r targets."""
+        xs, zs = grid_points(model.geom, res)
+        x, z = np.meshgrid(xs, zs)
+        points = np.column_stack([x.ravel(), np.zeros(x.size), z.ravel()])
+        n = experiments.BLOCK_CELLS // r
+        assert len(points) > n  # more than one block
+        return [b[~terminal_mask(b, model.geom)] for b in (points[i:i + n] for i in
+                                                            range(0, len(points), n))]
+
+    @pytest.mark.parametrize("runner", [run_crb_map, run_peb_map, run_ris_compare])
+    def test_one_basis_gram_per_chunk_of_bearings_serves_every_table(
+            self, tmp_path, monkeypatch, runner):
+        # an R = 1 map at 2 m: one basis Gram per chunk of a block's distinct
+        # bearings serves both term tables of the map's one builder
+        seen = self.record_basis_grams(monkeypatch)
+        cfg = merge_config({"grid_res_m": 2.0, "threads": 1})
+        runner(cfg, str(tmp_path))
+        model, chunk, want = build_model(cfg), channel.ANGLE_CHUNK, []
+        for q in self.live_blocks(model, 2.0, 1):
+            distinct = len(set(angles_from_position(q, model.geom).alpha.view(np.int64).tolist()))
+            want += [min(chunk, distinct - j) for j in range(0, distinct, chunk)]
+        assert seen == want
+
+    @pytest.mark.parametrize("runner", [run_crb_map, run_peb_map])
+    def test_one_moving_basis_per_block_with_a_fixed_target(self, tmp_path, monkeypatch, runner):
+        # R = 2 at 2 m: the fixed target's basis once, then each block's cells
+        # in one basis Gram for both tables
+        seen = self.record_basis_grams(monkeypatch)
+        cfg = merge_config({"grid_res_m": 2.0, "n_targets": 2, "threads": 1})
+        runner(cfg, str(tmp_path))
+        assert seen == [1] + [len(q) for q in self.live_blocks(build_model(cfg), 2.0, 2)]
 
     def test_seed_changes_monte_carlo(self, tmp_path):
         d1 = tmp_path / "s1"
