@@ -34,6 +34,10 @@ from .constants import SPEED_OF_LIGHT
 from .errors import NonPositiveDistance, OutOfRange
 from .rng import stream_rng
 
+# Trials per pass of confusion_row's SNR rows, so its buffers stay in cache
+TRIAL_CHUNK = 32_768
+
+
 @dataclass(frozen=True)
 class HypothesisSet:
     """Priors and sqrt-RCS amplitudes of the three hypotheses."""
@@ -195,21 +199,31 @@ def confusion_row(gain_scale, hypotheses: HypothesisSet, estimator_var: float,
     # rows: real and imaginary parts of the unit fading, then of the noise
     draws = rng.standard_normal((4, n_trials))
     draws[2:] *= math.sqrt(estimator_var / 2.0)
-    u_re, u_im, n_re, n_im = draws
-    x2, im, rows = np.empty(n_trials), np.empty(n_trials), np.empty((len(taus), 3))
-    for k, (tau, e) in enumerate(zip(taus, edges)):
-        # (tau u_re + n_re)^2 + (tau u_im + n_im)^2 in the two reused buffers
-        np.square(np.add(np.multiply(tau, u_re, out=x2), n_re, out=x2), out=x2)
-        x2 += np.square(np.add(np.multiply(tau, u_im, out=im), n_im, out=im), out=im)
-        rows[k] = _decision_frequencies(x2, *e)
+    buf, counts = np.empty((2, min(n_trials, TRIAL_CHUNK))), np.zeros((len(taus), 3), int)
+    # cache-sized chunks of trials, the SNR rows inside: the label counts are
+    # integers, so the rows do not depend on the chunk size
+    for c in range(0, n_trials, TRIAL_CHUNK):
+        u_re, u_im, n_re, n_im = draws[:, c:c + TRIAL_CHUNK]
+        x2, im = buf[:, :len(u_re)]
+        for k, (tau, e) in enumerate(zip(taus, edges)):
+            # (tau u_re + n_re)^2 + (tau u_im + n_im)^2 in the two reused buffers
+            np.square(np.add(np.multiply(tau, u_re, out=x2), n_re, out=x2), out=x2)
+            x2 += np.square(np.add(np.multiply(tau, u_im, out=im), n_im, out=im), out=im)
+            counts[k] += _label_counts(x2, *e)
+    rows = counts / n_trials
     return rows if np.ndim(gain_scale) else rows[0]
 
 
-def _decision_frequencies(x2: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """MAP label frequencies (3,) of squared statistics x2 between the
-    squared region edges (lo, hi) of :func:`_edges`."""
+def _label_counts(x2: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """MAP label counts (3,) of squared statistics x2 between the squared
+    region edges (lo, hi) of :func:`_edges`."""
     above_lo, above_hi = np.count_nonzero(x2 > lo), np.count_nonzero(x2 > hi)
-    return np.array([len(x2) - above_lo, above_lo - above_hi, above_hi]) / len(x2)
+    return np.array([len(x2) - above_lo, above_lo - above_hi, above_hi])
+
+
+def _decision_frequencies(x2: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """MAP label frequencies (3,): :func:`_label_counts` over len(x2)."""
+    return _label_counts(x2, lo, hi) / len(x2)
 
 
 def fuse(beta_hat_direct: float, beta_hat_via_panel: float,

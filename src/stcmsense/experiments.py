@@ -20,12 +20,12 @@ baseline's harmonic factor is the fixed profile's one response, so its
 column is masked at every cell (rho = 1 up to rounding).
 ``threads`` > 1 maps the blocks over up to that many worker processes, no
 more than one per block or CPU, and cuts a map into at least that many
-blocks.  Every value is a pure function of its cell, so no
-block or chunk size nor ``threads`` changes a byte: blocks are joined in
-cell order, independent of completion order.  Map CSVs are columns of ready
-strings (``io.format_column``): each distinct coordinate, value (dB taken
-first) and mask flag of a column is formatted once and gathered per cell;
-constant columns are strings.
+blocks; only then is the process pool imported.  Every value is a pure
+function of its cell, so no block or chunk size nor ``threads`` changes a
+byte: blocks are joined in cell order, independent of completion order.
+Map CSVs are columns of ready strings (``io.format_column``): each distinct
+coordinate, value (dB taken first) and mask flag of a column is formatted
+once and gathered per cell; constant columns are strings.
 classify-mc simulates only the confusion row it reports, draws each class's
 trials once for all of its SNR rows, and labels each trial by comparing its
 |beta_hat|^2 with the squared MAP region edges, without evaluating a density.
@@ -37,7 +37,6 @@ import functools
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -96,6 +95,12 @@ def _crb_block(points, model: SystemModel, builder) -> np.ndarray:
 
 def _peb_block(points, model: SystemModel, builder) -> np.ndarray:
     return _block(points, model, lambda q, s: [peb_cells(builder, s, q, model.geom)], 1)
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A process pool, imported on first use: threads 1 never loads multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def _map_cells(cfg: dict, model: SystemModel, block, **kwargs) -> tuple[np.ndarray, list[str]]:

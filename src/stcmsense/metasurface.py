@@ -94,7 +94,8 @@ class CodingMatrix:
         if e.ndim != 2 or e.shape[1] < 1:
             raise ValueError("entries must be (N, L) with L >= 1")
         allowed = {-1.0, 1.0} if self.scheme is CodingScheme.PM else {0.0, 1.0}
-        if not set(np.unique(e)).issubset(allowed):
+        # Python floats, not np.unique or np.isin, which import numpy.ma; NaN is no entry
+        if not set(e.ravel().tolist()) <= allowed:
             raise ValueError(f"entries outside the {self.scheme.value} alphabet")
         if self.period_t0 <= 0:
             raise ValueError("period_t0 must be positive")
@@ -139,31 +140,15 @@ class RisProfile:
             raise ValueError("profile entries must be unit modulus")
 
 
-def _sinc(x):
-    """Unnormalized sin(x)/x with the removable singularity filled."""
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    nz = x != 0
-    out[nz] = np.sin(x[nz]) / x[nz]
-    return out if out.ndim else float(out)
-
-
 def fourier_coefficients(code: CodingMatrix, m: int) -> np.ndarray:
     """Order-m Fourier-series coefficients of all element waveforms, (N,).
 
     a^m = sum_l (G_l / L) sinc(pi m / L) exp(-j pi m (2l - 1) / L) per element.
     """
     L = code.code_length
-    ell = np.arange(1, L + 1)
+    ell, x = np.arange(1, L + 1), np.pi * m / L
     phase = np.exp(-1j * np.pi * m * (2 * ell - 1) / L)
-    return (code.entries @ phase) * (_sinc(np.pi * m / L) / L)
-
-
-def harmonic_wavelength(layout: PanelLayout, code: CodingMatrix, m: int,
-                        mode: WavelengthMode = WavelengthMode.EXACT) -> float:
-    if mode is WavelengthMode.CARRIER:
-        return layout.wavelength
-    return SPEED_OF_LIGHT / (layout.carrier_hz + m * code.f0)
+    return (code.entries @ phase) * ((np.sin(x) / x if m else 1.0) / L)
 
 
 def _pattern_terms(coeffs, wavelengths, xi, phi_fixed: float, layout: PanelLayout):
@@ -189,9 +174,11 @@ def _pattern_terms(coeffs, wavelengths, xi, phi_fixed: float, layout: PanelLayou
 
 def _orders(layout: PanelLayout, code: CodingMatrix, orders, xi, phi_fixed: float,
             mode: WavelengthMode):
-    """:func:`_pattern_terms` of the harmonics ``orders``, one row each."""
+    """:func:`_pattern_terms` of the harmonics ``orders``, one row each, each at
+    its own wavelength c / (f_c + m f_0), or all at the carrier's."""
     return _pattern_terms(np.stack([fourier_coefficients(code, m) for m in orders]),
-                          [harmonic_wavelength(layout, code, m, mode) for m in orders],
+                          [layout.wavelength if mode is WavelengthMode.CARRIER else
+                           SPEED_OF_LIGHT / (layout.carrier_hz + m * code.f0) for m in orders],
                           xi, phi_fixed, layout)
 
 

@@ -1,10 +1,13 @@
-"""Oracle-free relations of the bound maps: noise scaling and mirror symmetry.
+"""Oracle-free relations of the bound maps: noise scaling, mirror symmetry,
+and monotonicity in nuisances and data.
 
-Neither relation needs a reference value.  Each runs the crb-map and peb-map
-blocks at two configurations whose bounds agree in exact arithmetic, and
-asks for identical masks and values within 1e-12 relative plus 64 kappa eps:
-for a CRB kappa is the larger scaled condition number of the cell's (sb, db)
-FIMs, for the PEB the largest of those and its position information's.
+No relation needs a reference value.  Each runs the crb-map and peb-map
+blocks at two configurations.  Where their bounds agree in exact arithmetic
+it asks for identical masks and values, where one run's bounds can be no
+lower it asks for that on every cell live in both; either within 1e-12
+relative plus 64 kappa eps.  For a CRB kappa is the larger scaled condition
+number of the cell's (sb, db) FIMs, for the PEB the largest of those and its
+position information's (the larger of the two runs' for monotonicity).
 """
 
 import dataclasses
@@ -22,8 +25,9 @@ EPS = float(np.finfo(float).eps)
 # a 10-20 m lattice, with no fixed target (R = 1) or one (R = 2) at a
 # point of a 10 m lattice
 resolutions = st.floats(10.0, 20.0)
-scenes = st.one_of(st.just([]), st.tuples(st.integers(-7, 7), st.integers(1, 9)).map(
-    lambda p: [{"position": [10.0 * p[0], 0.0, 10.0 * p[1]], "rcs_dbsm": 0.0}]))
+targets = st.tuples(st.integers(-7, 7), st.integers(1, 9)).map(
+    lambda p: [{"position": [10.0 * p[0], 0.0, 10.0 * p[1]], "rcs_dbsm": 0.0}])
+scenes = st.one_of(st.just([]), targets)
 
 
 def config(res, scene, **over):
@@ -68,6 +72,14 @@ def assert_same(got, want, kappa):
     assert np.all(err <= ((1e-12 + 64 * kappa * EPS) * np.abs(want))[live])
 
 
+def assert_no_lower(high, low, kappa) -> int:
+    """high >= low on the cells live in both, within 1e-12 relative plus 64
+    kappa eps; the number of those cells."""
+    live = ~np.isnan(high) & ~np.isnan(low)
+    assert np.all((low - high)[live] <= ((1e-12 + 64 * kappa * EPS) * np.abs(low))[live])
+    return int(live.sum())
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(res=resolutions, scene=scenes)
 def test_noise_10_db_up_moves_every_crb_10_db_and_every_peb_root_10(res, scene):
@@ -95,3 +107,31 @@ def test_reversed_panel_columns_mirror_the_maps(res, scene):
     crb_m, peb_m, _, _ = maps(config(res, mirror), q * [-1.0, 1.0, 1.0], mirror=True)
     assert_same(crb_m, crb, kappa[0])
     assert_same(peb_m, peb, kappa[1])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(res=resolutions, fixed=targets, rcs=st.floats(-10.0, 20.0))
+def test_a_fixed_target_never_lowers_the_moving_targets_bounds(res, fixed, rcs):
+    # its angle and gains are nuisances: the moving target's information is
+    # a Schur complement of the R = 1 information, so no bound falls
+    scene = [{**fixed[0], "rcs_dbsm": rcs}]
+    q = lattice(config(res, []))
+    crb, peb, kappa, _ = maps(config(res, []), q)
+    crb_2, peb_2, kappa_2, _ = maps(config(res, scene), q)
+    kappa = np.fmax(kappa, kappa_2)
+    assert assert_no_lower(crb_2, crb, kappa[0]) > 0
+    assert assert_no_lower(peb_2, peb, kappa[1]) > 0
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(res=resolutions, scene=scenes, harmonics=st.integers(1, 4))
+def test_one_more_harmonic_order_never_raises_crb_xi_or_the_peb(res, scene, harmonics):
+    # orders +-(m_f + 1) add observations, so information only grows (from
+    # m_f = 1: at 0 one harmonic cannot identify xi, and every CRB(xi) is masked)
+    cfg = config(res, scene, harmonics=harmonics)
+    q = lattice(cfg)
+    crb, peb, kappa, _ = maps(cfg, q)
+    crb_up, peb_up, kappa_up, _ = maps(config(res, scene, harmonics=harmonics + 1), q)
+    kappa = np.fmax(kappa, kappa_up)
+    assert assert_no_lower(crb[1], crb_up[1], kappa[0]) > 0
+    assert assert_no_lower(peb, peb_up, kappa[1]) > 0

@@ -272,6 +272,12 @@ def test_coding_matrix_alphabet_validation():
     CodingMatrix(entries=np.array([[0.0, 1.0]]), scheme=CodingScheme.AM)
 
 
+@pytest.mark.parametrize("scheme", list(CodingScheme))
+def test_coding_matrix_rejects_nan(scheme):
+    with pytest.raises(ValueError):
+        CodingMatrix(entries=np.array([[1.0, np.nan]]), scheme=scheme)
+
+
 def test_am_scheme_coefficients():
     # on/off keying: the DC term is the duty cycle and the series matches
     # the direct sum like any other waveform

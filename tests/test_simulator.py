@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -684,6 +686,29 @@ class TestCli:
 
     def test_validate_passes_on_defaults(self):
         assert main(["validate"]) == 0
+
+    def test_one_thread_runs_import_neither_numpy_ma_nor_a_pool(self, tmp_path):
+        # a fresh interpreter, as pytest, scipy and hypothesis load these
+        # modules themselves: every verb at threads 1 leaves them unimported
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**COARSE, "threads": 1}))
+        script = (
+            "import json, sys\n"
+            "from stcmsense.cli import main\n"
+            f"codes = [main([verb, '--config', {str(cfg_path)!r}, '--out', {str(tmp_path)!r}])\n"
+            "         for verb in ('crb-map', 'peb-map', 'ris-compare', 'detect-map',\n"
+            "                      'classify-mc')]\n"
+            "names = ('numpy.ma', 'multiprocessing', 'concurrent.futures.process')\n"
+            "print(json.dumps([codes, [m for m in names if m in sys.modules]]))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True, timeout=300)
+        codes, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert codes == [0] * 5
+        assert loaded == []
+        assert len(list(tmp_path.glob("*.csv"))) == 9
 
 
 def test_validate_suite_counts_failures(default_cfg):
