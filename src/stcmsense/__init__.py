@@ -4,7 +4,7 @@ Modules
 -------
 geometry        scene layout, angle/position maps, angle Jacobian
 metasurface     coding sequences, harmonic patterns; the fixed-profile baseline as one case
-channel         array responses, pilots, path gains, echo synthesis and stacking
+channel         array responses, pilots, the scatter-point model, echo synthesis and stacking
 bounds          Fisher information, closed-form angle CRBs, EFIM, position bounds
 detection       despreading, ML gain estimate, thresholds, marginal p_D maps, Marcum Q
 classification  Rayleigh MAP labeling, confusion rates, two-path fusion
@@ -39,6 +39,7 @@ from .channel import (  # noqa: F401
     EchoBundle,
     PathGains,
     PilotMatrix,
+    TargetState,
     UlaLayout,
     dft_pilots,
     path_gain,
@@ -51,7 +52,6 @@ from .channel import (  # noqa: F401
 )
 from .bounds import (  # noqa: F401
     FisherMatrix,
-    TargetState,
     crb_alpha_closed,
     crb_ris,
     crb_xi_closed,

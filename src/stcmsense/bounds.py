@@ -52,7 +52,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import PilotMatrix, UlaLayout, _per_angle, steering_derivative, steering_vector
+from .channel import (PilotMatrix, TargetState, UlaLayout, _per_angle, steering_derivative,
+                      steering_vector)
 from .constants import CONDITION_LIMIT
 from .errors import DimensionMismatch, SingularInformation
 from .geometry import SceneGeometry, jacobian_angles_to_position
@@ -312,17 +313,6 @@ def crbs_from_fim(fim: FisherMatrix) -> np.ndarray:
             f"scaled condition number {fim.condition_number():.3e} exceeds {CONDITION_LIMIT:.1e}"
         )
     return crbs
-
-
-@dataclass(frozen=True)
-class TargetState:
-    """Angles and bounce gains of one target, as consumed by the FIMs, or
-    (n,) arrays of them for n targets or grid cells."""
-
-    alpha: float
-    xi: float
-    sb_gain: complex
-    db_gain: complex
 
 
 def _stacked(states) -> TargetState:

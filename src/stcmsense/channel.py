@@ -8,6 +8,14 @@ The monostatic echo of one pilot block decomposes into four path families:
 * c4: BS -> target -> panel -> BS, double bounce, present in every
   analyzed harmonic through the panel pattern.
 
+A scatter point has one model, :func:`_target_state`: its angles and both
+bounce gains under a ``config.SystemModel``'s geometry, wavelength and
+path-loss exponent.  The maps' cells and fixed scene, the echo and its
+sb/db stacks all read it; the echo functions take the model itself (by
+its attributes, as ``config`` imports this module).  The propagation
+factor G(d) has one body, :func:`_propagation`, which every path gain and
+the classifier's Rayleigh scale read.
+
 The panel sits on the BS boresight axis (the config rejects any other
 placement), so the BS sees it at angle 0 and it sees the BS at angle 0.
 Every path's spatial factor is vec(u v^T X) of two steering vectors, formed
@@ -28,13 +36,7 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT
 from .errors import NonPositiveDistance, NotPerfectSquare
 from .geometry import SceneGeometry, ScatterPoint, angles_from_position, triangle_distances
-from .metasurface import (
-    CodingMatrix,
-    HarmonicSet,
-    PanelLayout,
-    WavelengthMode,
-    harmonic_pattern_batch,
-)
+from .metasurface import harmonic_pattern_batch
 from .rng import complex_normal
 
 
@@ -162,20 +164,26 @@ def dft_pilots(m_antennas: int, total_power: float) -> PilotMatrix:
     return PilotMatrix(symbols=scale * x, total_power=total_power)
 
 
-def path_gain(distance: float, rcs_sqrt: float = 1.0, fading: complex = 1.0,
-              esymbol: float = 1.0, wavelength: float = SPEED_OF_LIGHT / 1e10,
-              iota: float = 2.0) -> complex:
-    """Complex gain of one roundtrip path of the given total length.
-
-    G(d) = sqrt(esymbol) lambda / (4 pi d^iota), rotated by the carrier
-    phase of the path and scaled by the target amplitude and fading draw.
-    ``esymbol`` defaults to 1: the transmit energy lives in the pilot block.
-    An array of distances gives an array of gains.
-    """
+def _propagation(distance, wavelength: float, iota: float):
+    """G(d) = lambda / (4 pi d^iota), the propagation factor of a roundtrip of
+    total length d, for the path gains and the classifier's Rayleigh scale;
+    raises NonPositiveDistance at any d <= 0."""
     d = np.asarray(distance, dtype=float)
     if np.any(d <= 0):
         raise NonPositiveDistance("path distance must be positive")
-    g = np.sqrt(esymbol) * wavelength / (4 * np.pi * d**iota)
+    return wavelength / (4 * np.pi * d**iota)
+
+
+def path_gain(distance: float, rcs_sqrt: float = 1.0, fading: complex = 1.0,
+              wavelength: float = SPEED_OF_LIGHT / 1e10, iota: float = 2.0) -> complex:
+    """Complex gain of one roundtrip path of the given total length.
+
+    G(d) = lambda / (4 pi d^iota), rotated by the carrier phase of the path
+    and scaled by the target amplitude and fading draw; the transmit energy
+    lives in the pilot block.  An array of distances gives an array of gains.
+    """
+    d = np.asarray(distance, dtype=float)
+    g = _propagation(d, wavelength, iota)
     out = g * np.exp(1j * (-2 * np.pi * d / wavelength)) * rcs_sqrt * fading
     return complex(out) if out.ndim == 0 else out
 
@@ -191,8 +199,7 @@ class PathGains:
 
 
 def path_gains(point: ScatterPoint, geom: SceneGeometry, fading: complex = 1.0,
-               esymbol: float = 1.0, wavelength: float = SPEED_OF_LIGHT / 1e10,
-               iota: float = 2.0) -> PathGains:
+               wavelength: float = SPEED_OF_LIGHT / 1e10, iota: float = 2.0) -> PathGains:
     """Both bounce gains for a target: roundtrips 2 d_r and d_S + d_r + d_r'.
 
     A point with stacked positions (n, 3) gives (n,) arrays in every field.
@@ -200,14 +207,34 @@ def path_gains(point: ScatterPoint, geom: SceneGeometry, fading: complex = 1.0,
     d_r, d_s, d_rp = triangle_distances(point.position, geom)
     sb_d = 2 * d_r
     db_d = d_s + d_r + d_rp
-    if point.rcs_sqrt == 0:
-        return PathGains(0j * sb_d, 0j * db_d, sb_d, db_d)
     return PathGains(
-        sb_gain=path_gain(sb_d, point.rcs_sqrt, fading, esymbol, wavelength, iota),
-        db_gain=path_gain(db_d, point.rcs_sqrt, fading, esymbol, wavelength, iota),
+        sb_gain=path_gain(sb_d, point.rcs_sqrt, fading, wavelength, iota),
+        db_gain=path_gain(db_d, point.rcs_sqrt, fading, wavelength, iota),
         sb_distance=sb_d,
         db_distance=db_d,
     )
+
+
+@dataclass(frozen=True)
+class TargetState:
+    """Angles and bounce gains of one target, as consumed by the FIMs and
+    the echo, or (n,) arrays of them for n targets or grid cells."""
+
+    alpha: float
+    xi: float
+    sb_gain: complex
+    db_gain: complex
+
+
+def _target_state(q, model, amplitude=1.0) -> TargetState:
+    """The scatter-point model: angles and bounce gains at a point (3,), or
+    (n,) arrays of them at stacked points (n, 3), under ``model``'s geometry,
+    wavelength and path-loss exponent.  ``amplitude`` is the sqrt-RCS times
+    any fading draw, a scalar or (n,)."""
+    ang = angles_from_position(q, model.geom)
+    g = path_gains(ScatterPoint(position=q, rcs_sqrt=1.0), model.geom, amplitude,
+                   model.wavelength, model.iota)
+    return TargetState(alpha=ang.alpha, xi=ang.xi, sb_gain=g.sb_gain, db_gain=g.db_gain)
 
 
 @dataclass
@@ -222,32 +249,33 @@ class EchoBundle:
         return self.per_harmonic[m]
 
 
-def _scene_arrays(scene, geom: SceneGeometry, wavelength: float, fadings):
-    """(alpha, xi, single-bounce gains, double-bounce gains) of the scene's
-    targets, (n,) arrays each, in scene order.  Each target's amplitude
-    rides on its fading draw, so one stacked :func:`path_gains` call serves
-    the whole scene."""
-    q = np.reshape([point.position for point in scene], (-1, 3))
-    ang = angles_from_position(q, geom)
-    nu = np.array([point.rcs_sqrt for point in scene])
+def _regressors(scene, model, fadings):
+    """(TargetState of the scene's points, (n,) arrays in scene order; then
+    the c2, c3 and c4 regressor rows vec(u v^T X), (n, M S) each, with u, v
+    the target's a(alpha) and the panel's a(0)).  Each point's amplitude is
+    its sqrt-RCS times its fading draw (default 1)."""
+    amplitude = np.array([point.rcs_sqrt for point in scene])
     if fadings is not None:
-        nu = nu * np.asarray(fadings)
-    g = path_gains(ScatterPoint(position=q, rcs_sqrt=1.0), geom, fading=nu, wavelength=wavelength)
-    return ang.alpha, ang.xi, g.sb_gain, g.db_gain
+        amplitude = amplitude * np.asarray(fadings)
+    state = _target_state(np.reshape([point.position for point in scene], (-1, 3)), model,
+                          amplitude)
+    a_r = steering_vector(model.ula, state.alpha).T
+    a_s = np.broadcast_to(steering_vector(model.ula, 0.0), a_r.shape)
+    x = model.pilots.symbols
+    return state, vec_outer(a_r, a_r, x), vec_outer(a_r, a_s, x), vec_outer(a_s, a_r, x)
 
 
-def _spatial(alpha, ula: UlaLayout):
-    """(a(alpha) rows (n, M), the panel's a(0) broadcast to the same shape)."""
-    a_r = steering_vector(ula, alpha).T
-    return a_r, np.broadcast_to(steering_vector(ula, 0.0), a_r.shape)
+def _noisy(y, model, rng):
+    """``y`` plus a noise draw of the model's power when a generator is given."""
+    if rng is not None:
+        y += complex_normal(rng, model.noise_power, len(y))
+    return y
 
 
-def synthesize_echo(scene, geom: SceneGeometry, ula: UlaLayout, panel: PanelLayout,
-                    code: CodingMatrix, harmonics: HarmonicSet, pilots: PilotMatrix,
-                    noise_power: float, rng=None, fadings=None,
-                    keep_components: bool = False,
-                    mode: WavelengthMode = WavelengthMode.EXACT) -> EchoBundle:
-    """Full echo blocks Y_m for every analyzed harmonic.
+def synthesize_echo(scene, model, rng=None, fadings=None,
+                    keep_components: bool = False) -> EchoBundle:
+    """Full echo blocks Y_m for every analyzed harmonic of ``model`` (a
+    ``config.SystemModel``).
 
     Components: c1 always; c2 only at m = 0; c3 and c4 for every m through
     the panel pattern at (target angle, panel-BS angle 0).  ``fadings`` is
@@ -258,34 +286,35 @@ def synthesize_echo(scene, geom: SceneGeometry, ula: UlaLayout, panel: PanelLayo
     The c1 gain carries no target amplitude or fading: the panel reflection
     itself is the deterministic pattern factor.
     """
-    M, S = pilots.m_antennas, pilots.n_symbols
-    x = pilots.symbols
-    alpha, xi, g_sb, g_db = _scene_arrays(scene, geom, ula.wavelength, fadings)
+    M, S = model.pilots.m_antennas, model.pilots.n_symbols
+    harmonics = model.harmonics
+    state, r2, r3, r4 = _regressors(scene, model, fadings)
     # one pattern call: every target angle, then the panel-BS angle (c1)
-    eta, _ = harmonic_pattern_batch(panel, code, harmonics, np.append(xi, 0.0), 0.0, mode)
-    a_r, a_s = _spatial(alpha, ula)
-    a_0 = steering_vector(ula, np.zeros(1)).T
-    c1_gain = path_gain(2 * geom.d_s, 1.0, 1.0, 1.0, ula.wavelength)
+    eta, _ = harmonic_pattern_batch(model.panel, model.code, harmonics,
+                                    np.append(state.xi, 0.0), 0.0, model.mode)
+    a_0 = steering_vector(model.ula, np.zeros(1)).T
+    c1_gain = path_gain(2 * model.geom.d_s, wavelength=model.wavelength, iota=model.iota)
     # (|M|, M S) stacks of vec(c1), vec(c3) and vec(c4); vec(c2) at m = 0 only
-    c1 = (c1_gain * eta[:, -1:]) * vec_outer(a_0, a_0, x)
-    b = eta[:, :-1] * g_db
-    c3, c4 = b @ vec_outer(a_r, a_s, x), b @ vec_outer(a_s, a_r, x)
-    c2 = g_sb @ vec_outer(a_r, a_r, x)
+    c1 = (c1_gain * eta[:, -1:]) * vec_outer(a_0, a_0, model.pilots.symbols)
+    b = eta[:, :-1] * state.db_gain
+    c3, c4 = b @ r3, b @ r4
+    c2 = state.sb_gain @ r2
 
     per_harmonic = {}
     components = {} if keep_components else None
     for i, m in enumerate(harmonics.members):
         blocks = [v.reshape(M, S, order="F")
                   for v in (c1[i], c2 if m == 0 else np.zeros(M * S, complex), c3[i], c4[i])]
-        noise = complex_normal(rng, noise_power, (M, S)) if rng is not None else np.zeros((M, S))
+        noise = (complex_normal(rng, model.noise_power, (M, S)) if rng is not None
+                 else np.zeros((M, S)))
         per_harmonic[m] = sum(blocks) + noise
         if keep_components:
             components[m] = {**dict(zip(("c1", "c2", "c3", "c4"), blocks)), "noise": noise}
-    return EchoBundle(per_harmonic=per_harmonic, noise_power=noise_power, components=components)
+    return EchoBundle(per_harmonic=per_harmonic, noise_power=model.noise_power,
+                      components=components)
 
 
-def stack_sb(scene, geom: SceneGeometry, ula: UlaLayout, pilots: PilotMatrix,
-             noise_power: float, rng=None, fadings=None):
+def stack_sb(scene, model, rng=None, fadings=None):
     """Vectorized single-bounce observation and per-target regressors.
 
     Returns (y, regressors (n, M S), gains (n,)): y = sum_r beta_r H_r +
@@ -293,19 +322,11 @@ def stack_sb(scene, geom: SceneGeometry, ula: UlaLayout, pilots: PilotMatrix,
     assumption: SB processing never reads other harmonics or the panel
     paths).
     """
-    alpha, _, gains, _ = _scene_arrays(scene, geom, ula.wavelength, fadings)
-    a_r, _ = _spatial(alpha, ula)
-    regs = vec_outer(a_r, a_r, pilots.symbols)
-    y = gains @ regs
-    if rng is not None:
-        y += complex_normal(rng, noise_power, len(y))
-    return y, regs, gains
+    state, regs, _, _ = _regressors(scene, model, fadings)
+    return _noisy(state.sb_gain @ regs, model, rng), regs, state.sb_gain
 
 
-def stack_db(scene, geom: SceneGeometry, ula: UlaLayout, panel: PanelLayout,
-             code: CodingMatrix, harmonics: HarmonicSet, pilots: PilotMatrix,
-             noise_power: float, rng=None, fadings=None,
-             mode: WavelengthMode = WavelengthMode.EXACT):
+def stack_db(scene, model, rng=None, fadings=None):
     """Vectorized double-bounce observation over all harmonics.
 
     Returns (y, regressors (n, |M| M S), gains (n,)) with y of length
@@ -313,12 +334,9 @@ def stack_db(scene, geom: SceneGeometry, ula: UlaLayout, panel: PanelLayout,
     a_s a_r^T) X)), the c3/c4 paths times the harmonic pattern vector at
     the target's panel-side angle.
     """
-    alpha, xi, _, gains = _scene_arrays(scene, geom, ula.wavelength, fadings)
-    eta, _ = harmonic_pattern_batch(panel, code, harmonics, xi, 0.0, mode)
-    a_r, a_s = _spatial(alpha, ula)
-    v = vec_outer(a_r, a_s, pilots.symbols) + vec_outer(a_s, a_r, pilots.symbols)
+    state, _, r3, r4 = _regressors(scene, model, fadings)
+    eta, _ = harmonic_pattern_batch(model.panel, model.code, model.harmonics, state.xi, 0.0,
+                                    model.mode)
+    v = r3 + r4
     regs = (eta.T[:, :, None] * v[:, None, :]).reshape(len(v), eta.shape[0] * v.shape[1])
-    y = gains @ regs
-    if rng is not None:
-        y += complex_normal(rng, noise_power, len(y))
-    return y, regs, gains
+    return _noisy(state.db_gain @ regs, model, rng), regs, state.db_gain

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import NonPositiveDistance, OutOfRange
+from .channel import _propagation
+from .errors import OutOfRange
 from .rng import stream_rng
 
 # Trials per pass of confusion_row's SNR rows, so its buffers stay in cache
@@ -67,20 +68,17 @@ class ClassPosterior:
 
 
 def rayleigh_scale(sigma_i: float, distance, sigma_nu: float = 1.0,
-                   esymbol: float = 1.0, wavelength: float = SPEED_OF_LIGHT / 1e10,
-                   iota: float = 2.0):
+                   wavelength: float = SPEED_OF_LIGHT / 1e10, iota: float = 2.0):
     """Analysis Rayleigh scale of the gain magnitude under hypothesis i.
 
-    s = G(d) sigma_i sigma_nu (pi/2)^(-1/2) with the same propagation factor
-    G as the path gains; zero exactly when sigma_i = 0.  A scalar distance
-    gives a float, an (n,) array of distances an (n,) array.
+    s = G(d) sigma_i sigma_nu (pi/2)^(-1/2), with G(d) the propagation
+    factor of the path gains (``channel._propagation``), which raises at a
+    non-positive distance; zero exactly when sigma_i = 0.  A scalar
+    distance gives a float, an (n,) array of distances an (n,) array.
     """
-    d = np.asarray(distance, dtype=float)
-    if np.any(d <= 0):
-        raise NonPositiveDistance("distance must be positive")
+    g = _propagation(distance, wavelength, iota)
     if sigma_i < 0 or sigma_nu < 0:
         raise OutOfRange("scales must be nonnegative")
-    g = math.sqrt(esymbol) * wavelength / (4 * math.pi * d**iota)
     s = g * sigma_i * sigma_nu * math.sqrt(2.0 / math.pi)
     return float(s) if s.ndim == 0 else s
 

@@ -41,27 +41,18 @@ import os
 import numpy as np
 
 from . import __version__
-from .bounds import MultiTargetFimBuilder, TargetState, _patterns, _unit, peb_cells
-from .channel import path_gains
+from .bounds import MultiTargetFimBuilder, _patterns, _unit, peb_cells
+from .channel import _target_state
 from .classification import confusion_row, rayleigh_scale
 from .config import SystemModel, build_model, config_hash, fixed_scene, grid_points
-from .detection import Combiner, despread_regressor_at_angle, detection_map
-from .geometry import ScatterPoint, TargetKind, angles_from_position, terminal_mask
+from .detection import Combiner, detection_map, effective_energy_cells
+from .geometry import TargetKind, terminal_mask
 from .io import format_column, write_csv, write_manifest
 from .metasurface import _ris_terms
 
 # Cells per array pass at one target, BLOCK_CELLS // R at R; with angle-only
 # factors ANGLE_CHUNK bearings a call, this bounds peak memory, not values.
 BLOCK_CELLS = 2560
-
-
-def _target_state(q, model: SystemModel, rcs_sqrt: float = 1.0) -> TargetState:
-    """Angles and unit-fading bounce gains (unit RCS unless given) at a
-    point (3,), or as (n,) arrays at stacked points (n, 3)."""
-    ang = angles_from_position(q, model.geom)
-    g = path_gains(ScatterPoint(position=q, rcs_sqrt=rcs_sqrt), model.geom, fading=1.0,
-                   wavelength=model.wavelength, iota=model.iota)
-    return TargetState(alpha=ang.alpha, xi=ang.xi, sb_gain=g.sb_gain, db_gain=g.db_gain)
 
 
 def _builder(model: SystemModel, fixed, first=("sb", _unit)) -> MultiTargetFimBuilder:
@@ -192,9 +183,8 @@ def classification_operating_point(model: SystemModel, snr_db: float, true_index
     orthogonal pilot block, so the mean SNR 2 tau^2 h2 / sigma_n^2 of the
     true class fixes the shared propagation factor G(d) sigma_nu at the cell.
     """
-    reg = despread_regressor_at_angle(0.0, model.ula, model.pilots,
-                                      Combiner.MATCHED_DESPREAD)
-    h2 = reg.effective_norm_sq
+    h2 = float(effective_energy_cells([0.0], model.ula, model.pilots,
+                                      Combiner.MATCHED_DESPREAD)[0])
     est_var = model.noise_power / h2
     sig = model.hypotheses.rcs_sqrts[true_index]
     snr = 10.0 ** (snr_db / 10.0)

@@ -18,6 +18,7 @@ target range recoverable from the two angles alone.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,9 +61,9 @@ class SceneGeometry:
         if self.d_s <= 0:
             raise ValueError("BS and panel centers must be distinct")
 
-    @property
+    @functools.cached_property
     def d_s(self) -> float:
-        """BS-to-panel distance, meters."""
+        """BS-to-panel distance, meters, taken once per (frozen) geometry."""
         return float(np.linalg.norm(self.bs_center - self.stcm_center))
 
     @property
@@ -138,21 +139,25 @@ def position_from_angles(angles: AnglePair, geom: SceneGeometry) -> np.ndarray:
     """Target position from the angle pair via the law of sines.
 
     The BS-target range is ``d_r = d_S sin(xi) / sin(alpha + xi)`` and the
-    returned point is ``bs_center + d_r (sin(alpha), 0, cos(alpha))``.
+    returned point is ``bs_center + d_r (sin(alpha), 0, cos(alpha))``.  Float
+    angles give a point (3,); (n,) angle arrays give stacked points (n, 3).
 
     Raises
     ------
     DegenerateTriangle
-        When |alpha + xi| < 1e-3 rad (target on the BS-panel axis; range is
-        unobservable) or the angles do not close a triangle.
+        When any |alpha + xi| < 1e-3 rad (target on the BS-panel axis; range
+        is unobservable) or any angle pair does not close a triangle.
     """
-    a, x = angles.alpha, angles.xi
-    if abs(a + x) < DEGENERATE_ANGLE_SUM or abs(a) + abs(x) >= np.pi:
-        raise DegenerateTriangle(f"angle sum {a + x:.3e} rad does not identify a range")
-    d_r = geom.d_s * np.sin(x) / np.sin(a + x)
-    if d_r <= 0:
+    a, x = np.asarray(angles.alpha, dtype=float), np.asarray(angles.xi, dtype=float)
+    total = a + x
+    bad = (np.abs(total) < DEGENERATE_ANGLE_SUM) | (np.abs(a) + np.abs(x) >= np.pi)
+    if np.count_nonzero(bad):
+        raise DegenerateTriangle(f"angle sum {total[bad][0]:.3e} rad does not identify a range")
+    d_r = geom.d_s * np.sin(x) / np.sin(total)
+    if np.count_nonzero(d_r <= 0):
         raise DegenerateTriangle("angles close no triangle on this side of the axis")
-    return geom.bs_center + d_r * np.array([np.sin(a), 0.0, np.cos(a)])
+    # (3,) or (3, n) rays; a -0.0 y adds to the BS's y = 0.0 as +0.0
+    return geom.bs_center + (d_r * np.array([np.sin(a), 0.0 * a, np.cos(a)])).T
 
 
 def triangle_distances(q, geom: SceneGeometry):

@@ -14,7 +14,8 @@ from .bounds import crb_alpha_closed, crb_xi_closed, fim_db_single, fim_sb_singl
 from .channel import steering_derivative, steering_vector
 from .config import build_model, merge_config
 from .detection import marcum_q1
-from .geometry import AnglePair, angles_from_position, jacobian_angles_to_position, position_from_angles
+from .geometry import (AnglePair, angles_from_position, jacobian_angles_to_position,
+                       position_from_angles, triangle_distances)
 from .metasurface import fourier_coefficients, harmonic_pattern_batch
 from .rng import stream_rng
 
@@ -31,46 +32,34 @@ def run_validate(cfg: dict | None = None, printer=print) -> int:
             failures += 1
         printer(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
 
+    geom = model.geom
+
     # geometry round trip
-    worst = 0.0
-    for _ in range(2000):
-        a = rng.uniform(-1.2, 1.2)
-        x = rng.uniform(-1.2, 1.2)
-        if abs(a + x) < 2e-3 or a * x < 0:
-            continue
-        q = position_from_angles(AnglePair(a, x), model.geom)
-        ang = angles_from_position(q, model.geom)
-        q2 = position_from_angles(ang, model.geom)
-        worst = max(worst, float(np.linalg.norm(q - q2)))
+    a, x = rng.uniform(-1.2, 1.2, (2, 2000))
+    keep = (np.abs(a + x) >= 2e-3) & (a * x >= 0)
+    q = position_from_angles(AnglePair(a[keep], x[keep]), geom)
+    q2 = position_from_angles(angles_from_position(q, geom), geom)
+    worst = float(np.max(np.linalg.norm(q - q2, axis=-1)))
     check("geometry position<->angle round trip < 1e-9 m", worst < 1e-9, f"worst {worst:.2e}")
 
     # law of sines
-    worst = 0.0
-    for _ in range(500):
-        a = rng.uniform(0.05, 1.2)
-        x = rng.uniform(0.05, 1.2)
-        q = position_from_angles(AnglePair(a, x), model.geom)
-        d_r = np.linalg.norm(q - model.geom.bs_center)
-        d_rp = np.linalg.norm(q - model.geom.stcm_center)
-        zeta = np.pi - a - x
-        ratios = np.array([model.geom.d_s / np.sin(zeta), d_r / np.sin(x), d_rp / np.sin(a)])
-        worst = max(worst, float(np.ptp(ratios) / ratios.mean()))
+    a, x = rng.uniform(0.05, 1.2, (2, 500))
+    q = position_from_angles(AnglePair(a, x), geom)
+    d_r, d_s, d_rp = triangle_distances(q, geom)
+    ratios = np.array([d_s / np.sin(np.pi - a - x), d_r / np.sin(x), d_rp / np.sin(a)])
+    worst = float(np.max(np.ptp(ratios, axis=0) / ratios.mean(axis=0)))
     check("law of sines residual < 1e-12", worst < 1e-12, f"worst {worst:.2e}")
 
-    # jacobian against finite differences
-    worst = 0.0
-    for _ in range(200):
-        q = np.array([rng.uniform(-79, 79), 0.0, rng.uniform(1, 99)])
-        t = jacobian_angles_to_position(q, model.geom)
-        fd = np.zeros((2, 2))
-        h = 1e-5
-        for col, axis in enumerate((0, 2)):
-            dq = np.zeros(3)
-            dq[axis] = h
-            hi = angles_from_position(q + dq, model.geom)
-            lo = angles_from_position(q - dq, model.geom)
-            fd[:, col] = [(hi.alpha - lo.alpha) / (2 * h), (hi.xi - lo.xi) / (2 * h)]
-        worst = max(worst, float(np.max(np.abs(t - fd) / np.maximum(np.abs(fd), 1e-12))))
+    # jacobian against finite differences, columns d/dx and d/dz
+    q = np.column_stack([rng.uniform(-79, 79, 200), np.zeros(200), rng.uniform(1, 99, 200)])
+    t = jacobian_angles_to_position(q, geom)
+    h = 1e-5
+    fd = np.zeros_like(t)
+    for col, axis in enumerate((0, 2)):
+        hi = angles_from_position(q + h * np.eye(3)[axis], geom)
+        lo = angles_from_position(q - h * np.eye(3)[axis], geom)
+        fd[:, :, col] = np.column_stack([hi.alpha - lo.alpha, hi.xi - lo.xi]) / (2 * h)
+    worst = float(np.max(np.abs(t - fd) / np.maximum(np.abs(fd), 1e-12)))
     check("angle Jacobian matches finite differences < 1e-6", worst < 1e-6, f"worst {worst:.2e}")
 
     # coefficient energy per element
@@ -81,26 +70,23 @@ def run_validate(cfg: dict | None = None, printer=print) -> int:
           bool(np.all(energy >= 0.99) and np.all(energy <= 1.0 + 1e-12)),
           f"min {energy.min():.5f}")
 
+    def worst_fd(an, hi, lo, h):
+        """Largest per-column relative error of the analytic derivative
+        columns ``an`` against central differences of ``hi`` and ``lo``."""
+        fd = (hi - lo) / (2 * h)
+        return float(np.max(np.max(np.abs(an - fd), axis=0) / np.max(np.abs(fd), axis=0)))
+
     # steering derivative
-    worst = 0.0
-    for _ in range(100):
-        a = rng.uniform(-1.4, 1.4)
-        h = 1e-7
-        fd = (steering_vector(model.ula, a + h) - steering_vector(model.ula, a - h)) / (2 * h)
-        an = steering_derivative(model.ula, a)
-        worst = max(worst, float(np.max(np.abs(an - fd)) / np.max(np.abs(fd))))
+    a, h = rng.uniform(-1.4, 1.4, 100), 1e-7
+    worst = worst_fd(steering_derivative(model.ula, a), steering_vector(model.ula, a + h),
+                     steering_vector(model.ula, a - h), h)
     check("steering derivative matches finite differences < 1e-6", worst < 1e-6, f"worst {worst:.2e}")
 
     # pattern derivative: analytic at xi, central difference from xi +- h
-    worst = 0.0
-    for _ in range(50):
-        xi = rng.uniform(-1.3, 1.3)
-        h = 1e-7
-        eta, deta = harmonic_pattern_batch(model.panel, model.code, model.harmonics,
-                                           [xi, xi + h, xi - h], 0.0, model.mode)
-        an = deta[:, 0]
-        fd = (eta[:, 1] - eta[:, 2]) / (2 * h)
-        worst = max(worst, float(np.max(np.abs(an - fd)) / np.max(np.abs(fd))))
+    xi = rng.uniform(-1.3, 1.3, 50)
+    eta, deta = harmonic_pattern_batch(model.panel, model.code, model.harmonics,
+                                       np.concatenate([xi, xi + h, xi - h]), 0.0, model.mode)
+    worst = worst_fd(deta[:, :50], eta[:, 50:100], eta[:, 100:], h)
     check("pattern derivative matches finite differences < 1e-6", worst < 1e-6, f"worst {worst:.2e}")
 
     # closed forms against explicit inversion

@@ -1,7 +1,10 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stcmsense import channel
 from stcmsense.bounds import MultiTargetFimBuilder, _patterns, _unit
@@ -9,6 +12,7 @@ from stcmsense.channel import (
     PilotMatrix,
     UlaLayout,
     _per_angle,
+    _target_state,
     dft_pilots,
     path_gain,
     path_gains,
@@ -20,6 +24,7 @@ from stcmsense.channel import (
     vec,
     vec_outer,
 )
+from stcmsense.config import build_model, merge_config
 from stcmsense.detection import Combiner, effective_energy_cells
 from stcmsense.errors import NonPositiveDistance, NotPerfectSquare
 from stcmsense.geometry import ScatterPoint, TargetKind, angles_from_position, triangle_distances
@@ -138,19 +143,17 @@ class TestPathGain:
 
 
 class TestEchoSynthesis:
-    def test_empty_scene_zero_noise_only_c1(self, geom, ula, panel, code, harmonics, pilots):
-        bundle = synthesize_echo([], geom, ula, panel, code, harmonics, pilots,
-                                 NOISE_POWER, rng=None, keep_components=True)
+    def test_empty_scene_zero_noise_only_c1(self, model, harmonics):
+        bundle = synthesize_echo([], model, rng=None, keep_components=True)
         for m in harmonics.members:
             comp = bundle.components[m]
             assert np.allclose(bundle.harmonic(m), comp["c1"], atol=0)
             assert np.max(np.abs(comp["c2"])) == 0
             assert np.max(np.abs(comp["c3"])) == 0
 
-    def test_c2_only_at_carrier(self, geom, ula, panel, code, harmonics, pilots):
+    def test_c2_only_at_carrier(self, model, harmonics):
         p = ScatterPoint(position=[20.0, 0.0, 40.0], rcs_sqrt=1.0)
-        bundle = synthesize_echo([p], geom, ula, panel, code, harmonics, pilots,
-                                 NOISE_POWER, rng=None, keep_components=True)
+        bundle = synthesize_echo([p], model, rng=None, keep_components=True)
         for m in harmonics.members:
             c2 = bundle.components[m]["c2"]
             if m == 0:
@@ -158,11 +161,10 @@ class TestEchoSynthesis:
             else:
                 assert np.max(np.abs(c2)) == 0
 
-    def test_component_assembly_oracle(self, geom, ula, panel, code, harmonics, pilots):
+    def test_component_assembly_oracle(self, model, geom, ula, panel, code, harmonics, pilots):
         # independent assembly of c1..c4 from first principles at m = 0
         p = ScatterPoint(position=[25.0, 0.0, 60.0], rcs_sqrt=2.0)
-        bundle = synthesize_echo([p], geom, ula, panel, code, harmonics, pilots,
-                                 NOISE_POWER, rng=None, keep_components=True)
+        bundle = synthesize_echo([p], model, rng=None, keep_components=True)
         lam = ula.wavelength
         ang = angles_from_position(p.position, geom)
         d_r, d_s, d_rp = triangle_distances(p.position, geom)
@@ -183,35 +185,32 @@ class TestEchoSynthesis:
         )
         assert np.allclose(bundle.harmonic(0), expect, rtol=1e-12, atol=1e-30)
 
-    def test_noise_power_and_reproducibility(self, geom, ula, panel, code, pilots):
+    def test_noise_power_and_reproducibility(self, model):
         h1 = HarmonicSet(1)
         draws = []
         for _ in range(2):
             rng = stream_rng(77, 1, 2)
-            b = synthesize_echo([], geom, ula, panel, code, h1, pilots, NOISE_POWER,
-                                rng=rng, keep_components=True)
+            b = synthesize_echo([], replace(model, harmonics=h1), rng=rng, keep_components=True)
             draws.append(np.concatenate([b.components[m]["noise"].ravel() for m in h1.members]))
         assert np.array_equal(draws[0], draws[1])
         # empirical power over >= 1e5 samples within 1 percent
         rng = stream_rng(78, 0)
-        big = synthesize_echo([], geom, ula, panel, code, HarmonicSet(0), pilots,
-                              NOISE_POWER, rng=rng, keep_components=True)
+        big = synthesize_echo([], replace(model, harmonics=HarmonicSet(0)), rng=rng,
+                              keep_components=True)
         samples = [big.components[0]["noise"].ravel()]
         for k in range(1, 400):
-            b = synthesize_echo([], geom, ula, panel, code, HarmonicSet(0), pilots,
-                                NOISE_POWER, rng=stream_rng(78, k), keep_components=True)
+            b = synthesize_echo([], replace(model, harmonics=HarmonicSet(0)),
+                                rng=stream_rng(78, k), keep_components=True)
             samples.append(b.components[0]["noise"].ravel())
         n = np.concatenate(samples)
         assert n.size >= 100_000
         assert np.mean(np.abs(n) ** 2) == pytest.approx(NOISE_POWER, rel=0.01)
 
-    def test_echo_linearity_in_rcs(self, geom, ula, panel, code, harmonics, pilots):
+    def test_echo_linearity_in_rcs(self, model, harmonics):
         p1 = ScatterPoint(position=[30.0, 0.0, 30.0], rcs_sqrt=1.0)
         p2 = ScatterPoint(position=[30.0, 0.0, 30.0], rcs_sqrt=3.0)
-        b1 = synthesize_echo([p1], geom, ula, panel, code, harmonics, pilots, 0.0,
-                             keep_components=True)
-        b2 = synthesize_echo([p2], geom, ula, panel, code, harmonics, pilots, 0.0,
-                             keep_components=True)
+        b1 = synthesize_echo([p1], model, keep_components=True)
+        b2 = synthesize_echo([p2], model, keep_components=True)
         for m in harmonics.members:
             for c in ("c2", "c3", "c4"):
                 assert np.allclose(b2.components[m][c], 3.0 * b1.components[m][c], rtol=1e-12)
@@ -219,25 +218,24 @@ class TestEchoSynthesis:
 
 
 class TestStacking:
-    def test_sb_stack_recovers_c2_matrix(self, geom, ula, panel, code, harmonics, pilots):
+    def test_sb_stack_recovers_c2_matrix(self, model):
         p = ScatterPoint(position=[-18.0, 0.0, 55.0], rcs_sqrt=1.5)
-        y, regs, gains = stack_sb([p], geom, ula, pilots, 0.0)
-        bundle = synthesize_echo([p], geom, ula, panel, code, harmonics, pilots, 0.0,
-                                 keep_components=True)
+        y, regs, gains = stack_sb([p], model)
+        bundle = synthesize_echo([p], model, keep_components=True)
         assert np.allclose(np.reshape(y, (16, 16), order="F"), bundle.components[0]["c2"],
                            rtol=1e-12, atol=1e-30)
         assert np.allclose(y, gains[0] * regs[0], rtol=1e-12)
 
-    def test_db_stack_single_target_exact(self, geom, ula, panel, code, harmonics, pilots):
+    def test_db_stack_single_target_exact(self, model, harmonics):
         p = ScatterPoint(position=[40.0, 0.0, 70.0], rcs_sqrt=0.7)
-        y, regs, gains = stack_db([p], geom, ula, panel, code, harmonics, pilots, 0.0)
+        y, regs, gains = stack_db([p], model)
         assert y.shape == (len(harmonics) * 16 * 16,)
         assert np.allclose(y, gains[0] * regs[0], rtol=1e-12)
 
-    def test_db_regressor_norm_brute_force(self, geom, ula, panel, code, harmonics, pilots):
+    def test_db_regressor_norm_brute_force(self, model, geom, ula, panel, code, harmonics, pilots):
         # oracle: per-harmonic assembly of the c3+c4 blocks
         p = ScatterPoint(position=[33.0, 0.0, 44.0], rcs_sqrt=1.0)
-        _, regs, _ = stack_db([p], geom, ula, panel, code, harmonics, pilots, 0.0)
+        _, regs, _ = stack_db([p], model)
         ang = angles_from_position(p.position, geom)
         eta, _ = harmonic_pattern_batch(panel, code, harmonics, ang.xi, 0.0)
         ar = steering_vector(ula, ang.alpha)
@@ -248,11 +246,10 @@ class TestStacking:
             acc += np.linalg.norm(em * b @ pilots.symbols, "fro") ** 2
         assert np.linalg.norm(regs[0]) ** 2 == pytest.approx(acc, rel=1e-12)
 
-    def test_db_stack_matches_echo_components(self, geom, ula, panel, code, harmonics, pilots):
+    def test_db_stack_matches_echo_components(self, model, harmonics):
         p = ScatterPoint(position=[12.0, 0.0, 80.0], rcs_sqrt=1.0)
-        y, _, _ = stack_db([p], geom, ula, panel, code, harmonics, pilots, 0.0)
-        bundle = synthesize_echo([p], geom, ula, panel, code, harmonics, pilots, 0.0,
-                                 keep_components=True)
+        y, _, _ = stack_db([p], model)
+        bundle = synthesize_echo([p], model, keep_components=True)
         blocks = [
             vec(bundle.components[m]["c3"] + bundle.components[m]["c4"])
             for m in harmonics.members
@@ -272,11 +269,11 @@ class TestVecOuter:
     def test_empty_stack(self, pilots):
         assert vec_outer(np.zeros((0, 16)), np.zeros((0, 16)), pilots.symbols).shape == (0, 256)
 
-    def test_empty_scene_stacks(self, geom, ula, panel, code, harmonics, pilots):
-        y, regs, gains = stack_sb([], geom, ula, pilots, 0.0)
+    def test_empty_scene_stacks(self, model, harmonics):
+        y, regs, gains = stack_sb([], model)
         assert y.shape == (256,) and regs.shape == (0, 256) and len(gains) == 0
         assert not y.any()
-        y, regs, gains = stack_db([], geom, ula, panel, code, harmonics, pilots, 0.0)
+        y, regs, gains = stack_db([], model)
         assert y.shape == (len(harmonics) * 256,) and regs.shape == (0, len(harmonics) * 256)
         assert not y.any() and len(gains) == 0
 
@@ -383,9 +380,9 @@ class TestMultiTargetEcho:
             out.append((ang.alpha, eta[:, 0], path_gains(p, geom, fading=nu, wavelength=ula.wavelength)))
         return out
 
-    def test_components_are_sums_over_targets(self, geom, ula, panel, code, harmonics, pilots):
-        bundle = synthesize_echo(self.SCENE, geom, ula, panel, code, harmonics, pilots, 0.0,
-                                 fadings=self.FADINGS, keep_components=True)
+    def test_components_are_sums_over_targets(self, model, geom, ula, panel, code, harmonics,
+                                              pilots):
+        bundle = synthesize_echo(self.SCENE, model, fadings=self.FADINGS, keep_components=True)
         targets = self.per_target(geom, ula, panel, code, harmonics)
         x, a0 = pilots.symbols, steering_vector(ula, 0.0)
         assert targets[1][2].sb_gain == 0 and targets[1][2].db_gain == 0
@@ -405,26 +402,23 @@ class TestMultiTargetEcho:
             assert_close(vec(comp["c4"]), c4)
             assert_close(vec(comp["c3"] + comp["c4"]), db[i * 256:(i + 1) * 256])
 
-    def test_stacks_are_sums_over_targets(self, geom, ula, panel, code, harmonics, pilots):
+    def test_stacks_are_sums_over_targets(self, model, geom, ula, panel, code, harmonics, pilots):
         targets = self.per_target(geom, ula, panel, code, harmonics)
-        y, regs, gains = stack_sb(self.SCENE, geom, ula, pilots, 0.0, fadings=self.FADINGS)
+        y, regs, gains = stack_sb(self.SCENE, model, fadings=self.FADINGS)
         oracle = [sb_regressor(alpha, ula, pilots) for alpha, _, _ in targets]
         for r in range(3):
             assert_close(regs[r], oracle[r])
         assert_close(gains, [g.sb_gain for _, _, g in targets])
         assert_close(y, sum(g * h for g, h in zip(gains, oracle)))
-        y, regs, gains = stack_db(self.SCENE, geom, ula, panel, code, harmonics, pilots, 0.0,
-                                  fadings=self.FADINGS)
+        y, regs, gains = stack_db(self.SCENE, model, fadings=self.FADINGS)
         oracle = [db_regressor(alpha, eta, ula, pilots) for alpha, eta, _ in targets]
         for r in range(3):
             assert_close(regs[r], oracle[r])
         assert_close(gains, [g.db_gain for _, _, g in targets])
         assert_close(y, sum(g * h for g, h in zip(gains, oracle)))
 
-    def test_noise_drawn_per_harmonic_in_member_order(self, geom, ula, panel, code, harmonics,
-                                                      pilots):
-        bundle = synthesize_echo(self.SCENE, geom, ula, panel, code, harmonics, pilots,
-                                 NOISE_POWER, rng=stream_rng(9, 4), fadings=self.FADINGS,
+    def test_noise_drawn_per_harmonic_in_member_order(self, model, harmonics):
+        bundle = synthesize_echo(self.SCENE, model, rng=stream_rng(9, 4), fadings=self.FADINGS,
                                  keep_components=True)
         rng = stream_rng(9, 4)
         for m in harmonics.members:
@@ -432,3 +426,46 @@ class TestMultiTargetEcho:
             assert np.array_equal(comp["noise"], complex_normal(rng, NOISE_POWER, (16, 16)))
             signal = comp["c1"] + comp["c2"] + comp["c3"] + comp["c4"]
             assert_close(bundle.harmonic(m), signal + comp["noise"])
+
+
+class TestEchoReadsTheModel:
+    """The echo and its stacks carry the gains the maps bound: those of
+    ``_target_state`` at the model's path-loss exponent and carrier."""
+
+    POINTS = st.lists(st.tuples(st.floats(-79.0, 79.0), st.floats(1.0, 99.0),
+                                st.floats(0.1, 10.0),
+                                st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0)),
+                      min_size=1, max_size=3)
+
+    @settings(derandomize=True, database=None, max_examples=15, deadline=None)
+    @given(iota=st.floats(1.0, 4.0, exclude_min=True), carrier=st.floats(1e9, 3e10),
+           points=POINTS)
+    def test_gains_are_the_target_state(self, iota, carrier, points):
+        model = build_model(merge_config({"path_loss_exponent": iota, "carrier_hz": carrier}))
+        scene = [ScatterPoint(position=[x, 0.0, z], rcs_sqrt=r) for x, z, r, _ in points]
+        fadings = [nu for *_, nu in points]
+        q = np.array([p.position for p in scene])
+        want = _target_state(q, model, np.array([p.rcs_sqrt for p in scene]) * fadings)
+        _, sb_regs, sb = stack_sb(scene, model, fadings=fadings)
+        _, _, db = stack_db(scene, model, fadings=fadings)
+        assert sb.tobytes() == want.sb_gain.tobytes()
+        assert db.tobytes() == want.db_gain.tobytes()
+
+        bundle = synthesize_echo(scene, model, fadings=fadings, keep_components=True)
+        x, harmonics = model.pilots.symbols, model.harmonics
+        a_r = steering_vector(model.ula, want.alpha).T
+        a_s = np.ones_like(a_r)
+        eta, _ = harmonic_pattern_batch(model.panel, model.code, harmonics,
+                                        np.append(want.xi, 0.0), 0.0, model.mode)
+        b = eta[:, :-1] * want.db_gain
+        c3, c4 = b @ vec_outer(a_r, a_s, x), b @ vec_outer(a_s, a_r, x)
+        lam, d_s = model.wavelength, model.geom.d_s
+        g_c1 = lam / (4 * np.pi * (2 * d_s) ** iota) * np.exp(-2j * np.pi * 2 * d_s / lam)
+        for i, m in enumerate(harmonics.members):
+            comp = bundle.components[m]
+            assert vec(comp["c2"]).tobytes() == (want.sb_gain @ sb_regs if m == 0
+                                                 else np.zeros(x.size, complex)).tobytes()
+            assert vec(comp["c3"]).tobytes() == c3[i].tobytes()
+            assert vec(comp["c4"]).tobytes() == c4[i].tobytes()
+            # c1 carries G(2 d_S) at the model's exponent: a(0) is all ones
+            assert_close(comp["c1"], g_c1 * eta[i, -1] * np.ones((x.shape[0],) * 2) @ x)

@@ -151,3 +151,27 @@ def test_rcs_conversion_is_amplitude_domain():
     assert rcs_sqrt_from_dbsm(17.0) == pytest.approx(10 ** 0.85, rel=1e-15)
     # power-domain RCS is the square of the returned amplitude
     assert rcs_sqrt_from_dbsm(17.0) ** 2 == pytest.approx(10 ** 1.7, rel=1e-12)
+
+
+def test_array_angles_are_stacked_scalar_calls(geom):
+    rng = np.random.default_rng(13)
+    a = rng.uniform(0.02, 1.3, 400) * rng.choice([-1.0, 1.0], 400)
+    x = rng.uniform(0.02, 1.3, 400) * np.sign(a)
+    keep = np.abs(a + x) >= 2e-3
+    a, x = a[keep], x[keep]
+    q = position_from_angles(AnglePair(a, x), geom)
+    want = [position_from_angles(AnglePair(float(u), float(v)), geom) for u, v in zip(a, x)]
+    assert q.shape == (len(a), 3)
+    assert q.tobytes() == np.array(want).tobytes()
+    assert position_from_angles(AnglePair(a[:1], x[:1]), geom).shape == (1, 3)
+    # array round trip
+    q2 = position_from_angles(angles_from_position(q, geom), geom)
+    assert np.max(np.linalg.norm(q - q2, axis=-1)) < 1e-9
+
+
+def test_one_degenerate_member_raises(geom):
+    # on the BS-panel axis, and a pair that closes no triangle (d_r < 0)
+    for bad in ((5e-4, 4e-4), (0.9, -0.5)):
+        a, x = np.array([0.3, bad[0], 0.6]), np.array([0.4, bad[1], 0.2])
+        with pytest.raises(DegenerateTriangle):
+            position_from_angles(AnglePair(a, x), geom)
