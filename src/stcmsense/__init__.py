@@ -4,7 +4,7 @@ Modules
 -------
 geometry        scene layout, angle/position maps, angle Jacobian
 metasurface     coding sequences, harmonic patterns; the fixed-profile baseline as one case
-channel         array responses, pilots, the scatter-point model, echo synthesis and stacking
+channel         array responses, pilots, the scatter-point model, the paths (PATHS), the echo
 bounds          Fisher information, closed-form angle CRBs, EFIM, position bounds
 detection       despreading, ML gain estimate, thresholds, marginal p_D maps, Marcum Q
 classification  Rayleigh MAP labeling, confusion rates, two-path fusion
@@ -44,8 +44,7 @@ from .channel import (  # noqa: F401
     dft_pilots,
     path_gain,
     path_gains,
-    stack_db,
-    stack_sb,
+    stack,
     steering_derivative,
     steering_vector,
     synthesize_echo,

@@ -14,8 +14,8 @@ All information matrices use the complex-Gaussian form
 with a Hermitian inner product between stacked derivative vectors (required
 for positive semidefiniteness).  Every single- and multi-target FIM, the
 closed forms and the fixed-profile baseline included, is read from the column
-Grams of term tables over one basis Gram (:class:`MultiTargetFimBuilder`),
-formed with the exact pilot Gram X X^H from length-M vectors.
+Grams of the paths of ``channel.PATHS`` (:func:`_table`) over one basis Gram
+(:class:`MultiTargetFimBuilder`), formed with the exact pilot Gram X X^H.
 
 Singularity policy: any matrix whose scaled condition number
 (:func:`scale_invariant_cond`, the 2-norm condition number after
@@ -52,8 +52,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import (PilotMatrix, TargetState, UlaLayout, _per_angle, steering_derivative,
-                      steering_vector)
+from .channel import (PATHS, PilotMatrix, TargetState, UlaLayout, _per_angle,
+                      steering_derivative, steering_vector)
 from .constants import CONDITION_LIMIT
 from .errors import DimensionMismatch, SingularInformation
 from .geometry import SceneGeometry, jacobian_angles_to_position
@@ -238,25 +238,27 @@ def _patterns(panel: PanelLayout, code: CodingMatrix, harmonics: HarmonicSet,
 
 
 def _unit(xi):
-    """The single bounce's pattern source: eta = d eta / d xi = 1, (n, 1) each."""
-    return (np.ones((len(xi), 1)),) * 2
+    """The single bounce's pattern source, the carrier alone: eta = 1, d eta = 0, (n, 1) each."""
+    return np.ones((len(xi), 1)), np.zeros((len(xi), 1))
 
 
-# Term tables: a TargetState gain field, and rows (u, v, in d, in h) of terms
-# vec(b_u b_v^T X) over a target's basis b = [a, da, a_s] summed into its
-# columns d (angle) and h (gain): d = (da, a) + (a, da) and h = (a, a) for the
-# single bounce, d = h = (a, a_s) + (a_s, a) for the double.  Every spatial
-# inner product (MultiTargetFimBuilder) sums
-#     vec(u2 v2^T X)^H vec(u1 v1^T X) = (v1^T G conj(v2)) (u2^H u1),
-# the trace tr((u1 v1^T) G (u2 v2^T)^H), so per cell only length-M vectors
-# are formed, never an M S-long vector or an M x M product.
-_TABLES = {"sb": ("sb_gain", [[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]]),
-           "db": ("db_gain", [[0, 2, 1, 1], [2, 0, 1, 1]])}
+def _table(kind: str) -> list:
+    """Rows (u, v, in d, in h) of the terms vec(b_u b_v^T X) of a path of
+    ``channel.PATHS`` in its columns d (angle) and h (gain).  h is the path's
+    terms; d is their angle derivative: for an alpha path da in place of each
+    a in turn (the product rule), for a xi path, whose angle enters through
+    its harmonic factor, h again.  Every spatial inner product sums
+        vec(u2 v2^T X)^H vec(u1 v1^T X) = (v1^T G conj(v2)) (u2^H u1),
+    so per cell only length-M vectors are formed (:class:`MultiTargetFimBuilder`)."""
+    _, angle, terms = PATHS[kind]
+    h = list(terms.values())
+    d = h if angle == "xi" else [t[:i] + (1,) + t[i + 1:] for t in h for i in (0, 1) if t[i] == 0]
+    return [[*t, d.count(t), h.count(t)] for t in dict.fromkeys(d + h)]
 
 
 def _one_target(kind: str, xi, alpha, gain, ula: UlaLayout, pilots: PilotMatrix,
                 noise_power: float, patterns=_unit):
-    """(one-table builder with no fixed target, the moving target) at angles
+    """(one-path builder with no fixed target, the moving target) at angles
     and a gain given as scalars or (n,) arrays; ``gain`` serves either bounce."""
     return (MultiTargetFimBuilder([], [(kind, patterns)], ula, pilots, noise_power),
             TargetState(*np.atleast_1d(alpha, xi, gain, gain)))
@@ -326,7 +328,7 @@ def fim_multi_target(targets, kind: str, ula: UlaLayout, pilots: PilotMatrix,
                      code: CodingMatrix | None = None,
                      harmonics: HarmonicSet | None = None,
                      mode: WavelengthMode = WavelengthMode.EXACT) -> FisherMatrix:
-    """Full numeric FIM for R targets, kind "sb" (alpha set) or "db" (xi set).
+    """Full numeric FIM for R targets on the path ``kind``, "sb" (alpha) or "db" (xi).
 
     The first target takes parameter index 0 of
     :meth:`MultiTargetFimBuilder.fim`; at R = 1 it is :func:`fim_sb_single`
@@ -340,17 +342,17 @@ def fim_multi_target(targets, kind: str, ula: UlaLayout, pilots: PilotMatrix,
 class MultiTargetFimBuilder:
     """Caches the fixed targets' factors and FIM blocks across a grid sweep.
 
-    ``tables`` holds T pairs (kind, patterns): a term table of ``_TABLES`` and
-    its harmonic source ``patterns(xi) -> (eta, d eta)``, (n, K) each.  A table
+    ``paths`` holds T pairs (kind, patterns): a path of ``channel.PATHS`` and
+    its harmonic source ``patterns(xi) -> (eta, d eta)``, (n, K) each.  A path
     gives each target the columns d (angle), h (Re b) and 1j h (Im b), kron(x,
-    w) of a harmonic factor x = [gain * d eta, eta] and the table's spatial
-    factor w.  Inner products factor as (x^H y)(w^H v), and every table reads
-    w^H v from one N/Q Gram of the bases (:meth:`_basis_gram`) by the identity
-    above, so only length-M vectors are formed.  Results carry the tables on a
-    leading axis, so (sb, db) tables give the split (alpha, xi) bounds.
-    Parameters run [moving | fixed]: the moving (angle, Re b, Im b), then the
-    fixed angles and gains.  Each table's scaled fixed block and its gain
-    block are inverted once, so a cell forms three rows (:func:`_schur`).
+    w) of a harmonic factor x (:meth:`_harmonic`) and the spatial factor w its
+    terms sum into (:func:`_table`).  Inner products factor as (x^H y)(w^H v),
+    and every path reads w^H v from one N/Q Gram of the bases
+    (:meth:`_basis_gram`) by the identity of :func:`_table`.  Results carry
+    the paths on a leading axis, so (sb, db) give the split (alpha, xi)
+    bounds.  Parameters run [moving | fixed]: the moving (angle, Re b, Im b),
+    then the fixed angles and gains.  Each path's scaled fixed block and its
+    gain block are inverted once, so a cell forms three rows (:func:`_schur`).
 
     It serves every R = ``n_targets`` >= 1; the benchmark tracer wraps :meth:`fim`
     by this name.  With no fixed target the basis Gram depends on the bearing
@@ -361,12 +363,12 @@ class MultiTargetFimBuilder:
     builder pickles into worker processes.
     """
 
-    def __init__(self, fixed_targets, tables, ula: UlaLayout, pilots: PilotMatrix,
+    def __init__(self, fixed_targets, paths, ula: UlaLayout, pilots: PilotMatrix,
                  noise_power: float):
         self._ula, self._noise, self._g = ula, noise_power, pilots.gram()
-        self.kinds, self._sources = zip(*tables)
-        # each table's rows, padded with terms of zero weight to one count (T, I, 4)
-        rows = [_TABLES[k][1] for k in self.kinds]
+        self.kinds, self._sources = zip(*paths)
+        # each path's rows, padded with terms of zero weight to one count (T, I, 4)
+        rows = [_table(k) for k in self.kinds]
         t = np.array([x + [[0, 0, 0, 0]] * (max(map(len, rows)) - len(x)) for x in rows])
         self._e = _t(t[..., 2:]).astype(complex)  # (T, 2, I): terms into columns [d, h]
         # where N[u, u'] (Q[v, v']) of term i and target f's term j sit in a basis Gram
@@ -381,7 +383,7 @@ class MultiTargetFimBuilder:
         self._pick = 4 * r * j[:3, None] + 2 * j + (ph.real == 0), (ph.real - ph.imag) * 2 / noise_power
         # where each parameter of the public order [angles | gains] sits
         self._order = np.concatenate([[0], 3 + np.arange(r - 1), [1, 2], 2 + r + np.arange(2 * r - 2)])
-        # the fixed targets' harmonic columns [d_1, h_1, d_2, ..] per table and
+        # the fixed targets' harmonic columns [d_1, h_1, d_2, ..] per path and
         # their bases' [b | b G]^T, target by target; C is their own rows against them
         fixed = _stacked(fixed_targets)
         self._x_f = [np.moveaxis(x, 0, 1).reshape(x.shape[1], -1) for x in self._harmonic(fixed)]
@@ -398,9 +400,10 @@ class MultiTargetFimBuilder:
             self._gains = _shared_block(c[..., r - 1:, r - 1:], CONDITION_LIMIT)
 
     def _harmonic(self, t: TargetState) -> list:
-        """Harmonic factors (n, K, 2) of the columns [d, h] of n targets, per table."""
-        return [np.stack([getattr(t, _TABLES[k][0])[:, None] * deta, eta], -1) for k, (eta, deta)
-                in zip(self.kinds, (_per_angle(p, t.xi) for p in self._sources))]
+        """Per path, [gain * (eta, or d eta on a xi path), eta] (n, K, 2) of n targets' [d, h]."""
+        sources = (_per_angle(p, t.xi) for p in self._sources)
+        return [np.stack([getattr(t, g)[:, None] * (deta if angle == "xi" else eta), eta], -1)
+                for (g, angle, _), (eta, deta) in zip(map(PATHS.get, self.kinds), sources)]
 
     def _basis(self, alpha) -> np.ndarray:
         """[b | b G] (n, 6, M) of the spatial bases b = [a, da, a_s] at (n,) bearings."""
@@ -415,9 +418,9 @@ class MultiTargetFimBuilder:
         return np.concatenate([w[:, :3].conj() @ _t(w), w[:, :3].conj() @ self._right], -1)
 
     def _spatial(self, nq: np.ndarray) -> np.ndarray:
-        """Spatial Grams (n, T, 2, 2R) of each table's [d, h] against [d, h, d_1,
+        """Spatial Grams (n, T, 2, 2R) of each path's [d, h] against [d, h, d_1,
         h_1, ..] from a basis Gram nq: terms (u, v) against (u', v') are n[u, u']
-        q[v, v'], summed into each table's columns by e."""
+        q[v, v'], summed into each path's columns by e."""
         (u, u2), (v, v2), n = *self._terms, np.arange(len(nq))[:, None, None]
         p = nq[n, u, u2]  # (T, I, n, R, I)
         p *= nq[n, v, v2]
@@ -455,7 +458,7 @@ class MultiTargetFimBuilder:
         return _full(*self._rows(moving), self._fim_c)[..., o[:, None], o]
 
     def fim(self, moving: TargetState) -> list:
-        """FIMs per table with the moving target as parameter index 0 (:meth:`fim_cells`)."""
+        """FIMs per path with the moving target as parameter index 0 (:meth:`fim_cells`)."""
         return [FisherMatrix(entries=f[0]) for f in self.fim_cells(_stacked([moving]))]
 
     def _closed(self, moving: TargetState):
@@ -530,9 +533,9 @@ def _position_peb(q, geom: SceneGeometry, e: np.ndarray, limit: float) -> np.nda
 
 def peb_cells(builder, moving: TargetState, q, geom: SceneGeometry) -> np.ndarray:
     """PEB of the moving target (``moving`` as (n,) arrays) at stacked points
-    q (n, 3) from a builder over the (sb, db) tables, at any R; NaN where masked.
+    q (n, 3) from a builder over the (sb, db) paths, at any R; NaN where masked.
 
-    The tables' R x R angle EFIMs (:meth:`MultiTargetFimBuilder.efims`)
+    The paths' R x R angle EFIMs (:meth:`MultiTargetFimBuilder.efims`)
     combine, under the independent-path assumption, into a block-diagonal
     information matrix over all 2R angles.  Only the probed target's angle
     pair (marginalizing every other angle) is pushed through its Jacobian, so
@@ -554,7 +557,7 @@ def crb_ris(xi: float, alpha: float, gain: complex, profile: RisProfile,
     """(FisherMatrix over (xi, Re b, Im b), CRB(xi)) of the fixed-profile
     linear-panel baseline at one angle pair and gain.
 
-    It is the builder over one double-bounce table, with no fixed target,
+    It is the builder over the one double-bounce path, with no fixed target,
     whose harmonic factor is the one response g(xi) = a_R(xi)^T diag(w) a_R(0)
     (``metasurface._ris_terms``).  The angle enters only through
     gain * g(xi), so the matrix is singular by construction while its gain

@@ -8,10 +8,16 @@ The monostatic echo of one pilot block decomposes into four path families:
 * c4: BS -> target -> panel -> BS, double bounce, present in every
   analyzed harmonic through the panel pattern.
 
+The target paths are declared once, in ``PATHS``: sb (c2) and db (c3, c4),
+each with its TargetState gain field, the angle its harmonic factor varies
+with and its named terms (u, v), vec(b_u b_v^T X) over a target's basis
+b = [a(alpha), d a / d alpha, a_s = a(0)].  The echo, its :func:`stack` and
+every FIM column of :mod:`.bounds` read them.
+
 A scatter point has one model, :func:`_target_state`: its angles and both
 bounce gains under a ``config.SystemModel``'s geometry, wavelength and
 path-loss exponent.  The maps' cells and fixed scene, the echo and its
-sb/db stacks all read it; the echo functions take the model itself (by
+stack all read it; the echo functions take the model itself (by
 its attributes, as ``config`` imports this module).  The propagation
 factor G(d) has one body, :func:`_propagation`, which every path gain and
 the classifier's Rayleigh scale read.
@@ -249,20 +255,25 @@ class EchoBundle:
         return self.per_harmonic[m]
 
 
+# the target paths, {kind: (gain field, angle, {term: (u, v)})}: see the module docstring
+PATHS = {"sb": ("sb_gain", "alpha", {"c2": (0, 0)}),
+         "db": ("db_gain", "xi", {"c3": (0, 2), "c4": (2, 0)})}
+
+
 def _regressors(scene, model, fadings):
-    """(TargetState of the scene's points, (n,) arrays in scene order; then
-    the c2, c3 and c4 regressor rows vec(u v^T X), (n, M S) each, with u, v
-    the target's a(alpha) and the panel's a(0)).  Each point's amplitude is
-    its sqrt-RCS times its fading draw (default 1)."""
+    """(TargetState of the scene's points, (n,) arrays in scene order; the rows
+    vec(b_u b_v^T X), (n, M S), of every term of ``PATHS`` by name).  A point's
+    amplitude is its sqrt-RCS times its fading draw (default 1)."""
     amplitude = np.array([point.rcs_sqrt for point in scene])
     if fadings is not None:
         amplitude = amplitude * np.asarray(fadings)
     state = _target_state(np.reshape([point.position for point in scene], (-1, 3)), model,
                           amplitude)
     a_r = steering_vector(model.ula, state.alpha).T
-    a_s = np.broadcast_to(steering_vector(model.ula, 0.0), a_r.shape)
-    x = model.pilots.symbols
-    return state, vec_outer(a_r, a_r, x), vec_outer(a_r, a_s, x), vec_outer(a_s, a_r, x)
+    b = (a_r, steering_derivative(model.ula, state.alpha).T,
+         np.broadcast_to(steering_vector(model.ula, 0.0), a_r.shape))
+    return state, {name: vec_outer(b[u], b[v], model.pilots.symbols)
+                   for _, _, terms in PATHS.values() for name, (u, v) in terms.items()}
 
 
 def _noisy(y, model, rng):
@@ -288,7 +299,7 @@ def synthesize_echo(scene, model, rng=None, fadings=None,
     """
     M, S = model.pilots.m_antennas, model.pilots.n_symbols
     harmonics = model.harmonics
-    state, r2, r3, r4 = _regressors(scene, model, fadings)
+    state, r = _regressors(scene, model, fadings)
     # one pattern call: every target angle, then the panel-BS angle (c1)
     eta, _ = harmonic_pattern_batch(model.panel, model.code, harmonics,
                                     np.append(state.xi, 0.0), 0.0, model.mode)
@@ -297,8 +308,8 @@ def synthesize_echo(scene, model, rng=None, fadings=None,
     # (|M|, M S) stacks of vec(c1), vec(c3) and vec(c4); vec(c2) at m = 0 only
     c1 = (c1_gain * eta[:, -1:]) * vec_outer(a_0, a_0, model.pilots.symbols)
     b = eta[:, :-1] * state.db_gain
-    c3, c4 = b @ r3, b @ r4
-    c2 = state.sb_gain @ r2
+    c3, c4 = b @ r["c3"], b @ r["c4"]
+    c2 = state.sb_gain @ r["c2"]
 
     per_harmonic = {}
     components = {} if keep_components else None
@@ -314,29 +325,19 @@ def synthesize_echo(scene, model, rng=None, fadings=None,
                       components=components)
 
 
-def stack_sb(scene, model, rng=None, fadings=None):
-    """Vectorized single-bounce observation and per-target regressors.
+def stack(path, scene, model, rng=None, fadings=None):
+    """Vectorized observation of a path of ``PATHS`` and its per-target regressors.
 
-    Returns (y, regressors (n, M S), gains (n,)): y = sum_r beta_r H_r +
-    noise, built from the c2 component alone (the structural separability
-    assumption: SB processing never reads other harmonics or the panel
-    paths).
+    Returns (y, regressors (n, L), gains (n,)), y = sum_r beta_r H_r + noise, H_r
+    the sum of the path's terms: the carrier block alone for sb, L = M S (the
+    structural separability assumption); for a xi path kron(eta(xi_r), that
+    sum) over every harmonic, L = |M| M S, eta at the target's panel-side angle.
     """
-    state, regs, _, _ = _regressors(scene, model, fadings)
-    return _noisy(state.sb_gain @ regs, model, rng), regs, state.sb_gain
-
-
-def stack_db(scene, model, rng=None, fadings=None):
-    """Vectorized double-bounce observation over all harmonics.
-
-    Returns (y, regressors (n, |M| M S), gains (n,)) with y of length
-    |M| M S; target r's regressor is kron(eta(xi_r), vec((a_r a_s^T +
-    a_s a_r^T) X)), the c3/c4 paths times the harmonic pattern vector at
-    the target's panel-side angle.
-    """
-    state, _, r3, r4 = _regressors(scene, model, fadings)
-    eta, _ = harmonic_pattern_batch(model.panel, model.code, model.harmonics, state.xi, 0.0,
-                                    model.mode)
-    v = r3 + r4
-    regs = (eta.T[:, :, None] * v[:, None, :]).reshape(len(v), eta.shape[0] * v.shape[1])
-    return _noisy(state.db_gain @ regs, model, rng), regs, state.db_gain
+    gain, angle, terms = PATHS[path]
+    state, r = _regressors(scene, model, fadings)
+    regs = np.sum([r[name] for name in terms], axis=0)
+    if angle == "xi":
+        eta, _ = harmonic_pattern_batch(model.panel, model.code, model.harmonics, state.xi, 0.0,
+                                        model.mode)
+        regs = (eta.T[:, :, None] * regs[:, None, :]).reshape(len(regs), len(eta) * regs.shape[1])
+    return _noisy(getattr(state, gain) @ regs, model, rng), regs, getattr(state, gain)

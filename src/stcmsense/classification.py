@@ -219,11 +219,6 @@ def _label_counts(x2: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.array([len(x2) - above_lo, above_lo - above_hi, above_hi])
 
 
-def _decision_frequencies(x2: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """MAP label frequencies (3,): :func:`_label_counts` over len(x2)."""
-    return _label_counts(x2, lo, hi) / len(x2)
-
-
 def fuse(beta_hat_direct: float, beta_hat_via_panel: float,
          scales_direct, scales_via, priors, var_direct: float, var_via: float) -> ClassPosterior:
     """Posterior from the product of the two bounce paths' likelihoods.

@@ -11,11 +11,11 @@ A block worker drops the terminal cells and evaluates each quantity in one
 array pass over the rest, a factor of one bearing once per distinct bearing
 (``channel._per_angle``).  Each bound map builds one ``MultiTargetFimBuilder``
 around the fixed targets.  crb-map and peb-map take the CRBs and the angle
-EFIMs of its (sb, db) term tables (``crbs``, ``peb_cells``) at every R: it
-inverts each table's fixed FIM block once per map and forms the moving
+EFIMs of its (sb, db) paths of ``channel.PATHS`` (``crbs``, ``peb_cells``) at
+every R: it inverts each path's fixed FIM block once per map and forms the moving
 target's three FIM rows per cell, or reads the gain Schur complement of its
 column Grams with no fixed target.  ris-compare is crb-map's block over two
-double-bounce tables with no fixed target, (baseline, switching panel); the
+double-bounce paths with no fixed target, (baseline, switching panel); the
 baseline's harmonic factor is the fixed profile's one response, so its
 column is masked at every cell (rho = 1 up to rounding).
 ``threads`` > 1 maps the blocks over up to that many worker processes, no
@@ -56,7 +56,7 @@ BLOCK_CELLS = 2560
 
 
 def _builder(model: SystemModel, fixed, first=("sb", _unit)) -> MultiTargetFimBuilder:
-    """FIM builder over the tables (``first``, switching-panel db) around the
+    """FIM builder over the paths (``first``, switching-panel db) around the
     fixed scatter points, each with its own RCS; absent points carry no echo
     and are left out."""
     states = [_target_state(p.position, model, p.rcs_sqrt) for p in fixed
@@ -77,7 +77,7 @@ def _block(points, model: SystemModel, values, k: int) -> np.ndarray:
 
 
 def _crb_block(points, model: SystemModel, builder) -> np.ndarray:
-    """A CRB row per table, (crb_alpha, crb_xi) for crb-map, for a block of
+    """A CRB row per path, (crb_alpha, crb_xi) for crb-map, for a block of
     cells; NaN marks a masked value."""
     out = _block(points, model, lambda q, s: builder.crbs(s), 2)
     out[out <= 0] = np.nan  # a non-positive numeric inverse is masked too

@@ -16,8 +16,7 @@ from stcmsense.channel import (
     dft_pilots,
     path_gain,
     path_gains,
-    stack_db,
-    stack_sb,
+    stack,
     steering_derivative,
     steering_vector,
     synthesize_echo,
@@ -220,7 +219,7 @@ class TestEchoSynthesis:
 class TestStacking:
     def test_sb_stack_recovers_c2_matrix(self, model):
         p = ScatterPoint(position=[-18.0, 0.0, 55.0], rcs_sqrt=1.5)
-        y, regs, gains = stack_sb([p], model)
+        y, regs, gains = stack("sb", [p], model)
         bundle = synthesize_echo([p], model, keep_components=True)
         assert np.allclose(np.reshape(y, (16, 16), order="F"), bundle.components[0]["c2"],
                            rtol=1e-12, atol=1e-30)
@@ -228,14 +227,14 @@ class TestStacking:
 
     def test_db_stack_single_target_exact(self, model, harmonics):
         p = ScatterPoint(position=[40.0, 0.0, 70.0], rcs_sqrt=0.7)
-        y, regs, gains = stack_db([p], model)
+        y, regs, gains = stack("db", [p], model)
         assert y.shape == (len(harmonics) * 16 * 16,)
         assert np.allclose(y, gains[0] * regs[0], rtol=1e-12)
 
     def test_db_regressor_norm_brute_force(self, model, geom, ula, panel, code, harmonics, pilots):
         # oracle: per-harmonic assembly of the c3+c4 blocks
         p = ScatterPoint(position=[33.0, 0.0, 44.0], rcs_sqrt=1.0)
-        _, regs, _ = stack_db([p], model)
+        _, regs, _ = stack("db", [p], model)
         ang = angles_from_position(p.position, geom)
         eta, _ = harmonic_pattern_batch(panel, code, harmonics, ang.xi, 0.0)
         ar = steering_vector(ula, ang.alpha)
@@ -248,7 +247,7 @@ class TestStacking:
 
     def test_db_stack_matches_echo_components(self, model, harmonics):
         p = ScatterPoint(position=[12.0, 0.0, 80.0], rcs_sqrt=1.0)
-        y, _, _ = stack_db([p], model)
+        y, _, _ = stack("db", [p], model)
         bundle = synthesize_echo([p], model, keep_components=True)
         blocks = [
             vec(bundle.components[m]["c3"] + bundle.components[m]["c4"])
@@ -270,10 +269,10 @@ class TestVecOuter:
         assert vec_outer(np.zeros((0, 16)), np.zeros((0, 16)), pilots.symbols).shape == (0, 256)
 
     def test_empty_scene_stacks(self, model, harmonics):
-        y, regs, gains = stack_sb([], model)
+        y, regs, gains = stack("sb", [], model)
         assert y.shape == (256,) and regs.shape == (0, 256) and len(gains) == 0
         assert not y.any()
-        y, regs, gains = stack_db([], model)
+        y, regs, gains = stack("db", [], model)
         assert y.shape == (len(harmonics) * 256,) and regs.shape == (0, len(harmonics) * 256)
         assert not y.any() and len(gains) == 0
 
@@ -404,13 +403,13 @@ class TestMultiTargetEcho:
 
     def test_stacks_are_sums_over_targets(self, model, geom, ula, panel, code, harmonics, pilots):
         targets = self.per_target(geom, ula, panel, code, harmonics)
-        y, regs, gains = stack_sb(self.SCENE, model, fadings=self.FADINGS)
+        y, regs, gains = stack("sb", self.SCENE, model, fadings=self.FADINGS)
         oracle = [sb_regressor(alpha, ula, pilots) for alpha, _, _ in targets]
         for r in range(3):
             assert_close(regs[r], oracle[r])
         assert_close(gains, [g.sb_gain for _, _, g in targets])
         assert_close(y, sum(g * h for g, h in zip(gains, oracle)))
-        y, regs, gains = stack_db(self.SCENE, model, fadings=self.FADINGS)
+        y, regs, gains = stack("db", self.SCENE, model, fadings=self.FADINGS)
         oracle = [db_regressor(alpha, eta, ula, pilots) for alpha, eta, _ in targets]
         for r in range(3):
             assert_close(regs[r], oracle[r])
@@ -446,8 +445,8 @@ class TestEchoReadsTheModel:
         fadings = [nu for *_, nu in points]
         q = np.array([p.position for p in scene])
         want = _target_state(q, model, np.array([p.rcs_sqrt for p in scene]) * fadings)
-        _, sb_regs, sb = stack_sb(scene, model, fadings=fadings)
-        _, _, db = stack_db(scene, model, fadings=fadings)
+        _, sb_regs, sb = stack("sb", scene, model, fadings=fadings)
+        _, _, db = stack("db", scene, model, fadings=fadings)
         assert sb.tobytes() == want.sb_gain.tobytes()
         assert db.tobytes() == want.db_gain.tobytes()
 

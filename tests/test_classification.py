@@ -9,8 +9,8 @@ from scipy.special import i0e
 
 from stcmsense.classification import (
     HypothesisSet,
-    _decision_frequencies,
     _edges,
+    _label_counts,
     confusion_matrix,
     confusion_row,
     decision_thresholds,
@@ -227,7 +227,7 @@ class TestEdgeRule:
         want = np.argmax(priors * likelihood_conditional(np.sqrt(x2)[:, None], scales, est_var),
                          axis=1)
         lo, hi = _edges(scales, priors, est_var)
-        got = [int(np.argmax(_decision_frequencies(np.array([x]), lo, hi))) for x in x2]
+        got = [int(np.argmax(_label_counts(np.array([x]), lo, hi))) for x in x2]
         assert got == want.tolist()
 
     def test_middle_class_that_never_wins(self):
@@ -237,7 +237,7 @@ class TestEdgeRule:
         lo, hi = _edges(scales, priors, v)
         assert lo == hi == pytest.approx(4 / 3 * math.log(4), rel=1e-14)
         assert np.array_equal(decision_thresholds(scales, priors, v), [math.sqrt(lo)] * 2)
-        freq = _decision_frequencies(np.linspace(0.0, 10.0, 1001), lo, hi)
+        freq = _label_counts(np.linspace(0.0, 10.0, 1001), lo, hi) / 1001
         assert freq[1] == 0.0 and freq[0] > 0 and freq[2] > 0
 
     @pytest.mark.parametrize("priors", [UNIFORM, (0.2, 0.5, 0.3)])
@@ -250,7 +250,7 @@ class TestEdgeRule:
         x2 = x2[np.abs(x2 - hi) > 1e-9 * x2]
         want = np.argmax(np.asarray(priors) * likelihood_conditional(np.sqrt(x2)[:, None], scales,
                                                                     v), axis=1)
-        got = [int(np.argmax(_decision_frequencies(np.array([x]), lo, hi))) for x in x2]
+        got = [int(np.argmax(_label_counts(np.array([x]), lo, hi))) for x in x2]
         assert got == want.tolist()
         assert set(got) == ({0, 2} if priors == UNIFORM else {1, 2})
 
@@ -267,7 +267,7 @@ class TestEdgeRule:
         # every density underflows here; the edges still decide
         lo, hi = _edges([0.0, 0.02, 0.1], UNIFORM, 1e-6)
         assert all(likelihood_conditional(30.0, s, 1e-6) == 0.0 for s in (0.0, 0.02, 0.1))
-        assert _decision_frequencies(np.array([900.0, 1e300, np.inf]), lo, hi).tolist() == [0, 0, 1]
+        assert (_label_counts(np.array([900.0, 1e300, np.inf]), lo, hi) / 3).tolist() == [0, 0, 1]
 
     @pytest.mark.parametrize("est_var", [0.0, -1e-13])
     def test_nonpositive_estimator_variance(self, est_var):

@@ -271,6 +271,124 @@ class TestExperimentOutputs:
         assert {name: hashlib.sha256(b).hexdigest() for name, b in out.items()} == (
             self.MAP_DIGESTS[verb, n_targets])
 
+    # configs the default-config digests above do not reach, each a small
+    # override of it at 20 m and seed 31: the single-harmonic and a wider
+    # harmonic set, both multi-target layouts, another path-loss exponent,
+    # an explicit scene with a human-like and an absent point, and the
+    # carrier-wavelength patterns
+    CONFIGS = {
+        "harmonics-0": {"harmonics": 0},
+        "harmonics-5": {"harmonics": 5},
+        "R-2": {"n_targets": 2},
+        "R-10": {"n_targets": 10},
+        "iota-2.2": {"path_loss_exponent": 2.2},
+        "scene": {"n_targets": 2, "scene": [
+            {"position": [30.0, 0.0, 60.0], "rcs_dbsm": 1.0, "kind": "human_like"},
+            {"position": [-40.0, 0.0, 50.0], "kind": "absent"}]},
+        "carrier": {"wavelength_mode": "carrier", "harmonics": 5},
+    }
+    # sha256 of every map CSV of each config; keyed by (config, verb), the
+    # multi-target layouts for the multi-target verbs only
+    CONFIG_DIGESTS = {
+        ("harmonics-0", "crb-map"): {
+            "crb_alpha_map.csv": "9537e0dfe2831f095cb50789b952a77ca91b351205b5278945144376a6eb39e0",
+            "crb_xi_map.csv": "c2ff7a1dc05797e8d4d0a98a0717ac08895ade46e4e6e256cbec375f0e363a67"},
+        ("harmonics-0", "peb-map"): {
+            "peb_map.csv": "322f7ec6b277fce41dc35373a3ef0f8a8698e038813b3f16697aa2ccb4fee307"},
+        ("harmonics-0", "ris-compare"): {
+            "ris_compare.csv": "57e95762e32a61909d7c5c2e03f73cc1460d89afc39ae878fb960e190a24204b"},
+        ("harmonics-0", "detect-map"): {
+            "detect_map_human_like_all_ones.csv":
+                "8639682d0f46526272e336ef871d699ccb014c1dcd1889ba58e54d7ae4540c4c",
+            "detect_map_human_like_matched.csv":
+                "e936b3d36e69fee139b72dc2ce424228782871cbe9a8e8afcc93b7599a53454a",
+            "detect_map_object_like_all_ones.csv":
+                "93b1891a2dfa6d3e033390b1ef4912542cf218633eed17d932d85ff5bc0b63ce",
+            "detect_map_object_like_matched.csv":
+                "6a9ef0b5aac907a14820ea29b1ca9822c533222e34e969d2531d8bc691af249b"},
+        ("harmonics-5", "crb-map"): {
+            "crb_alpha_map.csv": "9537e0dfe2831f095cb50789b952a77ca91b351205b5278945144376a6eb39e0",
+            "crb_xi_map.csv": "7c3ae3593e45c6e734975e98d15688e47d29a4974c0c86f383e41085309e3bac"},
+        ("harmonics-5", "peb-map"): {
+            "peb_map.csv": "d4218b32d1a7c7da44e0edcf9ac9a441a682dab1bc22a2de539e61a8ffe72513"},
+        ("harmonics-5", "ris-compare"): {
+            "ris_compare.csv": "4e23f3a3079d64f88c1d1f9e7da8e67b801dc9a214802deb734056778f8fe95e"},
+        ("harmonics-5", "detect-map"): {
+            "detect_map_human_like_all_ones.csv":
+                "8639682d0f46526272e336ef871d699ccb014c1dcd1889ba58e54d7ae4540c4c",
+            "detect_map_human_like_matched.csv":
+                "e936b3d36e69fee139b72dc2ce424228782871cbe9a8e8afcc93b7599a53454a",
+            "detect_map_object_like_all_ones.csv":
+                "93b1891a2dfa6d3e033390b1ef4912542cf218633eed17d932d85ff5bc0b63ce",
+            "detect_map_object_like_matched.csv":
+                "6a9ef0b5aac907a14820ea29b1ca9822c533222e34e969d2531d8bc691af249b"},
+        ("R-2", "crb-map"): {
+            "crb_alpha_map.csv": "05fad949400893ec8e6a067c4e9357fbcfc7d8d1c8345a2e648fb4f056bbfd0f",
+            "crb_xi_map.csv": "8f22cbe443d708a78031df31bdfea1b76dcb0fa5b922a363b6a6f32342747e63"},
+        ("R-2", "peb-map"): {
+            "peb_map.csv": "c0de2595a0f3e3a9073f27bd30863eb68f68ce360e85a6cb96b98781d2150cc2"},
+        ("R-10", "crb-map"): {
+            "crb_alpha_map.csv": "99c5f59421ac55f9da6f34d364437de9913de4d9b2e9e0fe45b84a9fb4c570ff",
+            "crb_xi_map.csv": "273e4e440aef9ef6f3230c3e9d53adfb0094eae2928e3eca19d04a15d3cf1153"},
+        ("R-10", "peb-map"): {
+            "peb_map.csv": "c463915404b501f45e5e01b871b94f504ccdc69ad4264d47d9c1b9c5f92cd4c0"},
+        ("iota-2.2", "crb-map"): {
+            "crb_alpha_map.csv": "7ce23f35358799cf9ae883dc83149b6bc81722d6ebe7b07e911108786e6dc514",
+            "crb_xi_map.csv": "91bc107d1089f4933565df7d12157a5e88fbdd24652b30caa47d68325f6692e4"},
+        ("iota-2.2", "peb-map"): {
+            "peb_map.csv": "658c9dffdace5dd0a29592744f281a164596c7b801d1a576923e6235bfc0c828"},
+        ("iota-2.2", "ris-compare"): {
+            "ris_compare.csv": "942de59ec9fa6d1817e84db8345be8423cc3b2bdbbd6efc44e8e96efaf4b1319"},
+        ("iota-2.2", "detect-map"): {
+            "detect_map_human_like_all_ones.csv":
+                "6a5ff1fff93beee4104745669357c528edf3c341f9cddad0bee4b3c6fa1b98a8",
+            "detect_map_human_like_matched.csv":
+                "fb2312e6a52a039069022a417914a93ce01a64b94f503376905a6b1269eccfb6",
+            "detect_map_object_like_all_ones.csv":
+                "4da96ba63d9d2281994ee0e6044d2d77de0e6761979b5c3defa3e5ab56facc5c",
+            "detect_map_object_like_matched.csv":
+                "983a4f9f8953f931a82bac5144dcf29069a2b896bb604be0b9ce6e6b9f96bb84"},
+        ("scene", "crb-map"): {
+            "crb_alpha_map.csv": "ec0839ecfd3e0d2f447521e11ad29b48abe55fd987f1e89d13bceda9ca927565",
+            "crb_xi_map.csv": "005d966cdaae341dcd6a9deaf344186cedd05c39c36507488894af28dfa10d53"},
+        ("scene", "peb-map"): {
+            "peb_map.csv": "755ed0aa963add491fb19f72b8cd29eb62d0295dd46a0cbd7ee9813821519fac"},
+        ("scene", "ris-compare"): {
+            "ris_compare.csv": "42d6c98d8d0487806b51609cfb0e9e78ee852b1e9b9052ce078305b9ead6a606"},
+        ("scene", "detect-map"): {
+            "detect_map_human_like_all_ones.csv":
+                "8639682d0f46526272e336ef871d699ccb014c1dcd1889ba58e54d7ae4540c4c",
+            "detect_map_human_like_matched.csv":
+                "e936b3d36e69fee139b72dc2ce424228782871cbe9a8e8afcc93b7599a53454a",
+            "detect_map_object_like_all_ones.csv":
+                "93b1891a2dfa6d3e033390b1ef4912542cf218633eed17d932d85ff5bc0b63ce",
+            "detect_map_object_like_matched.csv":
+                "6a9ef0b5aac907a14820ea29b1ca9822c533222e34e969d2531d8bc691af249b"},
+        ("carrier", "crb-map"): {
+            "crb_alpha_map.csv": "9537e0dfe2831f095cb50789b952a77ca91b351205b5278945144376a6eb39e0",
+            "crb_xi_map.csv": "7193f444a524c6d6a2805e419e3f7760ff09c4b885574c37f3d869dc103622ee"},
+        ("carrier", "peb-map"): {
+            "peb_map.csv": "3919935fdf6264b26728559e314aae751576ab386cdcf45da3ae7f137405ddac"},
+        ("carrier", "ris-compare"): {
+            "ris_compare.csv": "35dedcd66f69e02802b991f9ae19d8f82cbc12358b6afad446419347469adb42"},
+        ("carrier", "detect-map"): {
+            "detect_map_human_like_all_ones.csv":
+                "8639682d0f46526272e336ef871d699ccb014c1dcd1889ba58e54d7ae4540c4c",
+            "detect_map_human_like_matched.csv":
+                "e936b3d36e69fee139b72dc2ce424228782871cbe9a8e8afcc93b7599a53454a",
+            "detect_map_object_like_all_ones.csv":
+                "93b1891a2dfa6d3e033390b1ef4912542cf218633eed17d932d85ff5bc0b63ce",
+            "detect_map_object_like_matched.csv":
+                "6a9ef0b5aac907a14820ea29b1ca9822c533222e34e969d2531d8bc691af249b"},
+    }
+
+    @pytest.mark.parametrize("config,verb", list(CONFIG_DIGESTS))
+    def test_map_csv_bytes_are_pinned_across_configs(self, tmp_path, config, verb):
+        cfg = merge_config({"grid_res_m": 20.0, "seed": 31, **self.CONFIGS[config]})
+        out = csv_bytes(self.MAP_RUNNERS[verb], cfg, tmp_path / "out")
+        assert {name: hashlib.sha256(b).hexdigest() for name, b in out.items()} == (
+            self.CONFIG_DIGESTS[config, verb])
+
     def test_ris_compare_masked_everywhere(self, tmp_path):
         files = run_ris_compare(merge_config(COARSE), str(tmp_path))
         header, rows = read_csv(files[0])
