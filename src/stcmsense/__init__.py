@@ -37,13 +37,11 @@ from .metasurface import (  # noqa: F401
 )
 from .channel import (  # noqa: F401
     EchoBundle,
-    PathGains,
     PilotMatrix,
     TargetState,
     UlaLayout,
     dft_pilots,
     path_gain,
-    path_gains,
     stack,
     steering_derivative,
     steering_vector,

@@ -15,12 +15,13 @@ b = [a(alpha), d a / d alpha, a_s = a(0)].  The echo, its :func:`stack` and
 every FIM column of :mod:`.bounds` read them.
 
 A scatter point has one model, :func:`_target_state`: its angles and both
-bounce gains under a ``config.SystemModel``'s geometry, wavelength and
-path-loss exponent.  The maps' cells and fixed scene, the echo and its
-stack all read it; the echo functions take the model itself (by
-its attributes, as ``config`` imports this module).  The propagation
-factor G(d) has one body, :func:`_propagation`, which every path gain and
-the classifier's Rayleigh scale read.
+bounce gains, :func:`path_gain` over the roundtrips 2 d_r and
+d_S + d_r + d_r', under a ``config.SystemModel``'s geometry, wavelength and
+path-loss exponent.  It is the one gain model: the maps' cells and fixed
+scene, the echo and its stack all read it; the echo functions take the
+model itself (by its attributes, as ``config`` imports this module).  The
+propagation factor G(d) has one body, :func:`_propagation`, which every
+path gain and the classifier's Rayleigh scale read.
 
 The panel sits on the BS boresight axis (the config rejects any other
 placement), so the BS sees it at angle 0 and it sees the BS at angle 0.
@@ -41,7 +42,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import NonPositiveDistance, NotPerfectSquare
-from .geometry import SceneGeometry, ScatterPoint, angles_from_position, triangle_distances
+from .geometry import angles_from_position, triangle_distances
 from .metasurface import harmonic_pattern_batch
 from .rng import complex_normal
 
@@ -195,33 +196,6 @@ def path_gain(distance: float, rcs_sqrt: float = 1.0, fading: complex = 1.0,
 
 
 @dataclass(frozen=True)
-class PathGains:
-    """Single- and double-bounce gains of one target."""
-
-    sb_gain: complex
-    db_gain: complex
-    sb_distance: float
-    db_distance: float
-
-
-def path_gains(point: ScatterPoint, geom: SceneGeometry, fading: complex = 1.0,
-               wavelength: float = SPEED_OF_LIGHT / 1e10, iota: float = 2.0) -> PathGains:
-    """Both bounce gains for a target: roundtrips 2 d_r and d_S + d_r + d_r'.
-
-    A point with stacked positions (n, 3) gives (n,) arrays in every field.
-    """
-    d_r, d_s, d_rp = triangle_distances(point.position, geom)
-    sb_d = 2 * d_r
-    db_d = d_s + d_r + d_rp
-    return PathGains(
-        sb_gain=path_gain(sb_d, point.rcs_sqrt, fading, wavelength, iota),
-        db_gain=path_gain(db_d, point.rcs_sqrt, fading, wavelength, iota),
-        sb_distance=sb_d,
-        db_distance=db_d,
-    )
-
-
-@dataclass(frozen=True)
 class TargetState:
     """Angles and bounce gains of one target, as consumed by the FIMs and
     the echo, or (n,) arrays of them for n targets or grid cells."""
@@ -238,9 +212,10 @@ def _target_state(q, model, amplitude=1.0) -> TargetState:
     wavelength and path-loss exponent.  ``amplitude`` is the sqrt-RCS times
     any fading draw, a scalar or (n,)."""
     ang = angles_from_position(q, model.geom)
-    g = path_gains(ScatterPoint(position=q, rcs_sqrt=1.0), model.geom, amplitude,
-                   model.wavelength, model.iota)
-    return TargetState(alpha=ang.alpha, xi=ang.xi, sb_gain=g.sb_gain, db_gain=g.db_gain)
+    d_r, d_s, d_rp = triangle_distances(q, model.geom)
+    sb, db = (path_gain(d, 1.0, amplitude, model.wavelength, model.iota)
+              for d in (2 * d_r, d_s + d_r + d_rp))
+    return TargetState(alpha=ang.alpha, xi=ang.xi, sb_gain=sb, db_gain=db)
 
 
 @dataclass

@@ -59,18 +59,12 @@ DEFAULT_CONFIG: dict = {
     "n_trials": 10_000,
     "seed": 20240101,
     "threads": 1,
-    # fixed scatter points for multi-target experiments; the moving target
-    # sweeps the grid.  n_targets 1 uses none of these.
+    # n_targets R selects the reference layout of R - 1 fixed scatter points
+    # (``_LAYOUTS``); the moving target sweeps the grid
     "n_targets": 1,
-    "fixed_targets": {
-        "two": [[60.0, 0.0, 40.0]],
-        # nine angles covering the BS field of view short of broadside,
-        # -72..72 deg in 18 deg steps at 50 m range
-        "ten": "angular_ring",
-    },
-    # explicit scene override: list of {"position": [x, y, z],
-    # "rcs_dbsm": r, "kind": "human_like"|"object_like"}; when non-empty it
-    # replaces the named fixed-target layouts
+    # custom fixed points, {"position": [x, y, z], "rcs_dbsm": r, "kind":
+    # "human_like"|"object_like"|"absent"} each; when non-empty it replaces
+    # the layout, and absent entries are checked, then left out
     "scene": [],
     "classification_snr_db": [-5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0],
 }
@@ -98,10 +92,6 @@ def _db(v) -> bool:
 
 def _xyz(v) -> bool:
     return isinstance(v, list) and len(v) == 3 and all(map(_number, v))
-
-
-def _points(v) -> bool:
-    return isinstance(v, list) and all(map(_xyz, v))
 
 
 _DB = f"in [-{DB_LIMIT:g}, {DB_LIMIT:g}] dB"
@@ -138,9 +128,6 @@ RULES = {
     "seed": (lambda v: v >= 0, "at least 0"),
     "threads": (lambda v: v >= 1, "at least 1"),
     "n_targets": (lambda v: v in (1, 2, 10), "one of 1, 2, 10"),
-    "fixed_targets.two": (_points, "a list of points [x, y, z]"),
-    "fixed_targets.ten": (lambda v: v == "angular_ring" or _points(v),
-                          '"angular_ring" or a list of points [x, y, z]'),
     "scene": (lambda v: all(isinstance(e, dict) for e in v), "a list of objects"),
     "classification_snr_db": (lambda v: len(v) > 0 and all(map(_db, v)),
                               f"a non-empty list of values {_DB}"),
@@ -225,12 +212,7 @@ def _check_across(cfg: dict) -> None:
             raise ConfigError(f"{at}.rcs_dbsm must be a number {_DB}, got {json.dumps(rcs)}")
         if not _xyz(pos):
             raise ConfigError(f"{at}.position must be 3 finite numbers, got {json.dumps(pos)}")
-    points, n = _placements(cfg, geom.bs_center), cfg["n_targets"]
-    if not cfg["scene"] and len(points) != n - 1:
-        key = "two" if n == 2 else "ten"
-        raise ConfigError(f"fixed_targets.{key} must hold n_targets - 1 = {n - 1} points, "
-                          f"got {json.dumps(cfg['fixed_targets'][key])}")
-    for at, q in points:
+    for at, q in _placements(cfg, geom.bs_center):
         if terminal_mask(q, geom):
             raise ConfigError(f"{at} {json.dumps(q.tolist())} sits on geometry.bs_center "
                               "or geometry.stcm_center")
@@ -353,33 +335,32 @@ def scene_from_config(cfg: dict) -> list[ScatterPoint]:
     return points
 
 
+# the R - 1 reference fixed points of n_targets R, from the BS centre: R = 2
+# one point, R = 10 nine points 50 m from the BS at -72..72 deg in 18 deg
+# steps, covering its field of view short of broadside
+_LAYOUTS = {1: lambda bs: [], 2: lambda bs: [np.array([60.0, 0.0, 40.0])],
+            10: lambda bs: [bs + 50.0 * np.array([np.sin(a), 0.0, np.cos(a)])
+                            for a in np.deg2rad(np.arange(-72.0, 72.1, 18.0))]}
+
+
 def _placements(cfg: dict, bs_center: np.ndarray) -> list[tuple[str, np.ndarray]]:
-    """(config path, position) of every fixed scatter point: the ``scene``
-    entries when there are any, else the named layout for ``n_targets``."""
+    """(its name in an error, position) of every fixed scatter point,
+    absent ones included: the ``scene`` entries when there are any, else
+    the ``_LAYOUTS`` points of ``n_targets``."""
     if cfg["scene"]:
         return [(f"scene[{i}].position", np.asarray(e["position"], dtype=float))
                 for i, e in enumerate(cfg["scene"])]
     n = cfg["n_targets"]
-    if n == 1:
-        return []
-    key = "two" if n == 2 else "ten"
-    placement = cfg["fixed_targets"][key]
-    if placement == "angular_ring":
-        angles = np.deg2rad(np.arange(-72.0, 72.1, 18.0))
-        return [(f"fixed_targets.{key}", bs_center + 50.0 * np.array([np.sin(a), 0.0, np.cos(a)]))
-                for a in angles]
-    return [(f"fixed_targets.{key}[{i}]", np.asarray(p, dtype=float))
-            for i, p in enumerate(placement)]
+    return [(f"n_targets {n} point", q) for q in _LAYOUTS[n](bs_center)]
 
 
 def fixed_scene(cfg: dict, model: SystemModel) -> list[ScatterPoint]:
-    """Fixed scatter points of a resolved config.
-
-    An explicit ``scene`` block wins; otherwise the named layout for
-    ``n_targets`` R applies, R - 1 points with unit sqrt-RCS each
-    (full-power reflection convention).  The ten-target ring places nine
-    targets at -72..72 degrees in 18-degree steps, 50 m from the BS.
-    """
-    return scene_from_config(cfg) or [
-        ScatterPoint(position=q, rcs_sqrt=1.0, kind=TargetKind.OBJECT_LIKE)
-        for _, q in _placements(cfg, model.geom.bs_center)]
+    """The fixed scatter points that reflect, of a resolved config: the
+    ``scene`` entries when there are any, absent ones left out (they carry
+    no echo), else the ``_LAYOUTS`` points of ``n_targets``, each with unit
+    sqrt-RCS (full-power reflection convention).  The maps and the
+    benchmark's output check both read this list."""
+    if cfg["scene"]:
+        return [p for p in scene_from_config(cfg) if p.kind is not TargetKind.ABSENT]
+    return [ScatterPoint(position=q, rcs_sqrt=1.0, kind=TargetKind.OBJECT_LIKE)
+            for _, q in _placements(cfg, model.geom.bs_center)]

@@ -46,7 +46,7 @@ from .channel import _target_state
 from .classification import confusion_row, rayleigh_scale
 from .config import SystemModel, build_model, config_hash, fixed_scene, grid_points
 from .detection import Combiner, detection_map, effective_energy_cells
-from .geometry import TargetKind, terminal_mask
+from .geometry import terminal_mask
 from .io import format_column, write_csv, write_manifest
 from .metasurface import _ris_terms
 
@@ -57,10 +57,8 @@ BLOCK_CELLS = 2560
 
 def _builder(model: SystemModel, fixed, first=("sb", _unit)) -> MultiTargetFimBuilder:
     """FIM builder over the paths (``first``, switching-panel db) around the
-    fixed scatter points, each with its own RCS; absent points carry no echo
-    and are left out."""
-    states = [_target_state(p.position, model, p.rcs_sqrt) for p in fixed
-              if p.kind is not TargetKind.ABSENT]
+    fixed scatter points of ``config.fixed_scene``, each with its own RCS."""
+    states = [_target_state(p.position, model, p.rcs_sqrt) for p in fixed]
     panel = functools.partial(_patterns, model.panel, model.code, model.harmonics, model.mode)
     return MultiTargetFimBuilder(states, [first, ("db", panel)], model.ula, model.pilots,
                                  model.noise_power)

@@ -123,6 +123,11 @@ MAP_RUNNERS = {"crb-map": experiments.run_crb_map, "peb-map": experiments.run_pe
     # one harmonic: the xi information is rounding noise, masked at every R
     *(pytest.param(verb, r, {"harmonics": 0}, id=f"{verb}-{r}-harmonics0") for verb, r in [
         ("crb-map", 1), ("crb-map", 2), ("ris-compare", 1)]),
+    # an absent point carries no echo: the maps and the checker both leave it out
+    *(pytest.param(verb, 1, {"scene": [
+        {"position": [-40.0, 0.0, 50.0], "kind": "absent"},
+        {"position": [30.0, 0.0, 60.0], "rcs_dbsm": 0.0}]}, id=f"{verb}-scene-absent")
+      for verb in ("crb-map", "peb-map")),
 ])
 def test_every_map_cell_matches_the_oracle(check, tmp_path, verb, n_targets, extra):
     # the benchmark samples 16 rows and 8 masked rows per file; a last-ulp

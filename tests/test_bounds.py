@@ -22,18 +22,24 @@ from stcmsense.bounds import (
     fim_sb_single,
     peb_cells,
 )
-from stcmsense.channel import path_gains, steering_derivative, steering_vector, vec
+from stcmsense.channel import path_gain, steering_derivative, steering_vector, vec
 from stcmsense.config import build_model, grid_points, merge_config
 from stcmsense.constants import CONDITION_LIMIT
 from stcmsense.errors import DimensionMismatch, SingularInformation
 from stcmsense.experiments import run_crb_map, run_peb_map, run_ris_compare
-from stcmsense.geometry import ScatterPoint, angles_from_position, terminal_mask
+from stcmsense.geometry import angles_from_position, terminal_mask, triangle_distances
 from stcmsense.metasurface import HarmonicSet, RisProfile, WavelengthMode, harmonic_pattern_batch
 
 from echo_oracle import db_regressor, sb_regressor
 
 NOISE = 1e-15
 EPS = float(np.finfo(float).eps)
+
+
+def gains(q, geom):
+    """(sb, db) gains of a unit-amplitude point: roundtrips 2 d_r and d_S + d_r + d_r'."""
+    d_r, d_s, d_rp = triangle_distances(q, geom)
+    return path_gain(2 * d_r), path_gain(d_s + d_r + d_rp)
 
 
 def random_gain(rng, mag=1e-6):
@@ -145,9 +151,7 @@ class TestCrbAlphaClosed:
         crbs = []
         for d in (30.0, 60.0):
             q = geom.bs_center + d * np.array([np.sin(0.5), 0.0, np.cos(0.5)])
-            p = ScatterPoint(position=q, rcs_sqrt=1.0)
-            g = path_gains(p, geom)
-            crbs.append(crb_alpha_closed(0.5, g.sb_gain, ula, pilots, NOISE))
+            crbs.append(crb_alpha_closed(0.5, gains(q, geom)[0], ula, pilots, NOISE))
         assert crbs[0] < crbs[1]
 
 
@@ -212,8 +216,8 @@ class TestCrbXiClosed:
 class TestMultiTarget:
     def state(self, q, geom):
         ang = angles_from_position(q, geom)
-        g = path_gains(ScatterPoint(position=q, rcs_sqrt=1.0), geom)
-        return TargetState(alpha=ang.alpha, xi=ang.xi, sb_gain=g.sb_gain, db_gain=g.db_gain)
+        sb, db = gains(q, geom)
+        return TargetState(alpha=ang.alpha, xi=ang.xi, sb_gain=sb, db_gain=db)
 
     def test_single_target_reduces_to_closed_form(self, geom, ula, panel, code, harmonics, pilots):
         t = self.state(np.array([25.0, 0.0, 45.0]), geom)
@@ -371,11 +375,11 @@ class TestPeb:
     def test_independent_two_path_evaluation(self, geom, ula, panel, code, harmonics, pilots):
         # independent oracle: eigendecomposition path for sqrt(tr(inv))
         q = np.array([22.0, 0.0, 61.0])
-        g = path_gains(ScatterPoint(position=q, rcs_sqrt=1.0), geom)
+        sb, db = gains(q, geom)
         got = self.peb(q, geom, ula, panel, code, harmonics, pilots, NOISE)
         ang = angles_from_position(q, geom)
-        fa = fim_sb_single(ang.alpha, g.sb_gain, ula, pilots, NOISE).entries
-        fx = fim_db_single(ang.xi, ang.alpha, g.db_gain, ula, panel, code, harmonics, pilots, NOISE).entries
+        fa = fim_sb_single(ang.alpha, sb, ula, pilots, NOISE).entries
+        fx = fim_db_single(ang.xi, ang.alpha, db, ula, panel, code, harmonics, pilots, NOISE).entries
         ea = 1.0 / np.linalg.inv(fa)[0, 0]
         ex = 1.0 / np.linalg.inv(fx)[0, 0]
         from stcmsense.geometry import jacobian_angles_to_position

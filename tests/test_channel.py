@@ -10,12 +10,12 @@ from stcmsense import channel
 from stcmsense.bounds import MultiTargetFimBuilder, _patterns, _unit
 from stcmsense.channel import (
     PilotMatrix,
+    TargetState,
     UlaLayout,
     _per_angle,
     _target_state,
     dft_pilots,
     path_gain,
-    path_gains,
     stack,
     steering_derivative,
     steering_vector,
@@ -135,10 +135,11 @@ class TestPathGain:
         # follows the inverse-square path law exactly
         p = ScatterPoint(position=[0.0, 0.0, 50.0], rcs_sqrt=10 ** (1 / 20),
                          kind=TargetKind.HUMAN_LIKE)
-        g = path_gains(p, geom)
-        assert g.sb_distance == pytest.approx(100.0)
-        assert g.db_distance == pytest.approx(200.0)
-        assert abs(g.sb_gain) / abs(g.db_gain) == pytest.approx((200.0 / 100.0) ** 2, rel=1e-12)
+        d_r, d_s, d_rp = triangle_distances(p.position, geom)
+        assert 2 * d_r == pytest.approx(100.0)
+        assert d_s + d_r + d_rp == pytest.approx(200.0)
+        sb, db = (path_gain(d, p.rcs_sqrt) for d in (2 * d_r, d_s + d_r + d_rp))
+        assert abs(sb) / abs(db) == pytest.approx((200.0 / 100.0) ** 2, rel=1e-12)
 
 
 class TestEchoSynthesis:
@@ -371,12 +372,15 @@ class TestMultiTargetEcho:
     FADINGS = [0.8 - 0.3j, 1.7 + 0.2j, -0.4 + 1.1j]
 
     def per_target(self, geom, ula, panel, code, harmonics):
-        """(alpha, eta over the harmonics, PathGains) of each target."""
+        """(alpha, eta over the harmonics, TargetState) of each target."""
         out = []
         for p, nu in zip(self.SCENE, self.FADINGS):
             ang = angles_from_position(p.position, geom)
             eta, _ = harmonic_pattern_batch(panel, code, harmonics, ang.xi, 0.0)
-            out.append((ang.alpha, eta[:, 0], path_gains(p, geom, fading=nu, wavelength=ula.wavelength)))
+            d_r, d_s, d_rp = triangle_distances(p.position, geom)
+            sb, db = (path_gain(d, p.rcs_sqrt, nu, ula.wavelength)
+                      for d in (2 * d_r, d_s + d_r + d_rp))
+            out.append((ang.alpha, eta[:, 0], TargetState(ang.alpha, ang.xi, sb, db)))
         return out
 
     def test_components_are_sums_over_targets(self, model, geom, ula, panel, code, harmonics,

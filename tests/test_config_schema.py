@@ -68,12 +68,8 @@ def _value(path: str, lean: bool):
         return st.lists(st.dictionaries(
             st.sampled_from(["position", "rcs_dbsm", "kind", "extra"]),
             st.one_of(POINT, NEAR, NUMBERS, KINDS, JSON), max_size=4) | JSON, max_size=3) | JSON
-    if path.startswith("fixed_targets."):
-        if lean:
-            return st.lists(SPOT, max_size=10) | st.just("angular_ring")
-        return st.one_of(st.lists(POINT | JSON, max_size=10), JSON)
     if isinstance(default, str):
-        options = st.sampled_from(["exact", "carrier", "angular_ring"])
+        options = st.sampled_from(["exact", "carrier"])
         return options if lean else options | JSON
     if isinstance(default, list):
         # vectors of the default's length, points put in the y = 0 plane
@@ -114,8 +110,6 @@ def moved_scenes(draw):
     fixed = draw(st.sampled_from(["none", "two", "ten", "scene"]))
     if fixed in ("two", "ten"):
         doc["n_targets"] = 2 if fixed == "two" else 10
-        if fixed == "two" and draw(st.booleans()):
-            doc["fixed_targets"] = {"two": [draw(spot)]}
     elif fixed == "scene":
         doc["scene"] = draw(st.lists(st.fixed_dictionaries(
             {"position": spot, "rcs_dbsm": st.floats(-300, 300), "kind": KINDS}), max_size=3))
@@ -129,8 +123,8 @@ def documents(draw):
     if draw(st.integers(0, 5)) == 0:
         return draw(moved_scenes())
     lean = draw(st.booleans())
-    # the keys with nested values weigh as much as all the others
-    nested = st.sampled_from(["scene", "fixed_targets.two", "fixed_targets.ten", "n_targets"])
+    # the scene and the layout it replaces weigh as much as all the other keys
+    nested = st.sampled_from(["scene", "n_targets"])
     paths = draw(st.lists(st.sampled_from(sorted(LEAVES)) | nested, max_size=4, unique=True))
     if draw(st.integers(0, 3)) == 0:  # a whole object, or a key the schema lacks
         unknown = st.builds(lambda parent, name: f"{parent}.{name}" if parent else name,

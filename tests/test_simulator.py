@@ -35,6 +35,13 @@ from stcmsense.io import sha256_file
 from stcmsense.validate import run_validate
 
 COARSE = {"grid_res_m": 10.0, "n_trials": 1500, "classification_snr_db": [-5.0, 40.0]}
+# the n_targets 10 reference layout: nine points 50 m from the BS at -72..72 deg
+RING = [[50.0 * np.sin(a), 0.0, 50.0 * np.cos(a)] for a in np.deg2rad(np.arange(-72.0, 72.1, 18.0))]
+
+
+def scene_of(points):
+    """A ``scene`` listing ``points`` at 0 dBsm: sqrt-RCS 1.0, as in the layouts."""
+    return [{"position": p, "rcs_dbsm": 0.0} for p in points]
 
 
 def csv_bytes(runner, cfg, out):
@@ -273,14 +280,16 @@ class TestExperimentOutputs:
 
     # configs the default-config digests above do not reach, each a small
     # override of it at 20 m and seed 31: the single-harmonic and a wider
-    # harmonic set, both multi-target layouts, another path-loss exponent,
-    # an explicit scene with a human-like and an absent point, and the
-    # carrier-wavelength patterns
+    # harmonic set, both multi-target layouts and the same points written as
+    # scenes, another path-loss exponent, an explicit scene with a human-like
+    # and an absent point, and the carrier-wavelength patterns
     CONFIGS = {
         "harmonics-0": {"harmonics": 0},
         "harmonics-5": {"harmonics": 5},
         "R-2": {"n_targets": 2},
         "R-10": {"n_targets": 10},
+        "scene-two": {"scene": scene_of([[60.0, 0.0, 40.0]])},
+        "scene-ten": {"scene": scene_of(RING)},
         "iota-2.2": {"path_loss_exponent": 2.2},
         "scene": {"n_targets": 2, "scene": [
             {"position": [30.0, 0.0, 60.0], "rcs_dbsm": 1.0, "kind": "human_like"},
@@ -331,6 +340,16 @@ class TestExperimentOutputs:
             "crb_alpha_map.csv": "99c5f59421ac55f9da6f34d364437de9913de4d9b2e9e0fe45b84a9fb4c570ff",
             "crb_xi_map.csv": "273e4e440aef9ef6f3230c3e9d53adfb0094eae2928e3eca19d04a15d3cf1153"},
         ("R-10", "peb-map"): {
+            "peb_map.csv": "c463915404b501f45e5e01b871b94f504ccdc69ad4264d47d9c1b9c5f92cd4c0"},
+        ("scene-two", "crb-map"): {
+            "crb_alpha_map.csv": "05fad949400893ec8e6a067c4e9357fbcfc7d8d1c8345a2e648fb4f056bbfd0f",
+            "crb_xi_map.csv": "8f22cbe443d708a78031df31bdfea1b76dcb0fa5b922a363b6a6f32342747e63"},
+        ("scene-two", "peb-map"): {
+            "peb_map.csv": "c0de2595a0f3e3a9073f27bd30863eb68f68ce360e85a6cb96b98781d2150cc2"},
+        ("scene-ten", "crb-map"): {
+            "crb_alpha_map.csv": "99c5f59421ac55f9da6f34d364437de9913de4d9b2e9e0fe45b84a9fb4c570ff",
+            "crb_xi_map.csv": "273e4e440aef9ef6f3230c3e9d53adfb0094eae2928e3eca19d04a15d3cf1153"},
+        ("scene-ten", "peb-map"): {
             "peb_map.csv": "c463915404b501f45e5e01b871b94f504ccdc69ad4264d47d9c1b9c5f92cd4c0"},
         ("iota-2.2", "crb-map"): {
             "crb_alpha_map.csv": "7ce23f35358799cf9ae883dc83149b6bc81722d6ebe7b07e911108786e6dc514",
@@ -726,8 +745,9 @@ class TestCli:
         ({"scene": [{"position": [1, 2], "rcs_dbsm": 1.0}]}, "scene[0].position"),
         ({"scene": [{"position": [1, 0, 2], "rcs_dbsm": None}]}, "scene[0].rcs_dbsm"),
         ({"scene": [{"position": [1, 0, 2], "rcs_dbsm": 1.0, "kind": "cat"}]}, "scene[0].kind"),
-        ({"n_targets": 2, "fixed_targets": {"two": []}}, "fixed_targets.two"),
-        ({"n_targets": 10, "fixed_targets": {"ten": "bogus"}}, "fixed_targets.ten"),
+        # fixed points go through scene alone, and none may sit on a terminal
+        ({"fixed_targets": {"two": [[60, 0, 40]]}}, "fixed_targets"),
+        ({"scene": [{"position": [0, 0, 100], "rcs_dbsm": 0}]}, "scene[0].position"),
         ({"harmonics": 20000}, "harmonics"),
         ({"harmonics": 100000}, "harmonics"),
         ({"code": {"period_s": 0}}, "code.period_s"),
@@ -756,7 +776,8 @@ class TestCli:
         ({"rcs_dbsm": {"human_like": 20}}, "rcs_dbsm.human_like"),
         ({"geometry": {"bs_center": [0, 1, 0]}}, "geometry.bs_center"),
         ({"geometry": {"stcm_center": [0, 0, 0]}}, "geometry.stcm_center"),
-        ({"n_targets": 2, "fixed_targets": {"two": [[0, 0, 0]]}}, "fixed_targets.two"),
+        ({"n_targets": 2, "geometry": {"bs_center": [60, 0, 40], "stcm_center": [60, 0, 140]}},
+         "n_targets"),
         ({"geometry": {"foo": 1}}, "geometry.foo"),
         # an amplitude past the +-300 dB bound (detect-map squares it)
         ({"sigma_nu": 1e300}, "sigma_nu"),
