@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 
-from .config import DEFAULT_CONFIG, load_config
+from .config import DEFAULT_CONFIG, RULES, load_config
 from .errors import SensingError
 from .experiments import (
     run_classification_mc,
@@ -45,7 +45,7 @@ _FLAGS = (
     ("--grid-res", "grid_res_m", "METERS", "grid resolution override"),
     ("--threads", "threads", "N", "worker processes over cell blocks"),
     ("--harmonics", "harmonics", "MF", "highest analyzed harmonic order"),
-    ("--targets", "n_targets", "R", "number of targets (1, 2 or 10)"),
+    ("--targets", "n_targets", "R", "number of targets"),
 )
 
 
@@ -53,7 +53,7 @@ def _add_common(parser: argparse.ArgumentParser, needs_out: bool) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config overriding the defaults")
     for flag, key, metavar, text in _FLAGS:
         parser.add_argument(flag, dest=key, type=type(DEFAULT_CONFIG[key]), metavar=metavar,
-                            help=text)
+                            help=f"{text}: {RULES[key][1]}")
     if needs_out:
         parser.add_argument("--out", metavar="DIR", default=".", help="output directory")
 

@@ -5,15 +5,21 @@ reproduces the reference simulation parameters (16-element ULA, 64-element
 panel, 8-slot 2 us coding period, 10 GHz carrier, 12 dBm pilot block,
 -120 dBm noise, 160 x 100 m scene with the panel 100 m above the BS).
 
+``SCHEMA`` declares each key once, as one row (default, test, what the
+value must be); ``DEFAULT_CONFIG`` and ``RULES`` are read from it.
 ``merge_config`` is the one check of a document: it types every key by its
-default, tests it against its ``RULES`` row and casts it to the default's
-type, then ``_check_across`` tests what spans keys.  Every verb and
-``validate`` resolve their config there; the builders below trust it.
+default, casts it to the default's type and tests it against its row, then
+``_check_across`` tests what spans keys: the model-array budget, the lowest
+sideband, the RCS order, the one frame the model assumes (the panel on the
+BS boresight, above the BS), the lattice and the fixed points, which one
+reader (``_scene``) checks and builds.  Every verb and ``validate`` resolve
+their config there; the builders below trust it.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -35,39 +41,6 @@ from .metasurface import (
     WavelengthMode,
     default_coding_matrix,
 )
-
-DEFAULT_CONFIG: dict = {
-    "carrier_hz": 1.0e10,
-    "bs": {"antennas": 16},
-    "panel": {"n_x": 8, "n_y": 8},
-    "code": {"length": 8, "period_s": 2.0e-6},
-    "harmonics": 3,
-    "wavelength_mode": "exact",
-    "pilot_total_power_dbm": 12.0,
-    "noise_power_dbm": -120.0,
-    "path_loss_exponent": 2.0,
-    "sigma_nu": 1.0,
-    "rcs_dbsm": {"human_like": 1.0, "object_like": 17.0},
-    "geometry": {
-        "bs_center": [0.0, 0.0, 0.0],
-        "stcm_center": [0.0, 0.0, 100.0],
-        "x_bounds": [-80.0, 80.0],
-        "z_bounds": [0.0, 100.0],
-    },
-    "grid_res_m": 1.0,
-    "p_fa": 1.0e-4,
-    "n_trials": 10_000,
-    "seed": 20240101,
-    "threads": 1,
-    # n_targets R selects the reference layout of R - 1 fixed scatter points
-    # (``_LAYOUTS``); the moving target sweeps the grid
-    "n_targets": 1,
-    # custom fixed points, {"position": [x, y, z], "rcs_dbsm": r, "kind":
-    # "human_like"|"object_like"|"absent"} each; when non-empty it replaces
-    # the layout, and absent entries are checked, then left out
-    "scene": [],
-    "classification_snr_db": [-5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0],
-}
 
 
 def dbm_to_watt(dbm: float) -> float:
@@ -94,44 +67,73 @@ def _xyz(v) -> bool:
     return isinstance(v, list) and len(v) == 3 and all(map(_number, v))
 
 
+# the R - 1 reference fixed points of n_targets R, from the BS centre: R = 2
+# one point, R = 10 nine points 50 m from the BS at -72..72 deg in 18 deg
+# steps, covering its field of view short of broadside
+_LAYOUTS = {1: lambda bs: [], 2: lambda bs: [np.array([60.0, 0.0, 40.0])],
+            10: lambda bs: [bs + 50.0 * np.array([np.sin(a), 0.0, np.cos(a)])
+                            for a in np.deg2rad(np.arange(-72.0, 72.1, 18.0))]}
+
 _DB = f"in [-{DB_LIMIT:g}, {DB_LIMIT:g}] dB"
 _MODES = [w.value for w in WavelengthMode]
 _KINDS = [k.value for k in TargetKind]
 _CENTER = (lambda v: len(v) == 3 and v[1] == 0, "a point [x, 0, z] in the y = 0 plane")
 _BOUNDS = (lambda v: len(v) == 2 and v[0] <= v[1], "[min, max]")
 
-# Key path -> (test, what the value must be).  The test sees the value after
-# it has been cast to its default's type; a string default names an option,
-# and its test alone decides which values it takes.
-RULES = {
-    "carrier_hz": (lambda v: v > 0, "positive"),
-    "bs.antennas": (lambda v: v >= 1 and math.isqrt(v) ** 2 == v, "a positive perfect square"),
-    "panel.n_x": (lambda v: v >= 1, "at least 1"),
-    "panel.n_y": (lambda v: v >= 1, "at least 1"),
-    "code.length": (lambda v: v >= 2, "at least 2"),
-    "code.period_s": (lambda v: v > 0, "positive"),
-    "harmonics": (lambda v: v >= 0, "at least 0"),
-    "wavelength_mode": (lambda v: v in _MODES, f"one of {_MODES}"),
-    "pilot_total_power_dbm": (_db, _DB),
-    "noise_power_dbm": (_db, _DB),
-    "path_loss_exponent": (lambda v: 0 < v <= 10, "in (0, 10]"),
-    "sigma_nu": (lambda v: 0 < v <= AMPLITUDE_LIMIT, f"in (0, {AMPLITUDE_LIMIT:g}]"),
-    "rcs_dbsm.human_like": (_db, _DB),
-    "rcs_dbsm.object_like": (_db, _DB),
-    "geometry.bs_center": _CENTER,
-    "geometry.stcm_center": _CENTER,
-    "geometry.x_bounds": _BOUNDS,
-    "geometry.z_bounds": _BOUNDS,
-    "grid_res_m": (lambda v: v > 0, "positive"),
-    "p_fa": (lambda v: 0 < v < 1, "in (0, 1)"),
-    "n_trials": (lambda v: 1 <= v <= MAX_TRIALS, f"in [1, {MAX_TRIALS}]"),
-    "seed": (lambda v: v >= 0, "at least 0"),
-    "threads": (lambda v: v >= 1, "at least 1"),
-    "n_targets": (lambda v: v in (1, 2, 10), "one of 1, 2, 10"),
-    "scene": (lambda v: all(isinstance(e, dict) for e in v), "a list of objects"),
-    "classification_snr_db": (lambda v: len(v) > 0 and all(map(_db, v)),
+# Key path -> (default, test, what the value must be), in document order.
+# The default gives the key its type; the test sees the value after it has
+# been cast to that type.  A string default names an option, and its test
+# alone decides which values it takes.
+SCHEMA = {
+    "carrier_hz": (1.0e10, lambda v: v > 0, "positive"),
+    "bs.antennas": (16, lambda v: v >= 1 and math.isqrt(v) ** 2 == v, "a positive perfect square"),
+    "panel.n_x": (8, lambda v: v >= 1, "at least 1"),
+    "panel.n_y": (8, lambda v: v >= 1, "at least 1"),
+    "code.length": (8, lambda v: v >= 2, "at least 2"),
+    "code.period_s": (2.0e-6, lambda v: v > 0, "positive"),
+    "harmonics": (3, lambda v: v >= 0, "at least 0"),
+    "wavelength_mode": ("exact", lambda v: v in _MODES, f"one of {_MODES}"),
+    "pilot_total_power_dbm": (12.0, _db, _DB),
+    "noise_power_dbm": (-120.0, _db, _DB),
+    "path_loss_exponent": (2.0, lambda v: 0 < v <= 10, "in (0, 10]"),
+    "sigma_nu": (1.0, lambda v: 0 < v <= AMPLITUDE_LIMIT, f"in (0, {AMPLITUDE_LIMIT:g}]"),
+    "rcs_dbsm.human_like": (1.0, _db, _DB),
+    "rcs_dbsm.object_like": (17.0, _db, _DB),
+    # the panel on the BS boresight above the BS (_check_across)
+    "geometry.bs_center": ([0.0, 0.0, 0.0], *_CENTER),
+    "geometry.stcm_center": ([0.0, 0.0, 100.0], *_CENTER),
+    "geometry.x_bounds": ([-80.0, 80.0], *_BOUNDS),
+    "geometry.z_bounds": ([0.0, 100.0], *_BOUNDS),
+    "grid_res_m": (1.0, lambda v: v > 0, "positive"),
+    "p_fa": (1.0e-4, lambda v: 0 < v < 1, "in (0, 1)"),
+    "n_trials": (10_000, lambda v: 1 <= v <= MAX_TRIALS, f"in [1, {MAX_TRIALS}]"),
+    "seed": (20240101, lambda v: v >= 0, "at least 0"),
+    "threads": (1, lambda v: v >= 1, "at least 1"),
+    # n_targets R selects the reference layout of R - 1 fixed scatter points
+    # (``_LAYOUTS``); the moving target sweeps the grid
+    "n_targets": (1, lambda v: v in _LAYOUTS, f"one of {', '.join(map(str, _LAYOUTS))}"),
+    # custom fixed points, {"position": [x, y, z], "rcs_dbsm": r, "kind":
+    # "human_like"|"object_like"|"absent"} each (``_scene``); when non-empty
+    # it replaces the layout, and absent entries are checked, then left out
+    "scene": ([], lambda v: all(isinstance(e, dict) for e in v), "a list of objects"),
+    "classification_snr_db": ([-5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0],
+                              lambda v: len(v) > 0 and all(map(_db, v)),
                               f"a non-empty list of values {_DB}"),
 }
+
+RULES = {path: (test, want) for path, (_, test, want) in SCHEMA.items()}
+
+
+def _nested(rows: dict) -> dict:
+    """The document of the defaults of key-path rows, in their order."""
+    out = {}
+    for path, (default, *_) in rows.items():
+        *parents, key = path.split(".")
+        functools.reduce(lambda node, name: node.setdefault(name, {}), parents, out)[key] = default
+    return out
+
+
+DEFAULT_CONFIG: dict = _nested(SCHEMA)
 
 
 def _walk(v, default, path: str):
@@ -188,34 +190,18 @@ def _check_across(cfg: dict) -> None:
     if not rcs_sqrt_from_dbsm(rcs["human_like"]) < rcs_sqrt_from_dbsm(rcs["object_like"]):
         raise ConfigError("rcs_dbsm.human_like must be below rcs_dbsm.object_like, got "
                           f"{json.dumps(rcs['human_like'])} and {json.dumps(rcs['object_like'])}")
-    g = cfg["geometry"]
-    if not np.linalg.norm(np.subtract(g["bs_center"], g["stcm_center"])) > 0:
-        raise ConfigError("geometry.stcm_center must differ from geometry.bs_center, got "
-                          f"{json.dumps(g['stcm_center'])}")
-    # the bounds and the echo see the panel on the BS boresight (angle 0)
-    if g["stcm_center"][0] != g["bs_center"][0]:
-        raise ConfigError("geometry.stcm_center x must equal geometry.bs_center x, got "
-                          f"{json.dumps(g['stcm_center'])} and {json.dumps(g['bs_center'])}")
-    geom = SceneGeometry(bs_center=g["bs_center"], stcm_center=g["stcm_center"],
-                         x_bounds=tuple(g["x_bounds"]), z_bounds=tuple(g["z_bounds"]))
+    # the bounds and the echo see the panel on the BS boresight (angle 0), above
+    # the BS; distinct as SceneGeometry measures d_s
+    b, c = cfg["geometry"]["bs_center"], cfg["geometry"]["stcm_center"]
+    if not (c[0] == b[0] and c[2] > b[2] and np.linalg.norm(np.subtract(b, c)) > 0):
+        raise ConfigError("geometry.stcm_center must lie on the boresight above geometry.bs_center "
+                          f"(same x, larger z), got {json.dumps(c)} and {json.dumps(b)}")
+    geom = _geometry(cfg)
     grid_points(geom, cfg["grid_res_m"])
-    for i, entry in enumerate(cfg["scene"]):
-        at = f"scene[{i}]"
-        for k in entry:
-            if k not in ("position", "rcs_dbsm", "kind"):
-                raise ConfigError(f"unknown config key: {f'{at}.{k}'!r}")
-        kind = entry.get("kind", "object_like")
-        rcs, pos = entry.get("rcs_dbsm"), entry.get("position")
-        if kind not in _KINDS:
-            raise ConfigError(f"{at}.kind must be one of {_KINDS}, got {json.dumps(kind)}")
-        if not (kind == "absent" and "rcs_dbsm" not in entry or _db(rcs)):
-            raise ConfigError(f"{at}.rcs_dbsm must be a number {_DB}, got {json.dumps(rcs)}")
-        if not _xyz(pos):
-            raise ConfigError(f"{at}.position must be 3 finite numbers, got {json.dumps(pos)}")
-    for at, q in _placements(cfg, geom.bs_center):
-        if terminal_mask(q, geom):
-            raise ConfigError(f"{at} {json.dumps(q.tolist())} sits on geometry.bs_center "
-                              "or geometry.stcm_center")
+    for at, point in _scene(cfg, geom.bs_center):
+        if terminal_mask(point.position, geom):
+            raise ConfigError(f"{at} {json.dumps(point.position.tolist())} sits on "
+                              "geometry.bs_center or geometry.stcm_center")
 
 
 def merge_config(overrides: dict | None) -> dict:
@@ -270,33 +256,19 @@ class SystemModel:
 
 def build_model(cfg: dict) -> SystemModel:
     """The scene and hardware objects of a config resolved by ``merge_config``."""
-    g = cfg["geometry"]
-    geom = SceneGeometry(bs_center=g["bs_center"], stcm_center=g["stcm_center"],
-                         x_bounds=tuple(g["x_bounds"]), z_bounds=tuple(g["z_bounds"]))
-    carrier = cfg["carrier_hz"]
+    carrier, rcs = cfg["carrier_hz"], cfg["rcs_dbsm"]
     ula = UlaLayout.half_wavelength(cfg["bs"]["antennas"], carrier)
     panel = PanelLayout.half_wavelength(cfg["panel"]["n_x"], cfg["panel"]["n_y"], carrier)
-    code = default_coding_matrix(panel, cfg["code"]["length"], cfg["code"]["period_s"])
-    harmonics = HarmonicSet(cfg["harmonics"])
-    pilots = dft_pilots(ula.m_antennas, dbm_to_watt(cfg["pilot_total_power_dbm"]))
-    rcs = cfg["rcs_dbsm"]
-    hyp = HypothesisSet(rcs_sqrts=(0.0, rcs_sqrt_from_dbsm(rcs["human_like"]),
-                                   rcs_sqrt_from_dbsm(rcs["object_like"])))
     return SystemModel(
-        geom=geom,
-        ula=ula,
-        panel=panel,
-        code=code,
-        harmonics=harmonics,
-        pilots=pilots,
-        noise_power=dbm_to_watt(cfg["noise_power_dbm"]),
-        sigma_nu=cfg["sigma_nu"],
-        iota=cfg["path_loss_exponent"],
-        p_fa=cfg["p_fa"],
-        mode=WavelengthMode(cfg["wavelength_mode"]),
-        hypotheses=hyp,
-        ris_profile=RisProfile(np.ones(panel.n_elements, dtype=complex)),
-    )
+        geom=_geometry(cfg), ula=ula, panel=panel,
+        code=default_coding_matrix(panel, cfg["code"]["length"], cfg["code"]["period_s"]),
+        harmonics=HarmonicSet(cfg["harmonics"]),
+        pilots=dft_pilots(ula.m_antennas, dbm_to_watt(cfg["pilot_total_power_dbm"])),
+        noise_power=dbm_to_watt(cfg["noise_power_dbm"]), sigma_nu=cfg["sigma_nu"],
+        iota=cfg["path_loss_exponent"], p_fa=cfg["p_fa"], mode=WavelengthMode(cfg["wavelength_mode"]),
+        hypotheses=HypothesisSet(rcs_sqrts=(0.0, rcs_sqrt_from_dbsm(rcs["human_like"]),
+                                            rcs_sqrt_from_dbsm(rcs["object_like"]))),
+        ris_profile=RisProfile(np.ones(panel.n_elements, dtype=complex)))
 
 
 def grid_points(geom: SceneGeometry, res_m: float) -> tuple[np.ndarray, np.ndarray]:
@@ -323,44 +295,42 @@ def grid_points(geom: SceneGeometry, res_m: float) -> tuple[np.ndarray, np.ndarr
             geom.z_bounds[0] + res_m * np.arange(counts[1]))
 
 
-def scene_from_config(cfg: dict) -> list[ScatterPoint]:
-    """Explicit scatter points from the ``scene`` block of a resolved config."""
-    points = []
-    for entry in cfg["scene"]:
-        kind = TargetKind(entry.get("kind", "object_like"))
-        points.append(ScatterPoint(
-            position=np.asarray(entry["position"], dtype=float),
-            rcs_sqrt=0.0 if kind is TargetKind.ABSENT else rcs_sqrt_from_dbsm(entry["rcs_dbsm"]),
-            kind=kind))
-    return points
+def _geometry(cfg: dict) -> SceneGeometry:
+    g = cfg["geometry"]
+    return SceneGeometry(bs_center=g["bs_center"], stcm_center=g["stcm_center"],
+                         x_bounds=tuple(g["x_bounds"]), z_bounds=tuple(g["z_bounds"]))
 
 
-# the R - 1 reference fixed points of n_targets R, from the BS centre: R = 2
-# one point, R = 10 nine points 50 m from the BS at -72..72 deg in 18 deg
-# steps, covering its field of view short of broadside
-_LAYOUTS = {1: lambda bs: [], 2: lambda bs: [np.array([60.0, 0.0, 40.0])],
-            10: lambda bs: [bs + 50.0 * np.array([np.sin(a), 0.0, np.cos(a)])
-                            for a in np.deg2rad(np.arange(-72.0, 72.1, 18.0))]}
-
-
-def _placements(cfg: dict, bs_center: np.ndarray) -> list[tuple[str, np.ndarray]]:
-    """(its name in an error, position) of every fixed scatter point,
-    absent ones included: the ``scene`` entries when there are any, else
-    the ``_LAYOUTS`` points of ``n_targets``."""
-    if cfg["scene"]:
-        return [(f"scene[{i}].position", np.asarray(e["position"], dtype=float))
-                for i, e in enumerate(cfg["scene"])]
-    n = cfg["n_targets"]
-    return [(f"n_targets {n} point", q) for q in _LAYOUTS[n](bs_center)]
+def _scene(cfg: dict, bs_center: np.ndarray) -> list[tuple[str, ScatterPoint]]:
+    """(its name in an error, point) of every fixed scatter point, absent ones
+    included: each ``scene`` entry checked and built when there are any, else
+    the ``_LAYOUTS`` points of ``n_targets``, each with unit sqrt-RCS
+    (full-power reflection convention)."""
+    if not cfg["scene"]:
+        n = cfg["n_targets"]
+        return [(f"n_targets {n} point", ScatterPoint(position=q, rcs_sqrt=1.0))
+                for q in _LAYOUTS[n](bs_center)]
+    out = []
+    for i, entry in enumerate(cfg["scene"]):
+        at = f"scene[{i}]"
+        for k in entry:
+            if k not in ("position", "rcs_dbsm", "kind"):
+                raise ConfigError(f"unknown config key: {f'{at}.{k}'!r}")
+        kind, rcs, pos = entry.get("kind", "object_like"), entry.get("rcs_dbsm"), entry.get("position")
+        if kind not in _KINDS:
+            raise ConfigError(f"{at}.kind must be one of {_KINDS}, got {json.dumps(kind)}")
+        absent = kind == "absent"
+        if not (absent and "rcs_dbsm" not in entry or _db(rcs)):
+            raise ConfigError(f"{at}.rcs_dbsm must be a number {_DB}, got {json.dumps(rcs)}")
+        if not _xyz(pos):
+            raise ConfigError(f"{at}.position must be 3 finite numbers, got {json.dumps(pos)}")
+        out.append((f"{at}.position", ScatterPoint(
+            position=pos, rcs_sqrt=0.0 if absent else rcs_sqrt_from_dbsm(rcs), kind=TargetKind(kind))))
+    return out
 
 
 def fixed_scene(cfg: dict, model: SystemModel) -> list[ScatterPoint]:
-    """The fixed scatter points that reflect, of a resolved config: the
-    ``scene`` entries when there are any, absent ones left out (they carry
-    no echo), else the ``_LAYOUTS`` points of ``n_targets``, each with unit
-    sqrt-RCS (full-power reflection convention).  The maps and the
-    benchmark's output check both read this list."""
-    if cfg["scene"]:
-        return [p for p in scene_from_config(cfg) if p.kind is not TargetKind.ABSENT]
-    return [ScatterPoint(position=q, rcs_sqrt=1.0, kind=TargetKind.OBJECT_LIKE)
-            for _, q in _placements(cfg, model.geom.bs_center)]
+    """The fixed scatter points that reflect, of a resolved config
+    (:func:`_scene`): absent ``scene`` entries carry no echo and are left
+    out.  The maps and the benchmark's output check both read this list."""
+    return [p for _, p in _scene(cfg, model.geom.bs_center) if p.kind is not TargetKind.ABSENT]

@@ -1,18 +1,18 @@
 """Scene layout and angle/position conversions on the 2-D sensing plane.
 
 The base station (BS) and the reflecting panel both sit in the x-z plane
-(y = 0 everywhere) and share the z-axis.  Angles follow one convention
-throughout the package:
+(y = 0 everywhere), the panel on the BS boresight above the BS: same x,
+larger z, the one frame ``config.merge_config`` accepts.  Angles follow one
+convention throughout the package:
 
 * ``alpha`` -- BS-to-target angle from the BS boresight (+z), signed
   positive toward +x: ``alpha = atan2(x - bx, z - bz)``.
 * ``xi`` -- panel-to-target angle from the panel boresight, which points
-  into the scene (toward the BS side of the panel plane):
-  ``xi = atan2(x - sx, |z - sz|)``.
+  into the scene (down, toward the BS): ``xi = atan2(x - sx, |z - sz|)``.
 
-With both terminals on the z-axis, alpha and xi carry the same sign, and the
-BS/target/panel triangle obeys the law of sines; that is what makes the
-target range recoverable from the two angles alone.
+With both terminals on one vertical axis, alpha and xi carry the same sign,
+and the BS/target/panel triangle obeys the law of sines; that is what makes
+the target range recoverable from the two angles alone.
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ class SceneGeometry:
     def d_s(self) -> float:
         """BS-to-panel distance, meters, taken once per (frozen) geometry."""
         return float(np.linalg.norm(self.bs_center - self.stcm_center))
-
-    @property
-    def boresight_sign(self) -> float:
-        """+1 when the panel sits above the BS on the z-axis, -1 below."""
-        return 1.0 if self.stcm_center[2] >= self.bs_center[2] else -1.0
 
 
 @dataclass(frozen=True)
@@ -185,11 +180,10 @@ def jacobian_angles_to_position(q, geom: SceneGeometry) -> np.ndarray:
     _check_terminals(q, geom)
     bx, _, bz = geom.bs_center
     sx, _, sz = geom.stcm_center
-    sgn = geom.boresight_sign
     dxb, dzb = q[..., 0] - bx, q[..., 2] - bz
     db2 = dxb * dxb + dzb * dzb
     dxs = q[..., 0] - sx
-    w = sgn * (sz - q[..., 2])  # == |z - sz| on the scene side
+    w = sz - q[..., 2]  # == |z - sz| on the scene side, below the panel
     ds2 = dxs * dxs + w * w
-    rows = [[dzb / db2, -dxb / db2], [w / ds2, sgn * dxs / ds2]]
+    rows = [[dzb / db2, -dxb / db2], [w / ds2, dxs / ds2]]
     return np.moveaxis(np.array(rows), (0, 1), (-2, -1))

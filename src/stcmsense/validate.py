@@ -13,7 +13,9 @@ import numpy as np
 from .bounds import crb_alpha_closed, crb_xi_closed, fim_db_single, fim_sb_single
 from .channel import steering_derivative, steering_vector
 from .config import build_model, merge_config
+from .constants import CONDITION_LIMIT
 from .detection import marcum_q1
+from .errors import SingularInformation
 from .geometry import (AnglePair, angles_from_position, jacobian_angles_to_position,
                        position_from_angles, triangle_distances)
 from .metasurface import fourier_coefficients, harmonic_pattern_batch
@@ -71,10 +73,11 @@ def run_validate(cfg: dict | None = None, printer=print) -> int:
           f"min {energy.min():.5f}")
 
     def worst_fd(an, hi, lo, h):
-        """Largest per-column relative error of the analytic derivative
-        columns ``an`` against central differences of ``hi`` and ``lo``."""
+        """Largest per-column relative error of the analytic columns ``an``
+        against central differences; a column zero on both sides gives 0."""
         fd = (hi - lo) / (2 * h)
-        return float(np.max(np.max(np.abs(an - fd), axis=0) / np.max(np.abs(fd), axis=0)))
+        err, scale = np.max(np.abs(an - fd), axis=0), np.max(np.abs(fd), axis=0)
+        return float(np.max(np.divide(err, scale, out=np.where(err > 0, np.inf, 0.0), where=scale > 0)))
 
     # steering derivative
     a, h = rng.uniform(-1.4, 1.4, 100), 1e-7
@@ -89,20 +92,23 @@ def run_validate(cfg: dict | None = None, printer=print) -> int:
     worst = worst_fd(deta[:, :50], eta[:, 50:100], eta[:, 100:], h)
     check("pattern derivative matches finite differences < 1e-6", worst < 1e-6, f"worst {worst:.2e}")
 
+    def gap(f, closed, *args) -> float:
+        """Relative gap of ``closed(*args)`` to inv(f); 0 where both mask."""
+        try:
+            c = closed(*args)
+        except SingularInformation:
+            return 0.0 if f.condition_number() > CONDITION_LIMIT else np.inf
+        return abs(c - np.linalg.inv(f.entries)[0, 0]) / c
+
     # closed forms against explicit inversion
     worst_a, worst_x = 0.0, 0.0
     for _ in range(25):
-        alpha = rng.uniform(-1.2, 1.2)
-        xi = rng.uniform(-1.2, 1.2)
+        alpha, xi = rng.uniform(-1.2, 1.2, 2)
         gain = (rng.standard_normal() + 1j * rng.standard_normal()) * 1e-7
-        f = fim_sb_single(alpha, gain, model.ula, model.pilots, model.noise_power)
-        ca = crb_alpha_closed(alpha, gain, model.ula, model.pilots, model.noise_power)
-        worst_a = max(worst_a, abs(ca - np.linalg.inv(f.entries)[0, 0]) / ca)
-        f = fim_db_single(xi, alpha, gain, model.ula, model.panel, model.code,
-                          model.harmonics, model.pilots, model.noise_power, model.mode)
-        cx = crb_xi_closed(xi, alpha, gain, model.ula, model.panel, model.code,
-                           model.harmonics, model.pilots, model.noise_power, model.mode)
-        worst_x = max(worst_x, abs(cx - np.linalg.inv(f.entries)[0, 0]) / cx)
+        sb = (alpha, gain, model.ula, model.pilots, model.noise_power)
+        worst_a = max(worst_a, gap(fim_sb_single(*sb), crb_alpha_closed, *sb))
+        db = (xi, alpha, gain, model.ula, model.panel, model.code, model.harmonics, *sb[3:], model.mode)
+        worst_x = max(worst_x, gap(fim_db_single(*db), crb_xi_closed, *db))
     check("closed-form CRB(alpha) matches inversion < 1e-9", worst_a < 1e-9, f"worst {worst_a:.2e}")
     check("closed-form CRB(xi) matches inversion < 1e-9", worst_x < 1e-9, f"worst {worst_x:.2e}")
 

@@ -3,9 +3,10 @@
 Each document sets random JSON values at random key paths, known or not.
 ``merge_config`` must either raise ConfigError naming a path the document
 holds (``config`` for a document that is no object), or return a config
-whose every leaf has its default's type and passes its ``RULES`` row, and
-whose ``scene`` entries build.  Any other exception fails.  Only
-``merge_config`` and ``scene_from_config`` run.  ``n_trials`` and the model
+whose every leaf has its default's type and passes its ``RULES`` row,
+whose panel sits on the BS boresight above the BS, and whose ``scene``
+entries build.  Any other exception fails.  Only ``merge_config`` and the
+fixed-point reader ``_scene`` run.  ``n_trials`` and the model
 arrays (pilot block, code, a chunk of pattern temporaries) are bounded; the
 per-block work of the verbs is not fuzzed yet.
 """
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stcmsense.cli import main
-from stcmsense.config import DEFAULT_CONFIG, RULES, merge_config, scene_from_config
+from stcmsense.config import DEFAULT_CONFIG, RULES, _scene, config_hash, merge_config
 from stcmsense.constants import MAX_MODEL_BYTES, MAX_TRIALS
 from stcmsense.errors import ConfigError
 
@@ -192,19 +193,23 @@ def test_merge_config_checks_or_rejects_every_document(doc):
         test, want = RULES[path]
         assert _typed_like(node, default), (path, node)
         assert test(node), (path, want, node)
-    assert len(scene_from_config(cfg)) == len(cfg["scene"])  # every accepted entry builds
-    # the panel sits on the BS boresight axis, as the bounds and the echo assume
-    assert cfg["geometry"]["stcm_center"][0] == cfg["geometry"]["bs_center"][0]
+    bs, stcm = cfg["geometry"]["bs_center"], cfg["geometry"]["stcm_center"]
+    if cfg["scene"]:  # every accepted entry builds
+        assert len(_scene(cfg, np.asarray(bs))) == len(cfg["scene"])
+    # the panel sits on the BS boresight above the BS, as the bounds and the echo assume
+    assert stcm[0] == bs[0] and stcm[2] > bs[2]
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from([0, -0.0, 1e-9, 30.0, -50]) | NEAR, min_size=4, max_size=4))
 def test_panel_must_sit_on_the_bs_boresight_axis(v):
-    # the bounds and the echo see the panel at angle 0 from the BS
+    # the bounds and the echo see the panel at angle 0 from the BS, above it;
+    # the denormal draws give sz > bz with a distance that computes to 0
     bx, bz, sx, sz = v
     doc = {"geometry": {"bs_center": [bx, 0, bz], "stcm_center": [sx, 0, sz]}}
-    if bx == sx and np.linalg.norm([bz - sz]) > 0:  # distinct centres, as the config measures them
-        assert merge_config(doc)["geometry"]["stcm_center"][0] == bx
+    d_s = np.linalg.norm(np.subtract([bx, 0.0, bz], [sx, 0.0, sz]))  # as SceneGeometry measures it
+    if bx == sx and sz > bz and d_s > 0:
+        assert merge_config(doc)["geometry"]["stcm_center"] == [float(sx), 0.0, float(sz)]
     else:
         with pytest.raises(ConfigError, match=r"^geometry\.stcm_center "):
             merge_config(doc)
@@ -212,6 +217,21 @@ def test_panel_must_sit_on_the_bs_boresight_axis(v):
 
 def test_every_leaf_has_a_rule():
     assert RULES.keys() == LEAVES.keys()
+
+
+def test_default_document_is_pinned():
+    # the schema's rows give the defaults, their key order and their digest
+    assert config_hash(merge_config({})) == (
+        "ad83e71f15386333109760ad1cb98767eb40cc5764987d075336c8236d54a8b6")
+    assert list(DEFAULT_CONFIG) == [
+        "carrier_hz", "bs", "panel", "code", "harmonics", "wavelength_mode",
+        "pilot_total_power_dbm", "noise_power_dbm", "path_loss_exponent", "sigma_nu", "rcs_dbsm",
+        "geometry", "grid_res_m", "p_fa", "n_trials", "seed", "threads", "n_targets", "scene",
+        "classification_snr_db"]
+    assert {k: list(v) for k, v in DEFAULT_CONFIG.items() if isinstance(v, dict)} == {
+        "bs": ["antennas"], "panel": ["n_x", "n_y"], "code": ["length", "period_s"],
+        "rcs_dbsm": ["human_like", "object_like"],
+        "geometry": ["bs_center", "stcm_center", "x_bounds", "z_bounds"]}
 
 
 def test_n_trials_is_bounded():

@@ -786,6 +786,10 @@ class TestCli:
         ({"n_trials": 10**12}, "n_trials"),
         # a panel off the BS boresight axis, which the bounds do not model
         ({"geometry": {"stcm_center": [30.0, 0.0, 100.0]}}, "geometry.stcm_center"),
+        # a panel below the BS, at angle pi from its boresight: the flipped frames
+        ({"geometry": {"stcm_center": [0.0, 0.0, -100.0]}}, "geometry.stcm_center"),
+        ({"geometry": {"bs_center": [0.0, 0.0, 100.0], "stcm_center": [0.0, 0.0, 0.0]}},
+         "geometry.stcm_center"),
     ])
     def test_bad_numbers_fail_with_one_line(self, tmp_path, capsys, doc, key):
         # every verb and validate resolve the config alike, so all reject it
@@ -825,6 +829,20 @@ class TestCli:
 
     def test_validate_passes_on_defaults(self):
         assert main(["validate"]) == 0
+
+    @pytest.mark.parametrize("doc", [
+        {},
+        # a single harmonic: the closed CRB(xi) masks, as the FIM fails the limit too
+        {"harmonics": 0},
+        {"wavelength_mode": "carrier", "harmonics": 0},
+        # derivatives that are zero on both sides: one antenna, one panel element
+        {"bs": {"antennas": 1}},
+        {"panel": {"n_x": 1, "n_y": 1}},
+    ])
+    def test_validate_runs_clean_at_edge_configs(self, doc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_validate(doc, printer=lambda line: None) == 0
 
     def test_one_thread_runs_import_neither_numpy_ma_nor_a_pool(self, tmp_path):
         # a fresh interpreter, as pytest, scipy and hypothesis load these
