@@ -19,7 +19,6 @@ their config there; the builders below trust it.
 from __future__ import annotations
 
 import copy
-import functools
 import hashlib
 import json
 import math
@@ -125,11 +124,12 @@ RULES = {path: (test, want) for path, (_, test, want) in SCHEMA.items()}
 
 
 def _nested(rows: dict) -> dict:
-    """The document of the defaults of key-path rows, in their order."""
+    """The document of the defaults of key-path rows, in their order; a
+    path is a key or ``object.key``."""
     out = {}
     for path, (default, *_) in rows.items():
-        *parents, key = path.split(".")
-        functools.reduce(lambda node, name: node.setdefault(name, {}), parents, out)[key] = default
+        parent, _, key = path.rpartition(".")
+        (out.setdefault(parent, {}) if parent else out)[key] = default
     return out
 
 
